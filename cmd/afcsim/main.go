@@ -63,31 +63,27 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("afcsim: ")
 	var (
-		kindFlag   = flag.String("kind", "afc", "router kind: backpressured|ideal-bypass|backpressureless|drop|afc|afc-always-bp|all")
-		benchFlag  = flag.String("bench", "apache", "workload: apache|oltp|specjbb|barnes|ocean|water|all")
-		seed       = flag.Int64("seed", 1, "random seed")
-		warmup     = flag.Uint64("warmup", 2000, "warmup transactions before measurement")
-		tx         = flag.Uint64("tx", 6000, "measured transactions")
-		limit      = flag.Uint64("limit", 20_000_000, "cycle limit")
-		oldest     = flag.Bool("oldest", false, "use oldest-first deflection arbitration instead of randomized")
-		prealloc   = flag.Bool("wb-prealloc", false, "use the writeback pre-allocation protocol variant (Section II)")
-		realVCA    = flag.Bool("realistic-vca", false, "model the 3-stage backpressured pipeline (non-speculative VCA)")
-		meshFlag   = flag.String("mesh", "3x3", "mesh dimensions WxH (the paper uses 3x3; Sec. V-B uses 8x8)")
-		scenarioF  = flag.String("scenario", "", "instead of a workload, run the JSON scenario spec at this path open-loop and report per-phase completion-time percentiles")
-		recordTo   = flag.String("record", "", "record the created packet trace to this file")
-		replayOf   = flag.String("replay", "", "instead of a workload, replay a trace file recorded with -record")
-		parallel   = flag.Int("parallel", runner.FromEnv(), "worker-pool size; <=0 means all CPUs, 1 is serial (results are identical either way)")
-		checked    = flag.Bool("check", check.FromEnv(), "attach the runtime invariant checker (or set AFCSIM_CHECK=1); identical results, slower")
-		dense      = flag.Bool("dense", network.DenseFromEnv(), "run the dense reference kernel instead of active-set scheduling (or set AFCSIM_DENSE=1); identical results, slower at low load")
-		nopool     = flag.Bool("nopool", network.NoPoolFromEnv(), "heap-allocate flits instead of arena pooling (or set AFCSIM_NOPOOL=1); identical results, allocates in steady state")
-		nocolumnar = flag.Bool("nocolumnar", network.NoColumnarFromEnv(), "read per-flit state from struct fields instead of the columnar banks (or set AFCSIM_NOCOLUMNAR=1); identical results")
-		elide      = flag.Bool("elidepayload", network.ElidePayloadFromEnv(), "drop the arena's payload column (or set AFCSIM_ELIDEPAYLOAD=1); identical results, smaller columnar rows")
-		shards     = flag.Int("shards", network.ShardsFromEnv(), "shard each network's tick across this many row bands of worker goroutines (or set AFCSIM_SHARDS=N); <=1 is the serial kernel, identical results")
-		manifest   = flag.String("manifest", "", "write a JSON run manifest (config, per-cell wall times, worker utilization) to this file")
-		progress   = flag.Bool("progress", obs.ProgressFromEnv(), "print a live progress line to stderr (or set AFCSIM_PROGRESS=1)")
-		cpuprof    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof    = flag.String("memprofile", "", "write a heap profile to this file")
-		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof and expvar simulator counters on this address (e.g. localhost:6060)")
+		kindFlag  = flag.String("kind", "afc", "router kind: backpressured|ideal-bypass|backpressureless|drop|afc|afc-always-bp|all")
+		benchFlag = flag.String("bench", "apache", "workload: apache|oltp|specjbb|barnes|ocean|water|all")
+		seed      = flag.Int64("seed", 1, "random seed")
+		warmup    = flag.Uint64("warmup", 2000, "warmup transactions before measurement")
+		tx        = flag.Uint64("tx", 6000, "measured transactions")
+		limit     = flag.Uint64("limit", 20_000_000, "cycle limit")
+		oldest    = flag.Bool("oldest", false, "use oldest-first deflection arbitration instead of randomized")
+		prealloc  = flag.Bool("wb-prealloc", false, "use the writeback pre-allocation protocol variant (Section II)")
+		realVCA   = flag.Bool("realistic-vca", false, "model the 3-stage backpressured pipeline (non-speculative VCA)")
+		meshFlag  = flag.String("mesh", "3x3", "mesh dimensions WxH (the paper uses 3x3; Sec. V-B uses 8x8)")
+		scenarioF = flag.String("scenario", "", "instead of a workload, run the JSON scenario spec at this path open-loop and report per-phase completion-time percentiles")
+		recordTo  = flag.String("record", "", "record the created packet trace to this file")
+		replayOf  = flag.String("replay", "", "instead of a workload, replay a trace file recorded with -record")
+		parallel  = flag.Int("parallel", runner.FromEnv(), "worker-pool size; <=0 means all CPUs, 1 is serial (results are identical either way)")
+		checked   = flag.Bool("check", check.FromEnv(), "attach the runtime invariant checker (or set AFCSIM_CHECK=1); identical results, slower")
+		shards    = flag.Int("shards", network.ShardsFromEnv(), "shard each network's tick across this many row bands of worker goroutines (or set AFCSIM_SHARDS=N); <=1 is the serial kernel, identical results")
+		manifest  = flag.String("manifest", "", "write a JSON run manifest (config, per-cell wall times, worker utilization) to this file")
+		progress  = flag.Bool("progress", obs.ProgressFromEnv(), "print a live progress line to stderr (or set AFCSIM_PROGRESS=1)")
+		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memprof   = flag.String("memprofile", "", "write a heap profile to this file")
+		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof and expvar simulator counters on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
 
@@ -163,7 +159,7 @@ func main() {
 	}
 
 	if *scenarioF != "" {
-		if err := runScenario(*scenarioF, kinds, mesh, *seed, *parallel, *checked, *dense, *nopool, *nocolumnar, *elide, *shards, ob); err != nil {
+		if err := runScenario(*scenarioF, kinds, mesh, *seed, *parallel, *checked, *shards, ob); err != nil {
 			finish()
 			log.Fatal(err)
 		}
@@ -172,12 +168,11 @@ func main() {
 	}
 
 	if *replayOf != "" {
-		for _, k := range kinds {
-			if err := replayOne(*replayOf, k, *seed, *checked, *dense, *nopool, *nocolumnar, *elide, *shards, ob); err != nil {
-				log.Fatal(err)
-			}
-		}
+		err := replay(*replayOf, kinds, mesh, *seed, *checked, *shards, ob)
 		finish()
+		if err != nil {
+			log.Fatal(err)
+		}
 		return
 	}
 
@@ -202,7 +197,7 @@ func main() {
 			p.WritebackPreAlloc = true
 		}
 		var buf bytes.Buffer
-		if err := runOne(&buf, p, k, mesh, pol, *realVCA, *seed, *warmup, *tx, *limit, *recordTo, *checked, *dense, *nopool, *nocolumnar, *elide, *shards, ob); err != nil {
+		if err := runOne(&buf, p, k, mesh, pol, *realVCA, *seed, *warmup, *tx, *limit, *recordTo, *checked, *shards, ob); err != nil {
 			return nil, err
 		}
 		return &buf, nil
@@ -220,7 +215,7 @@ func main() {
 // runScenario runs a scenario spec across the selected kinds and prints
 // the per-phase completion-time report. The spec's timeline replaces the
 // closed-loop workload entirely.
-func runScenario(path string, kinds []network.Kind, mesh topology.Mesh, seed int64, parallel int, checked, dense, nopool, nocolumnar, elide bool, shards int, ob *obs.Observer) error {
+func runScenario(path string, kinds []network.Kind, mesh topology.Mesh, seed int64, parallel int, checked bool, shards int, ob *obs.Observer) error {
 	spec, err := scenario.ParseFile(path)
 	if err != nil {
 		return err
@@ -229,16 +224,12 @@ func runScenario(path string, kinds []network.Kind, mesh topology.Mesh, seed int
 		return err
 	}
 	opt := experiments.Options{
-		Seeds:        []int64{seed},
-		Parallelism:  parallel,
-		Check:        checked,
-		Dense:        dense,
-		NoPool:       nopool,
-		NoColumnar:   nocolumnar,
-		ElidePayload: elide,
-		Shards:       shards,
-		System:       config.DefaultWithMesh(mesh),
-		Obs:          ob,
+		Seeds:       []int64{seed},
+		Parallelism: parallel,
+		Check:       checked,
+		Shards:      shards,
+		System:      config.DefaultWithMesh(mesh),
+		Obs:         ob,
 	}
 	rs, err := experiments.Scenario(kinds, spec, opt)
 	if err != nil {
@@ -260,10 +251,10 @@ func parseMesh(s string) (topology.Mesh, error) {
 
 // runOne executes one bench/kind cell and writes its report rows to w
 // (a per-cell buffer under parallel execution, so rows never interleave).
-func runOne(w io.Writer, p cmp.Params, k network.Kind, mesh topology.Mesh, pol router.DeflectPolicy, realVCA bool, seed int64, warmup, tx, limit uint64, recordTo string, checked, dense, nopool, nocolumnar, elide bool, shards int, ob *obs.Observer) error {
+func runOne(w io.Writer, p cmp.Params, k network.Kind, mesh topology.Mesh, pol router.DeflectPolicy, realVCA bool, seed int64, warmup, tx, limit uint64, recordTo string, checked bool, shards int, ob *obs.Observer) error {
 	sys := config.DefaultWithMesh(mesh)
 	sys.Baseline.RealisticVCA = realVCA
-	net := network.New(network.Config{System: sys, Kind: k, Seed: seed, MeterEnergy: true, Policy: pol, DenseKernel: dense, NoPool: nopool, NoColumnar: nocolumnar, ElidePayload: elide, Shards: shards})
+	net := network.New(network.Config{System: sys, Kind: k, Seed: seed, MeterEnergy: true, Policy: pol, Shards: shards})
 	defer net.Close()
 	if checked {
 		check.Attach(net)
@@ -305,19 +296,31 @@ func runOne(w io.Writer, p cmp.Params, k network.Kind, mesh topology.Mesh, pol r
 	return nil
 }
 
-// replayOne feeds a recorded trace open-loop into a fresh network of the
-// given kind and reports the trace-driven (no-feedback) metrics.
-func replayOne(path string, k network.Kind, seed int64, checked, dense, nopool, nocolumnar, elide bool, shards int, ob *obs.Observer) error {
+// replay reads a recorded trace, checks it against mesh before any
+// network is built, and replays it into each kind in turn.
+func replay(path string, kinds []network.Kind, mesh topology.Mesh, seed int64, checked bool, shards int, ob *obs.Observer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	tr, err := trace.Read(f)
+	f.Close()
 	if err != nil {
 		return err
 	}
-	net := network.New(network.Config{Kind: k, Seed: seed, MeterEnergy: true, DenseKernel: dense, NoPool: nopool, NoColumnar: nocolumnar, ElidePayload: elide, Shards: shards})
+	if err := tr.ValidateFor(mesh); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	for _, k := range kinds {
+		replayOne(tr, k, mesh, seed, checked, shards, ob)
+	}
+	return nil
+}
+
+// replayOne feeds tr open-loop into a fresh network of the given kind and
+// mesh and reports the trace-driven (no-feedback) metrics.
+func replayOne(tr *trace.Trace, k network.Kind, mesh topology.Mesh, seed int64, checked bool, shards int, ob *obs.Observer) {
+	net := network.New(network.Config{System: config.DefaultWithMesh(mesh), Kind: k, Seed: seed, MeterEnergy: true, Shards: shards})
 	defer net.Close()
 	if checked {
 		check.Attach(net)
@@ -330,5 +333,4 @@ func replayOne(path string, k network.Kind, seed int64, checked, dense, nopool, 
 	backlog := net.CreatedPackets() - net.DeliveredPackets()
 	fmt.Printf("replay    %-26s packets=%d delivered=%d backlog=%d netlat=%.1f drained=%v\n",
 		k, net.CreatedPackets(), net.DeliveredPackets(), backlog, net.MeanNetLatency(), done)
-	return nil
 }

@@ -20,13 +20,12 @@ func TestParseSnapshotCompat(t *testing.T) {
 		sharded16 float64 // v3: sharded-tick variant
 		step32    float64 // v4: 32x32 pair (full runs only)
 		step64    float64 // v5: 64x64 kilonode pair (full runs only)
-		elide     bool    // v5: payload-elision flag
 	}{
-		{"v1.json", "afcnet-bench/v1", 0, 0, 0, 0, false},
-		{"v2.json", "afcnet-bench/v2", 61000, 0, 0, 0, false},
-		{"v3.json", "afcnet-bench/v3", 61000, 59000, 0, 0, false},
-		{"v4.json", "afcnet-bench/v4", 61000, 59000, 453000, 0, false},
-		{"v5.json", "afcnet-bench/v5", 61000, 59000, 350000, 1400000, true},
+		{"v1.json", "afcnet-bench/v1", 0, 0, 0, 0},
+		{"v2.json", "afcnet-bench/v2", 61000, 0, 0, 0},
+		{"v3.json", "afcnet-bench/v3", 61000, 59000, 0, 0},
+		{"v4.json", "afcnet-bench/v4", 61000, 59000, 453000, 0},
+		{"v5.json", "afcnet-bench/v5", 61000, 59000, 350000, 1400000},
 	}
 	for _, tc := range cases {
 		t.Run(tc.file, func(t *testing.T) {
@@ -52,9 +51,6 @@ func TestParseSnapshotCompat(t *testing.T) {
 			}
 			if got := s.Kernel.Step64x64NsPerOp; got != tc.step64 {
 				t.Errorf("kernelStep64x64NsPerOp = %v, want %v", got, tc.step64)
-			}
-			if got := s.ElidePayload; got != tc.elide {
-				t.Errorf("payloadElision = %v, want %v", got, tc.elide)
 			}
 		})
 	}

@@ -51,23 +51,19 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("figures: ")
 	var (
-		fig        = flag.String("fig", "all", "artifact to regenerate (see command doc)")
-		scenarioF  = flag.String("scenario", "", "also run the JSON scenario spec at this path and print its per-phase completion-time percentiles")
-		quick      = flag.Bool("quick", false, "reduced run lengths")
-		svgDir     = flag.String("svg", "", "also render the main figures as SVG into this directory")
-		jsonOut    = flag.String("json", "", "run the complete evaluation and write it as JSON to this file")
-		parallel   = flag.Int("parallel", runner.FromEnv(), "worker-pool size; <=0 means all CPUs, 1 is serial (results are identical either way)")
-		checked    = flag.Bool("check", invcheck.FromEnv(), "attach the runtime invariant checker to every run (or set AFCSIM_CHECK=1); identical results, slower")
-		dense      = flag.Bool("dense", network.DenseFromEnv(), "run the dense reference kernel instead of active-set scheduling (or set AFCSIM_DENSE=1); identical results, slower at low load")
-		nopool     = flag.Bool("nopool", network.NoPoolFromEnv(), "heap-allocate flits instead of arena pooling (or set AFCSIM_NOPOOL=1); identical results, allocates in steady state")
-		nocolumnar = flag.Bool("nocolumnar", network.NoColumnarFromEnv(), "read per-flit state from struct fields instead of the columnar banks (or set AFCSIM_NOCOLUMNAR=1); identical results")
-		elide      = flag.Bool("elidepayload", network.ElidePayloadFromEnv(), "drop the arena's payload column (or set AFCSIM_ELIDEPAYLOAD=1); identical results, smaller columnar rows")
-		shards     = flag.Int("shards", network.ShardsFromEnv(), "shard each network's tick across this many row bands of worker goroutines (or set AFCSIM_SHARDS=N); <=1 is the serial kernel, identical results")
-		manifest   = flag.String("manifest", "", "write a JSON run manifest (config, per-cell wall times, worker utilization) to this file")
-		progress   = flag.Bool("progress", obs.ProgressFromEnv(), "print a live progress line to stderr (or set AFCSIM_PROGRESS=1)")
-		cpuprof    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof    = flag.String("memprofile", "", "write a heap profile to this file")
-		debugAddr  = flag.String("debug-addr", "", "serve net/http/pprof and expvar simulator counters on this address (e.g. localhost:6060)")
+		fig       = flag.String("fig", "all", "artifact to regenerate (see command doc)")
+		scenarioF = flag.String("scenario", "", "also run the JSON scenario spec at this path and print its per-phase completion-time percentiles")
+		quick     = flag.Bool("quick", false, "reduced run lengths")
+		svgDir    = flag.String("svg", "", "also render the main figures as SVG into this directory")
+		jsonOut   = flag.String("json", "", "run the complete evaluation and write it as JSON to this file")
+		parallel  = flag.Int("parallel", runner.FromEnv(), "worker-pool size; <=0 means all CPUs, 1 is serial (results are identical either way)")
+		checked   = flag.Bool("check", invcheck.FromEnv(), "attach the runtime invariant checker to every run (or set AFCSIM_CHECK=1); identical results, slower")
+		shards    = flag.Int("shards", network.ShardsFromEnv(), "shard each network's tick across this many row bands of worker goroutines (or set AFCSIM_SHARDS=N); <=1 is the serial kernel, identical results")
+		manifest  = flag.String("manifest", "", "write a JSON run manifest (config, per-cell wall times, worker utilization) to this file")
+		progress  = flag.Bool("progress", obs.ProgressFromEnv(), "print a live progress line to stderr (or set AFCSIM_PROGRESS=1)")
+		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memprof   = flag.String("memprofile", "", "write a heap profile to this file")
+		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof and expvar simulator counters on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
 	// -scenario alone runs just the scenario; combine with an explicit
@@ -98,10 +94,6 @@ func main() {
 	}
 	opt.Parallelism = *parallel
 	opt.Check = *checked
-	opt.Dense = *dense
-	opt.NoPool = *nopool
-	opt.NoColumnar = *nocolumnar
-	opt.ElidePayload = *elide
 	opt.Shards = *shards
 	ob := obs.New(obs.Config{
 		Command:  "figures",

@@ -178,11 +178,6 @@ func (r *Router) NeighborDirs() []topology.Dir { return r.nbr }
 // Node implements router.Router.
 func (r *Router) Node() topology.NodeID { return r.node }
 
-// SetColumns attaches the columnar flit banks deflection arbitration
-// reads destinations and ages through. Nil selects the struct-field
-// reference path.
-func (r *Router) SetColumns(c *flit.Columns) { r.defl.SetColumns(c) }
-
 // Reset rewinds the router to its freshly constructed state (empty
 // latches, arbiters at slot 0, stats zeroed), reseeding the arbitration
 // randomness with seed — the root of the same stream number a fresh
@@ -282,7 +277,7 @@ func (r *Router) Tick(now uint64) {
 		}
 		taken[a.Dir] = true
 		if a.Deflected {
-			f.BumpDeflections()
+			f.Deflections++
 			r.deflections++
 		}
 		r.send(now, a.Dir, f)
@@ -367,7 +362,7 @@ func (r *Router) inject(now uint64, taken *[topology.NumDirs]bool) {
 		// buffer write.
 		entered := r.injArmedAt[vn] - 1
 		r.injArmedAt[vn] = now + 1
-		r.stamp(entered, f)
+		f.InjectedAt = entered
 		r.injected++
 
 		one := []*flit.Flit{f}
@@ -379,20 +374,10 @@ func (r *Router) inject(now uint64, taken *[topology.NumDirs]bool) {
 		}
 		taken[a.Dir] = true
 		if a.Deflected {
-			f.BumpDeflections()
+			f.Deflections++
 			r.deflections++
 		}
 		r.send(now, a.Dir, f)
-	}
-}
-
-func (r *Router) stamp(now uint64, f *flit.Flit) {
-	if st, ok := r.src.(interface {
-		StampInjection(uint64, *flit.Flit)
-	}); ok {
-		st.StampInjection(now, f)
-	} else {
-		f.SetInjected(now)
 	}
 }
 

@@ -33,9 +33,6 @@ type block struct {
 	gen      uint32
 	live     int32
 	returned uint64
-	// base is the block's first row in the owner's columnar banks, NoRef
-	// for blocks minted while columns were disabled.
-	base uint32
 }
 
 // Arena is a per-network flit allocator: Packetize hands out blocks in
@@ -50,17 +47,11 @@ type block struct {
 // the steady state of a parallel phase touches no shared memory at all.
 // The shared reserve behind the magazines is touched only on a magazine
 // miss (batch refill) or overflow (batch flush), both amortized, and
-// minting stays serial-only (Reconcile, between phases): growing the
-// columnar banks would move their slice headers under concurrent
-// readers.
+// minting stays serial-only (Reconcile, between phases).
 type Arena struct {
 	free [maxPooledLen + 1][]*block
 	all  []*block
 	live int
-	// cols, when non-nil, is the columnar struct-of-arrays mirror of the
-	// hot per-flit state; every block minted afterwards gets a contiguous
-	// row range in it. Nil is the -nocolumnar reference path.
-	cols *Columns
 
 	// mags are the per-shard magazines (nil for serial networks);
 	// reserve is the mutex-protected overflow/refill pool behind them.
@@ -71,38 +62,6 @@ type Arena struct {
 
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
-
-// EnableColumns attaches columnar banks to the arena. Call it before the
-// first Packetize: blocks minted earlier carry no rows and their flits
-// read through the struct fallback. Idempotent.
-func (a *Arena) EnableColumns() {
-	if a.cols == nil {
-		a.cols = &Columns{}
-	}
-}
-
-// ElidePayloadColumn drops the payload column from the banks (see
-// Columns.elidePayload). Call between EnableColumns and the first
-// Packetize — rows minted earlier would desync the column indices.
-// No-op without columns.
-func (a *Arena) ElidePayloadColumn() {
-	if a.cols == nil {
-		return
-	}
-	if len(a.cols.dst) != 0 {
-		panic("flit: ElidePayloadColumn after rows were minted")
-	}
-	a.cols.elidePayload = true
-}
-
-// Columns returns the arena's columnar banks, nil when disabled (or for
-// a nil arena — the -nopool path implies no columns).
-func (a *Arena) Columns() *Columns {
-	if a == nil {
-		return nil
-	}
-	return a.cols
-}
 
 // refillBatch is how many blocks a magazine steals from the reserve per
 // miss; flushHigh/flushBatch bound a magazine's free list when traffic
@@ -157,8 +116,8 @@ func (a *Arena) SetShards(n int) {
 	}
 }
 
-// Shard returns shard i's magazine, nil on a nil arena (the -nopool
-// path) so call sites can thread it unconditionally.
+// Shard returns shard i's magazine, nil on a nil arena (the NoPool
+// reference path) so call sites can thread it unconditionally.
 func (a *Arena) Shard(i int) *ArenaShard {
 	if a == nil {
 		return nil
@@ -178,18 +137,13 @@ func (a *Arena) SetShardsSerial(on bool) {
 	}
 }
 
-// mint allocates a fresh block of the given length, growing the
-// columnar banks when enabled. Serial-phase only: growing the banks
-// moves their slice headers under every concurrent reader.
+// mint allocates a fresh block of the given length. Serial-phase only:
+// it appends to the arena-wide block list.
 func (a *Arena) mint(length int) *block {
 	b := &block{
 		backing: make([]Flit, length),
 		ptrs:    make([]*Flit, length),
 		owner:   a,
-		base:    NoRef,
-	}
-	if a.cols != nil {
-		b.base = a.cols.grow(length)
 	}
 	for i := range b.backing {
 		b.ptrs[i] = &b.backing[i]
@@ -206,11 +160,6 @@ func (a *Arena) fill(b *block, p Packet) []*Flit {
 	b.live = int32(p.Len)
 	b.returned = 0
 	for i := range b.backing {
-		ref := NoRef
-		if b.base != NoRef {
-			ref = b.base + uint32(i)
-			a.cols.fill(ref, p, i)
-		}
 		// Field-wise stores instead of a struct literal: the literal would
 		// be built in a temporary and block-copied into the slab, which is
 		// the hottest copy of a packetize-heavy cycle.
@@ -230,7 +179,6 @@ func (a *Arena) fill(b *block, p Packet) []*Flit {
 		f.Payload = p.Payload
 		f.blk = b
 		f.gen = b.gen
-		f.ref = ref
 	}
 	return b.ptrs
 }
@@ -238,7 +186,7 @@ func (a *Arena) fill(b *block, p Packet) []*Flit {
 // Packetize expands p into flits like Packet.Flits, reusing a recycled
 // block when one of the right length is free. A nil arena (or an
 // out-of-range length) falls back to heap allocation, which is the
-// -nopool reference path. Single-goroutine (serial networks); sharded
+// NoPool reference path. Single-goroutine (serial networks); sharded
 // networks packetize through their ArenaShard magazines instead.
 func (a *Arena) Packetize(p Packet) []*Flit {
 	if a == nil || p.Len < 1 || p.Len > maxPooledLen {
@@ -366,8 +314,8 @@ func (s *ArenaShard) flush(length int) {
 // workload's random-walk excursions asymptotically (the pool keeps
 // growing and the heap fallback keeps firing), while a batch of slack
 // per event converges to a stock the excursions no longer pierce.
-// Serial-phase only (minting grows the columnar banks); the sharded
-// tick calls it once per cycle after the barrier. The starved-flag
+// Serial-phase only (minting appends to the arena's block list); the
+// sharded tick calls it once per cycle after the barrier. The starved-flag
 // check keeps the steady-state cost at one branch per magazine.
 func (a *Arena) Reconcile() {
 	if a == nil {

@@ -91,9 +91,6 @@ type Flit struct {
 	// a mismatch means the handle outlived a recycle (use-after-free).
 	blk *block
 	gen uint32
-	// ref is the flit's row in the arena's columnar banks (columns.go),
-	// or NoRef for flits outside them (heap fallback, columns disabled).
-	ref uint32
 }
 
 // Head reports whether f is the head flit of its packet.
@@ -139,7 +136,6 @@ func (p Packet) Flits() []*Flit {
 			VC:        NoVC,
 			CreatedAt: p.CreatedAt,
 			Payload:   p.Payload,
-			ref:       NoRef,
 		}
 		fs[i] = &backing[i]
 	}

@@ -7,12 +7,10 @@ import (
 )
 
 // FuzzArenaHandles drives a byte-programmed interleaving of Packetize,
-// Recycle, Reclaim and columnar reads against one arena, asserting the
+// Recycle, Reclaim and handle checks against one arena, asserting the
 // generation-stamped handle discipline at every step:
 //
-//   - a live handle always passes CheckHandle, and its columnar
-//     accessors agree bit-for-bit with the struct fields (both through
-//     the arena's banks and through the nil-Columns reference path);
+//   - a live handle always passes CheckHandle;
 //   - a recycled handle immediately fails CheckHandle (returned-bit
 //     detection) and panics on double Recycle;
 //   - after Reclaim every formerly-live handle fails CheckHandle with a
@@ -47,7 +45,6 @@ func FuzzArenaHandles(f *testing.F) {
 
 func fuzzArenaProgram(t *testing.T, data []byte, shards int) {
 	a := flit.NewArena()
-	a.EnableColumns()
 	var mags []*flit.ArenaShard
 	if shards > 0 {
 		a.SetShards(shards)
@@ -58,8 +55,6 @@ func fuzzArenaProgram(t *testing.T, data []byte, shards int) {
 			mags = append(mags, a.Shard(i))
 		}
 	}
-	cols := a.Columns()
-	var nilCols *flit.Columns
 	var live []*flit.Flit
 	nextID := uint64(1)
 
@@ -110,23 +105,13 @@ func fuzzArenaProgram(t *testing.T, data []byte, shards int) {
 				mags[(arg*5+1)%shards].Recycle(fl)
 			}
 			checkStale(fl)
-		case 2: // columnar read-back of one live flit
+		case 2: // a live handle must pass the in-flight check
 			if len(live) == 0 {
 				continue
 			}
 			fl := live[arg%len(live)]
 			if err := flit.CheckHandle(fl); err != nil {
 				t.Fatalf("shards %d: live handle fails CheckHandle: %v", shards, err)
-			}
-			if cols.FlitDst(fl) != fl.Dst || cols.FlitSrc(fl) != fl.Src ||
-				cols.FlitVN(fl) != fl.VN || cols.FlitSeq(fl) != fl.Seq ||
-				cols.FlitLen(fl) != fl.Len || cols.FlitPacketID(fl) != fl.PacketID ||
-				cols.FlitCreatedAt(fl) != fl.CreatedAt || cols.FlitPayload(fl) != fl.Payload ||
-				cols.FlitAge(fl) != fl.InjectedAt || cols.FlitDeflections(fl) != fl.Deflections {
-				t.Fatalf("shards %d: columnar read of %v disagrees with struct fields", shards, fl)
-			}
-			if nilCols.FlitDst(fl) != fl.Dst || nilCols.FlitVN(fl) != fl.VN {
-				t.Fatalf("shards %d: nil-Columns reference read of %v disagrees with struct fields", shards, fl)
 			}
 		case 3: // reclaim: every outstanding handle goes stale at once
 			a.Reclaim()

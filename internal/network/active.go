@@ -9,52 +9,6 @@ import (
 	"afcnet/internal/vcrouter"
 )
 
-// DenseEnvVar forces the dense reference kernel in every harness that
-// consults DenseFromEnv (cmd/afcsim, cmd/figures, cmd/sweep).
-const DenseEnvVar = "AFCSIM_DENSE"
-
-// DenseFromEnv reports whether AFCSIM_DENSE requests dense-kernel runs.
-// Any value other than empty, "0", "false", "no" or "off" disables
-// active-set scheduling.
-func DenseFromEnv() bool {
-	return envSet(DenseEnvVar)
-}
-
-// NoPoolEnvVar forces heap-allocated flits (no arena) in every harness
-// that consults NoPoolFromEnv (cmd/afcsim, cmd/figures, cmd/sweep).
-const NoPoolEnvVar = "AFCSIM_NOPOOL"
-
-// NoPoolFromEnv reports whether AFCSIM_NOPOOL requests the heap
-// reference path. Any value other than empty, "0", "false", "no" or
-// "off" disables the flit arena.
-func NoPoolFromEnv() bool {
-	return envSet(NoPoolEnvVar)
-}
-
-// NoColumnarEnvVar forces struct-field flit reads (no columnar banks) in
-// every harness that consults NoColumnarFromEnv (cmd/afcsim,
-// cmd/figures, cmd/sweep, cmd/benchjson).
-const NoColumnarEnvVar = "AFCSIM_NOCOLUMNAR"
-
-// NoColumnarFromEnv reports whether AFCSIM_NOCOLUMNAR requests the
-// struct-field reference path. Any value other than empty, "0", "false",
-// "no" or "off" disables the columnar flit banks.
-func NoColumnarFromEnv() bool {
-	return envSet(NoColumnarEnvVar)
-}
-
-// ElidePayloadEnvVar drops the arena's payload column in every harness
-// that consults ElidePayloadFromEnv (cmd/afcsim, cmd/figures,
-// cmd/sweep, cmd/benchjson).
-const ElidePayloadEnvVar = "AFCSIM_ELIDEPAYLOAD"
-
-// ElidePayloadFromEnv reports whether AFCSIM_ELIDEPAYLOAD requests
-// payload-column elision. Any value other than empty, "0", "false",
-// "no" or "off" drops the column; results are bit-for-bit identical.
-func ElidePayloadFromEnv() bool {
-	return envSet(ElidePayloadEnvVar)
-}
-
 // ShardsEnvVar sets the default shard count of the sharded tick in every
 // harness that consults ShardsFromEnv (cmd/afcsim, cmd/figures,
 // cmd/sweep, cmd/benchjson). Values <= 1 (or anything unparseable) keep
@@ -69,14 +23,6 @@ func ShardsFromEnv() int {
 		return 0
 	}
 	return v
-}
-
-func envSet(name string) bool {
-	switch os.Getenv(name) {
-	case "", "0", "false", "no", "off":
-		return false
-	}
-	return true
 }
 
 // The router banks below register a whole mesh's routers as ONE kernel

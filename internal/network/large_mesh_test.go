@@ -11,8 +11,8 @@ import (
 )
 
 // TestLargeMesh16x16Smoke is the large-radix smoke cell `make ci` runs in
-// short mode: a 16x16 AFC network (the regime the columnar flit banks
-// target; the paper's own evaluation stops at 3x3) under brief
+// short mode: a 16x16 AFC network (the large-radix regime the slab
+// layout targets; the paper's own evaluation stops at 3x3) under brief
 // sub-saturation uniform load, with the invariant checker attached, must
 // deliver and drain without losing a flit. The cycle counts are kept
 // small so the cell stays cheap enough to run on every CI invocation.

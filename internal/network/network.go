@@ -103,28 +103,13 @@ type Config struct {
 	// DenseKernel disables active-set scheduling: every ticker runs every
 	// cycle, as the original reference kernel did. Results are bit-for-bit
 	// identical either way; the dense path exists as the baseline for
-	// equivalence tests and benchmarks (see also DenseEnvVar).
+	// equivalence tests and benchmarks.
 	DenseKernel bool
 	// NoPool disables the flit arena: every packetization heap-allocates,
 	// as the original reference path did. Results are bit-for-bit
 	// identical either way; the heap path exists as the baseline for
-	// equivalence tests and allocation benchmarks (see also NoPoolEnvVar).
+	// equivalence tests.
 	NoPool bool
-	// NoColumnar disables the arena's columnar struct-of-arrays flit
-	// banks: routers and NIs read per-flit state from the struct fields,
-	// as the original reference path did. Results are bit-for-bit
-	// identical either way (the mutable columns are mirror-written at
-	// every mutation site); the struct path exists as the baseline for
-	// equivalence tests (see also NoColumnarEnvVar). NoPool implies it:
-	// without an arena there are no columnar rows to read.
-	NoColumnar bool
-	// ElidePayload drops the payload column from the columnar banks:
-	// the opaque payload tag is never read on the hot datapath (only
-	// delivery hands it back to the traffic layer, through a struct
-	// field packetization always writes), so eliding the column shrinks
-	// every columnar row by 8 bytes. Results are bit-for-bit identical
-	// either way. No effect with NoPool or NoColumnar.
-	ElidePayload bool
 	// Shards splits the router bank's tick across a persistent worker
 	// group: the mesh is partitioned into contiguous row bands, each
 	// band's routers tick in parallel with all cross-shard effects staged
@@ -235,12 +220,6 @@ func New(cfg Config) *Network {
 	}
 	if !cfg.NoPool {
 		n.arena = flit.NewArena()
-		if !cfg.NoColumnar {
-			n.arena.EnableColumns()
-			if cfg.ElidePayload {
-				n.arena.ElidePayloadColumn()
-			}
-		}
 	}
 	n.build()
 	n.baseTickers = n.kernel.Mark()
@@ -353,15 +332,6 @@ func (n *Network) build() {
 		n.routers[node] = n.newRouter(node, wires[node], meter)
 		if ib, ok := n.routers[node].(interface{ SetInbox(*[3]int32) }); ok {
 			ib.SetInbox(&n.inbox[node])
-		}
-	}
-	// Hand the columnar banks to every router; a nil result (NoPool or
-	// NoColumnar) selects the struct-field reference path everywhere.
-	if cols := n.arena.Columns(); cols != nil {
-		for _, r := range n.routers {
-			if cr, ok := r.(interface{ SetColumns(*flit.Columns) }); ok {
-				cr.SetColumns(cols)
-			}
 		}
 	}
 	// One bank entry + housekeeping + a handful of AddTicker clients

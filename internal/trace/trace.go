@@ -101,6 +101,21 @@ func (t *Trace) Duration() uint64 {
 	return t.Events[len(t.Events)-1].At - t.Events[0].At + 1
 }
 
+// ValidateFor reports an error for the first event whose source or
+// destination is not a node of mesh. A trace carries bare node numbers,
+// so one recorded on a larger mesh would index past the replay
+// network's NIs mid-run; call this before cycle 0 instead.
+func (t *Trace) ValidateFor(mesh topology.Mesh) error {
+	nodes := topology.NodeID(mesh.Nodes())
+	for i, e := range t.Events {
+		if e.Src < 0 || e.Src >= nodes || e.Dst < 0 || e.Dst >= nodes {
+			return fmt.Errorf("trace: event %d (%d -> %d at cycle %d) names a node outside the %dx%d mesh",
+				i, e.Src, e.Dst, e.At, mesh.Width, mesh.Height)
+		}
+	}
+	return nil
+}
+
 // Write serializes the trace as one line per event
 // ("cycle src dst vn len payload").
 func (t *Trace) Write(w io.Writer) error {

@@ -7,6 +7,7 @@ import (
 	"afcnet/internal/cmp"
 	"afcnet/internal/flit"
 	"afcnet/internal/network"
+	"afcnet/internal/topology"
 )
 
 func TestRecordCapturesClosedLoopTraffic(t *testing.T) {
@@ -67,6 +68,35 @@ func TestReadRejectsGarbage(t *testing.T) {
 		if _, err := Read(bytes.NewBufferString(c)); err == nil {
 			t.Errorf("accepted garbage %q", c)
 		}
+	}
+}
+
+func TestValidateFor(t *testing.T) {
+	mesh := topology.NewMesh(3, 3)
+	cases := []struct {
+		name     string
+		src, dst topology.NodeID
+		ok       bool
+	}{
+		{"inside", 0, 8, true},
+		{"self", 4, 4, true},
+		{"src past last node", 9, 0, false},
+		{"dst past last node", 0, 9, false},
+		{"negative src", -1, 2, false},
+		{"negative dst", 2, -1, false},
+	}
+	for _, c := range cases {
+		tr := &Trace{Events: []Event{
+			{At: 1, Src: 0, Dst: 1, VN: flit.VNReq, Len: 1},
+			{At: 2, Src: c.src, Dst: c.dst, VN: flit.VNReq, Len: 1},
+		}}
+		err := tr.ValidateFor(mesh)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: ValidateFor(3x3) = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+	if err := (&Trace{}).ValidateFor(mesh); err != nil {
+		t.Errorf("empty trace: %v", err)
 	}
 }
 
