@@ -44,13 +44,23 @@ func digestOf(t *testing.T, v any) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// abandonCycles is how long the dirty reuse path runs its abandoned
+// rate-0.55 cell before the next cell's Reset: long enough that every
+// kind holds flits in buffers, latches and pipes, and AFC routers have
+// switched to backpressured mode.
+const abandonCycles = 1000
+
 // TestGoldenDigests pins every kind's end state and measurements to
 // digests committed in-tree. Each open-loop cell (every kind x seeds
 // {1,2,3,5} x rates {0.05,0.30,0.55}, checker attached) must hash to its
-// recorded digest along two paths: a fresh serial build per cell
-// (activeSetCell) and the 8-way worker pool that rewinds each worker's
-// network with Reset between cells (pooledCell). The detScenario run of
-// Bless and AFC must match its digest serially and at 3 shards.
+// recorded digest along three paths: a fresh serial build per cell
+// (activeSetCell), the 8-way worker pool that rewinds each worker's
+// network with Reset between cells (pooledCell), and that pool again
+// with each cell preceded by an abandoned one — rate 0.55, stopped after
+// abandonCycles without draining — so Reset must rewind routers that
+// still hold flits. The detScenario run (dead links, a dead router and a
+// throttle) of every kind must match its digest serially and at 3
+// shards.
 //
 // The equality gates elsewhere compare two paths compiled into one
 // binary, so a bug the paths share passes them all. This test compares
@@ -118,12 +128,29 @@ func TestGoldenDigests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wsDirty := pooled8.workerStates(pooled8.pool().Workers(len(cells)))
+	dirty, err := runner.MapWorkers(len(cells), pooled8.pool(), func(worker, i int) (activeSetSnap, error) {
+		c := cells[i]
+		net, _ := pooledGen(wsDirty[worker], c.kind, c.seed+1000, 0.55)
+		net.Run(abandonCycles)
+		if net.Drained() {
+			return activeSetSnap{}, fmt.Errorf("%s: abandoned cell holds no flits", cellName(c))
+		}
+		return pooledCell(wsDirty[worker], c.kind, c.seed, c.rate), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, c := range cells {
 		add(cellName(c), "serial", fresh[i])
 		add(cellName(c), "reuse8", reused[i])
+		add(cellName(c), "dirty8", dirty[i])
 	}
 
-	kinds := []network.Kind{network.Bless, network.AFC}
+	var kinds []network.Kind
+	for k := network.Kind(0); k < network.NumKinds; k++ {
+		kinds = append(kinds, k)
+	}
 	for _, shards := range []int{0, 3} {
 		opt := Options{
 			Seeds:       []int64{1},

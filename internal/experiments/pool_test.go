@@ -21,15 +21,7 @@ import (
 // both halves of the memory engine at once (arena recycling and
 // cross-cell reuse).
 func pooledCell(ws *workerState, kind network.Kind, seed int64, rate float64) activeSetSnap {
-	e := ws.acquire(network.Config{Kind: kind, Seed: seed, MeterEnergy: true})
-	net := e.net
-	if e.gen == nil {
-		e.gen = traffic.NewGenerator(net, traffic.Config{Rate: rate}, net.RandStream)
-	} else {
-		e.gen.Reattach(traffic.Config{Rate: rate})
-	}
-	net.AddTicker(e.gen)
-	gen := e.gen
+	net, gen := pooledGen(ws, kind, seed, rate)
 	net.Run(ws.opt.OpenLoopWarmup)
 	net.ResetStats()
 	net.Run(ws.opt.OpenLoopMeasure)
@@ -51,6 +43,20 @@ func pooledCell(ws *workerState, kind network.Kind, seed int64, rate float64) ac
 		s.QueueLens = append(s.QueueLens, net.NI(topology.NodeID(n)).MeanQueueLen())
 	}
 	return s
+}
+
+// pooledGen acquires ws's network for (kind, seed) and attaches its
+// open-loop generator at rate, reattaching the worker's previous one when
+// the network was rewound rather than rebuilt.
+func pooledGen(ws *workerState, kind network.Kind, seed int64, rate float64) (*network.Network, *traffic.Generator) {
+	e := ws.acquire(network.Config{Kind: kind, Seed: seed, MeterEnergy: true})
+	if e.gen == nil {
+		e.gen = traffic.NewGenerator(e.net, traffic.Config{Rate: rate}, e.net.RandStream)
+	} else {
+		e.gen.Reattach(traffic.Config{Rate: rate})
+	}
+	e.net.AddTicker(e.gen)
+	return e.net, e.gen
 }
 
 // TestPoolEqualsNoPool is the gate on the memory engine: every network
