@@ -23,7 +23,8 @@ type Thresholds struct {
 type AFC struct {
 	// VCsPerVN is the number of single-flit VCs per virtual network
 	// (8 VCs for each control network, 16 for the data network — half the
-	// baseline's total buffering, enabled by lazy VC allocation).
+	// baseline's total buffering, enabled by lazy VC allocation). Their
+	// sum, the slots per port, may be at most MaxAFCSlotsPerPort.
 	VCsPerVN [flit.NumVNs]int
 	// ThresholdsByPosition maps router position to its contention
 	// thresholds; routers at edges and corners have fewer ports and
@@ -38,6 +39,10 @@ type AFC struct {
 	// Policy-independent deflection arbitration seed lives in the network
 	// config; the mode machinery itself is deterministic.
 }
+
+// MaxAFCSlotsPerPort bounds an AFC router's single-flit VC slots per
+// port: its switch allocator keeps each port's slots as one 64-bit mask.
+const MaxAFCSlotsPerPort = 64
 
 // BufferSlotsPerPort returns the total single-flit VC slots per physical
 // port (32 in the paper's configuration).
@@ -154,6 +159,9 @@ func (s System) Validate() error {
 			// already being full, and the switch window must be covered.
 			return fmt.Errorf("config: AFC needs >= 2L VCs on vn %d, got %d", vn, n)
 		}
+	}
+	if n := s.AFC.BufferSlotsPerPort(); n > MaxAFCSlotsPerPort {
+		return fmt.Errorf("config: AFC needs at most %d VCs per port, got %d", MaxAFCSlotsPerPort, n)
 	}
 	if s.AFC.GossipFreeSlots < 2*s.LinkLatency {
 		return fmt.Errorf("config: gossip watermark X must be >= 2L=%d, got %d",

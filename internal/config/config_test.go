@@ -77,6 +77,7 @@ func TestValidateCatchesViolations(t *testing.T) {
 		{"no baseline VCs", func(s *System) { s.Baseline.VCsPerVN[0] = 0 }},
 		{"zero buffer depth", func(s *System) { s.Baseline.BufDepth = 0 }},
 		{"AFC VN below 2L", func(s *System) { s.AFC.VCsPerVN[0] = 1 }},
+		{"AFC over 64 slots per port", func(s *System) { s.AFC.VCsPerVN = [flit.NumVNs]int{16, 16, 33} }},
 		{"gossip watermark below 2L", func(s *System) { s.AFC.GossipFreeSlots = 1 }},
 		{"bad EWMA weight", func(s *System) { s.AFC.EWMAWeight = 1 }},
 		{"inverted thresholds", func(s *System) {

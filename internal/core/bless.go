@@ -156,7 +156,7 @@ func (r *Router) escapeBuffer(now uint64, port topology.Dir, f *flit.Flit) {
 	if len(r.esc[port]) >= r.escCap {
 		panic(fmt.Sprintf("afc %d: escape latch overflow on port %s", r.node, port))
 	}
-	r.esc[port] = append(r.esc[port], escape{f: f, readyAt: now + 1})
+	r.esc[port] = append(r.esc[port], f)
 	r.held++
 	r.escapeEvents++
 	if r.meter != nil {

@@ -14,85 +14,99 @@ import (
 // candidate (flit-by-flit routing), there is no VC-allocation stage, and
 // winners depart with no VC assignment — the downstream buffer write picks
 // a free slot.
+//
+// Whether a buffered flit may compete depends only on its DOR output and
+// its virtual network, which the paper notes hardware finds "by simple
+// daisy-chaining" (Section III-E). The input stage does the same with
+// words: okOut[o] holds the slots whose virtual network may use output o
+// this cycle, so port p's eligible slots are OR_o route[p][o] & okOut[o],
+// and its round-robin arbiter grants the first of them at or after its
+// pointer. Two orderings make this exact without per-slot checks:
+//
+//   - Credits and blocked ports change only in the output stage (and
+//     between ticks), after every candidate has been chosen, so okOut
+//     computed once at the top is what a per-slot check would read.
+//   - Every slot write (receive, bufferedInject) happens after this
+//     cycle's input stage, and every escape push happens in a
+//     backpressureless tick, which never runs the input stage. So any
+//     flit the input stage sees arrived in an earlier cycle and is ready
+//     to compete: no per-entry ready cycle is needed.
 func (r *Router) bufferedCycle(now uint64) {
 	// Fast path: with no buffered flit and no escape entry there is no
 	// switch candidate, so neither allocation stage can grant — and a
-	// grantless RoundRobin.Pick leaves the pointer untouched, so skipping
-	// both stages is bit-for-bit identical to scanning every empty slot.
-	// This is the dominant cycle for buffered-mode routers at low load
-	// (arrivals in flight on the pipes keep them from full quiescence).
+	// grantless arbitration leaves the pointer untouched, so skipping
+	// both stages is bit-for-bit identical to running them. This is the
+	// dominant cycle for buffered-mode routers at low load (arrivals in
+	// flight on the pipes keep them from full quiescence).
 	if r.held == 0 {
 		r.bufferedInject(now)
 		return
 	}
 
-	// Input stage of separable switch allocation: one candidate per input
-	// port. Escape latches drain with priority (they are the oldest
-	// uncredited flits; see the package comment). wantOut records which
-	// output ports have at least one requester, so the output stage can
-	// skip the rest (their grantless picks would not move the arbiters).
-	var wantOut [topology.NumPorts]bool
-	for p := 0; p < topology.NumPorts; p++ {
-		r.cands[p] = cand{}
-		if r.heldAt[p] == 0 && len(r.esc[p]) == 0 {
+	var okOut [topology.NumPorts]uint64
+	okOut[topology.Local] = ^uint64(0)
+	for d := topology.Dir(0); d < topology.NumDirs; d++ {
+		if !r.wires.Ports[d].Exists() || r.blockedOut[d] {
 			continue
 		}
-		if e := r.esc[p]; len(e) > 0 && e[0].readyAt <= now {
-			f := e[0].f
+		ds := &r.down[d]
+		if !ds.tracking {
+			okOut[d] = ^uint64(0)
+			continue
+		}
+		for vn := flit.VN(0); vn < flit.NumVNs; vn++ {
+			if ds.credits[vn] > 0 {
+				okOut[d] |= r.vnMask[vn]
+			}
+		}
+	}
+
+	// Input stage of separable switch allocation: one candidate per input
+	// port. Escape latches drain with priority (they are the oldest
+	// uncredited flits; see the package comment). req[o] collects the
+	// input ports whose candidate requests output o.
+	var req [topology.NumPorts]uint64
+	for p := 0; p < topology.NumPorts; p++ {
+		if e := r.esc[p]; len(e) > 0 {
+			f := e[0]
 			out := r.dor[f.Dst]
-			if out == topology.Local || r.usableOut(f, out) {
-				r.cands[p] = cand{valid: true, escape: true, out: out}
-				wantOut[out] = true
+			if okOut[out]&r.vnMask[f.VN] != 0 {
+				r.cands[p] = cand{escape: true}
+				req[out] |= 1 << uint(p)
 				continue
 			}
 			// Escape head blocked on credits; regular slots may still
 			// compete this cycle.
 		}
-		ok := func(s int) bool {
-			sl := &r.in[p][s]
-			if sl.f == nil || sl.readyAt > now {
-				return false
-			}
-			out := r.dor[sl.f.Dst]
-			return out == topology.Local || r.usableOut(sl.f, out)
+		if r.occ[p] == 0 {
+			continue
 		}
-		var pick int
-		if r.occValid {
-			// Occupied slots only; empty slots fail the predicate anyway,
-			// so the masked scan grants identically and moves the pointer
-			// identically.
-			pick = r.inArb[p].PickMask(r.occ[p], ok)
-		} else {
-			pick = r.inArb[p].Pick(ok)
+		rt := &r.route[p]
+		m := rt[0]&okOut[0] | rt[1]&okOut[1] | rt[2]&okOut[2] | rt[3]&okOut[3] | rt[4]&okOut[4]
+		s := r.inArb[p].PickFirst(m)
+		if s < 0 {
+			continue
 		}
-		if pick >= 0 {
-			f := r.in[p][pick].f
-			out := r.dor[f.Dst]
-			r.cands[p] = cand{valid: true, slot: pick, out: out}
-			wantOut[out] = true
+		bit := uint64(1) << uint(s)
+		out := 0
+		for rt[out]&bit == 0 {
+			out++
 		}
+		r.cands[p] = cand{slot: s}
+		req[out] |= 1 << uint(p)
 	}
 
 	// Output stage: one grant per output port (router.EjectWidth for the
 	// ejection port, like every router kind).
 	for o := 0; o < topology.NumPorts; o++ {
-		out := topology.Dir(o)
-		if !wantOut[out] {
-			continue
-		}
 		grants := 1
-		if out == topology.Local {
+		if topology.Dir(o) == topology.Local {
 			grants = r.ejectWidth
 		}
-		for g := 0; g < grants; g++ {
-			win := r.outArb[o].Pick(func(p int) bool {
-				c := r.cands[p]
-				return c.valid && c.out == out
-			})
-			if win < 0 {
-				break
-			}
-			r.sendBuffered(now, topology.Dir(win), out)
+		for g := 0; g < grants && req[o] != 0; g++ {
+			win := r.outArb[o].PickFirst(req[o])
+			req[o] &^= 1 << uint(win)
+			r.sendBuffered(now, topology.Dir(win), topology.Dir(o))
 		}
 	}
 
@@ -100,23 +114,22 @@ func (r *Router) bufferedCycle(now uint64) {
 }
 
 func (r *Router) sendBuffered(now uint64, in, out topology.Dir) {
-	c := &r.cands[in]
-	c.valid = false
+	c := r.cands[in]
 	var f *flit.Flit
 	if c.escape {
-		f = r.esc[in][0].f
+		f = r.esc[in][0]
 		copy(r.esc[in], r.esc[in][1:])
 		r.esc[in] = r.esc[in][:len(r.esc[in])-1]
 		r.held--
 		// Escape entries are outside the credited SRAM: no credit is
 		// returned upstream for them.
 	} else {
-		sl := &r.in[in][c.slot]
-		f = sl.f
-		sl.f = nil
-		r.occ[in] &^= 1 << uint(c.slot)
+		f = r.in[in][c.slot]
+		r.in[in][c.slot] = nil
+		bit := uint64(1) << uint(c.slot)
+		r.occ[in] &^= bit
+		r.route[in][out] &^= bit
 		r.held--
-		r.heldAt[in]--
 		if r.meter != nil {
 			r.meter.BufRead()
 		}
@@ -181,14 +194,21 @@ func (r *Router) bufferedInject(now uint64) {
 		f = r.src.Pop(vn)
 		f.InjectedAt = now
 		r.injectedFlits++
-		f.VC = s
-		r.in[topology.Local][s] = slot{f: f, readyAt: now + 1}
-		r.occ[topology.Local] |= 1 << uint(s)
-		r.held++
-		r.heldAt[topology.Local]++
-		if r.meter != nil {
-			r.meter.BufWrite()
-		}
+		r.writeSlot(topology.Local, s, f)
+	}
+}
+
+// writeSlot buffers f in free slot s of input port p. Lazy VC
+// allocation: the buffer write assigns the VC.
+func (r *Router) writeSlot(p topology.Dir, s int, f *flit.Flit) {
+	f.VC = s
+	r.in[p][s] = f
+	bit := uint64(1) << uint(s)
+	r.occ[p] |= bit
+	r.route[p][r.dor[f.Dst]] |= bit
+	r.held++
+	if r.meter != nil {
+		r.meter.BufWrite()
 	}
 }
 
@@ -196,20 +216,12 @@ func (r *Router) bufferedInject(now uint64) {
 // lazy VC allocation itself: free slots are pre-discoverable by simple
 // daisy-chaining, adding no latency to the critical path (Section III-E).
 // Each virtual network's slots are a contiguous ascending range, so the
-// trailing-zero count of the free bits inside vnMask is exactly the first
-// free slot the reference scan would find.
+// trailing-zero count of the free bits inside vnMask is its lowest free
+// slot.
 func (r *Router) freeSlot(p topology.Dir, vn flit.VN) int {
-	if r.occValid {
-		m := ^r.occ[p] & r.vnMask[vn]
-		if m == 0 {
-			return -1
-		}
-		return bits.TrailingZeros64(m)
+	m := ^r.occ[p] & r.vnMask[vn]
+	if m == 0 {
+		return -1
 	}
-	for _, s := range r.vnSlots[vn] {
-		if r.in[p][s].f == nil {
-			return s
-		}
-	}
-	return -1
+	return bits.TrailingZeros64(m)
 }

@@ -87,19 +87,6 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", uint8(m))
 }
 
-// slot is one single-flit virtual channel of the lazily-allocated input
-// buffer. A nil flit marks a free slot.
-type slot struct {
-	f       *flit.Flit
-	readyAt uint64
-}
-
-// escape is an entry of the per-port escape-latch FIFO.
-type escape struct {
-	f       *flit.Flit
-	readyAt uint64
-}
-
 // downstream is the locally tracked state of the neighbor on one output
 // port: whether it is in backpressured mode (and hence credits matter) and
 // the per-virtual-network free-slot counts.
@@ -137,7 +124,6 @@ type Router struct {
 	// always-backpressured" in Section V), isolating the lazy-VCA
 	// mechanism from the adaptivity mechanisms.
 	alwaysBuffered bool
-	occValid       bool
 	// misrouteTripped records that a flit crossed the misroute threshold
 	// this cycle (rejected-policy ablation only).
 	misrouteTripped bool
@@ -177,21 +163,22 @@ type Router struct {
 	bufferedFrom uint64 // first cycle arrivals are buffered (forward switch)
 
 	// occ mirrors SRAM slot occupancy per input port as a bitmask (bit s
-	// set = slot s holds a flit) and vnMask covers each virtual network's
-	// contiguous slot range, so free-slot discovery and the buffered-cycle
-	// input arbitration are trailing-zero scans over words instead of
-	// pointer walks. Maintained at the same enqueue/dequeue sites as
-	// heldAt; meaningful only while occValid (totalSlots <= 64 — any
-	// larger configuration falls back to the slot scans).
+	// set = slot s holds a flit), and route[p][o] is the part of occ[p]
+	// whose flits leave on DOR output o. vnMask covers each virtual
+	// network's contiguous slot range. Free-slot discovery is then a
+	// trailing-zero scan, and the buffered-cycle input stage finds every
+	// eligible slot of a port with five ANDs (see bufferedCycle) without
+	// loading a flit. All three are maintained at the slot write sites
+	// (receive, bufferedInject) and the slot read site (sendBuffered);
+	// the word width is config.MaxAFCSlotsPerPort.
 	occ    [topology.NumPorts]uint64
+	route  [topology.NumPorts][topology.NumPorts]uint64
 	vnMask [flit.NumVNs]uint64
-	// heldAt counts the occupied SRAM slots per input port, letting the
-	// buffered-cycle input stage skip the slot scan of empty ports (a
-	// grantless arbitration pick would not have moved the pointer).
-	heldAt [topology.NumPorts]int
 
-	in   [topology.NumPorts][]slot
-	esc  [topology.NumPorts][]escape
+	// in holds each input port's SRAM slots (nil = free) and esc its
+	// escape-latch FIFO.
+	in   [topology.NumPorts][]*flit.Flit
+	esc  [topology.NumPorts][]*flit.Flit
 	down [topology.NumDirs]downstream
 	// trackedDirs counts the directions with down[d].tracking set,
 	// maintained at every tracking toggle, so the gossip checks in
@@ -241,7 +228,6 @@ type Router struct {
 	ejectWidth int
 	th         config.Thresholds
 	escCap     int
-	vnSlots    [flit.NumVNs][]int
 	totalSlots int
 
 	// Stats
@@ -255,11 +241,11 @@ type Router struct {
 	escapeEvents    uint64
 }
 
+// cand is one input port's switch candidate: its escape-latch head or
+// an SRAM slot.
 type cand struct {
-	valid  bool
 	escape bool
 	slot   int
-	out    topology.Dir
 }
 
 // Options configures non-paper-parameter aspects of the router.
@@ -292,12 +278,12 @@ type Options struct {
 // contiguous working set.
 type Slab struct {
 	routers []Router
-	slots   []slot
-	escs    []escape
-	// vnSlots is the VN -> slot-index mapping, identical for every
-	// router of one configuration, built once and aliased (read-only
-	// after construction).
-	vnSlots    [flit.NumVNs][]int
+	slots   []*flit.Flit
+	escs    []*flit.Flit
+	// vnMask is the VN -> slot-range mapping, identical for every router
+	// of one configuration: each virtual network owns a contiguous
+	// ascending run of slots, in VN order.
+	vnMask     [flit.NumVNs]uint64
 	totalSlots int
 	escCap     int
 	next       int
@@ -305,18 +291,23 @@ type Slab struct {
 
 // NewSlab returns a slab with room for count routers; cfg fixes the
 // SRAM geometry and linkLatency the escape-latch capacity (both must
-// match the subsequent New calls).
+// match the subsequent New calls). It panics when cfg has more than 64
+// slots per port, which config.System.Validate rejects.
 func NewSlab(count int, cfg config.AFC, linkLatency int) *Slab {
-	s := &Slab{escCap: 2*linkLatency + 1}
+	s := &Slab{escCap: 2*linkLatency + 1, totalSlots: cfg.BufferSlotsPerPort()}
+	if s.totalSlots > config.MaxAFCSlotsPerPort {
+		panic(fmt.Sprintf("core: %d slots per port, the allocator's masks hold %d",
+			s.totalSlots, config.MaxAFCSlotsPerPort))
+	}
+	lo := 0
 	for vn := flit.VN(0); vn < flit.NumVNs; vn++ {
-		for i := 0; i < cfg.VCsPerVN[vn]; i++ {
-			s.vnSlots[vn] = append(s.vnSlots[vn], s.totalSlots)
-			s.totalSlots++
-		}
+		n := cfg.VCsPerVN[vn]
+		s.vnMask[vn] = (1<<uint(n) - 1) << uint(lo)
+		lo += n
 	}
 	s.routers = make([]Router, count)
-	s.slots = make([]slot, count*topology.NumPorts*s.totalSlots)
-	s.escs = make([]escape, count*topology.NumPorts*s.escCap)
+	s.slots = make([]*flit.Flit, count*topology.NumPorts*s.totalSlots)
+	s.escs = make([]*flit.Flit, count*topology.NumPorts*s.escCap)
 	return s
 }
 
@@ -354,7 +345,7 @@ func (s *Slab) New(mesh topology.Mesh, node topology.NodeID, cfg config.AFC, lin
 	r.misrouteThreshold = opts.MisrouteThreshold
 	r.monitor.Init(cfg.EWMAWeight)
 	r.escCap = s.escCap
-	r.vnSlots = s.vnSlots
+	r.vnMask = s.vnMask
 	r.totalSlots = s.totalSlots
 
 	var routes topology.RouteTable
@@ -368,14 +359,6 @@ func (s *Slab) New(mesh topology.Mesh, node topology.NodeID, cfg config.AFC, lin
 	r.defl.Init(mesh, node, opts.Policy, rng, routes)
 	r.dor = routes.DOR
 
-	r.occValid = r.totalSlots <= 64
-	if r.occValid {
-		for vn := flit.VN(0); vn < flit.NumVNs; vn++ {
-			for _, sl := range r.vnSlots[vn] {
-				r.vnMask[vn] |= 1 << uint(sl)
-			}
-		}
-	}
 	base := s.next * topology.NumPorts
 	for p := 0; p < topology.NumPorts; p++ {
 		lo := (base + p) * s.totalSlots
@@ -447,15 +430,13 @@ func (r *Router) Reset(seed int64) {
 	r.defl.Reseed(seed)
 	r.monitor.Reset()
 	for p := 0; p < topology.NumPorts; p++ {
-		for s := range r.in[p] {
-			r.in[p][s] = slot{}
-		}
+		clear(r.in[p])
 		r.esc[p] = r.esc[p][:0]
 		r.inArb[p].Reset()
 		r.outArb[p].Reset()
 		r.cands[p] = cand{}
-		r.heldAt[p] = 0
 		r.occ[p] = 0
+		r.route[p] = [topology.NumPorts]uint64{}
 	}
 	r.injArb.Reset()
 	r.injArmedAt = [flit.NumVNs]uint64{}
@@ -681,16 +662,7 @@ func (r *Router) Credits(d topology.Dir, vn flit.VN) (int, bool) {
 // the invariant checker reconciles this against the upstream router's
 // tracked credits.
 func (r *Router) Occupancy(p topology.Dir, vn flit.VN) int {
-	if r.occValid {
-		return bits.OnesCount64(r.occ[p] & r.vnMask[vn])
-	}
-	n := 0
-	for _, s := range r.vnSlots[vn] {
-		if r.in[p][s].f != nil {
-			n++
-		}
-	}
-	return n
+	return bits.OnesCount64(r.occ[p] & r.vnMask[vn])
 }
 
 // ForEachFlit calls fn for every flit currently held in this router:
@@ -698,13 +670,13 @@ func (r *Router) Occupancy(p topology.Dir, vn flit.VN) int {
 // (invariant checker's conservation and age scans).
 func (r *Router) ForEachFlit(fn func(*flit.Flit)) {
 	for p := range r.in {
-		for s := range r.in[p] {
-			if f := r.in[p][s].f; f != nil {
+		for _, f := range r.in[p] {
+			if f != nil {
 				fn(f)
 			}
 		}
-		for _, e := range r.esc[p] {
-			fn(e.f)
+		for _, f := range r.esc[p] {
+			fn(f)
 		}
 	}
 	for _, l := range r.latches {
@@ -849,15 +821,7 @@ func (r *Router) receive(now uint64) {
 			if s < 0 {
 				panic(fmt.Sprintf("afc %d: buffer overflow on %s vn %s (flit %v)", r.node, d, f.VN, f))
 			}
-			// Lazy VC allocation: the buffer write assigns the VC.
-			f.VC = s
-			r.in[d][s] = slot{f: f, readyAt: now + 1}
-			r.occ[d] |= 1 << uint(s)
-			r.held++
-			r.heldAt[d]++
-			if r.meter != nil {
-				r.meter.BufWrite()
-			}
+			r.writeSlot(d, s, f)
 		} else {
 			r.latches = append(r.latches, latched{f: f, port: d, arrivedAt: now})
 			if r.meter != nil {

@@ -131,32 +131,29 @@ func (r *RoundRobin) Next() int {
 	return i
 }
 
-// PickMask is Pick restricted to the slots whose bit is set in mask
-// (bit i = slot i; bits at or above n must be clear). It is exactly
-// equivalent to Pick whenever ok(i) is false for every clear bit —
-// the caller's contract — and scans only the set bits, round-robin from
-// the pointer, via trailing-zero counts instead of walking every slot.
-func (r *RoundRobin) PickMask(mask uint64, ok func(i int) bool) int {
+// PickFirst grants the first slot whose bit is set in mask (bit i = slot
+// i; bits at or above n must be clear), scanning round-robin from the
+// pointer, and advances the pointer past the grant; -1 if mask is zero.
+// It is Pick with the predicate "bit i is set", found with one
+// trailing-zero count instead of a walk over the slots. Callers that can
+// compute every eligible slot as a mask use it in place of a per-slot
+// predicate.
+func (r *RoundRobin) PickFirst(mask uint64) int {
 	if mask == 0 {
 		return -1
 	}
-	// Set bits at or after the pointer, in ascending order...
-	for m := mask &^ (1<<uint(r.next) - 1); m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		if ok(i) {
-			r.next = (i + 1) % r.n
-			return i
-		}
+	// The set bits at or after the pointer, else the wrapped-around ones.
+	m := mask &^ (1<<uint(r.next) - 1)
+	if m == 0 {
+		m = mask
 	}
-	// ...then the wrapped-around set bits before it.
-	for m := mask & (1<<uint(r.next) - 1); m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		if ok(i) {
-			r.next = (i + 1) % r.n
-			return i
-		}
+	i := bits.TrailingZeros64(m)
+	if i+1 == r.n {
+		r.next = 0
+	} else {
+		r.next = i + 1
 	}
-	return -1
+	return i
 }
 
 // Advance rotates the pointer as if k consecutive always-granting Pick

@@ -44,6 +44,47 @@ func TestRoundRobinStartsAfterLastGrant(t *testing.T) {
 	}
 }
 
+// TestPickFirstMatchesPick: for every width n in 1..64, from random
+// pointers and over random masks (dense, sparse, single-bit and empty),
+// PickFirst grants the same slot as Pick with the predicate "bit i is
+// set" and leaves the arbiter in the same state.
+func TestPickFirstMatchesPick(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 1; n <= 64; n++ {
+		all := ^uint64(0)
+		if n < 64 {
+			all = 1<<uint(n) - 1
+		}
+		for trial := 0; trial < 500; trial++ {
+			var mask uint64
+			switch trial % 4 {
+			case 0:
+				mask = rng.Uint64()
+			case 1:
+				mask = rng.Uint64() & rng.Uint64() & rng.Uint64()
+			case 2:
+				mask = 1 << uint(rng.Intn(n))
+			case 3:
+				if trial%8 == 3 {
+					mask = 0
+				} else {
+					mask = all
+				}
+			}
+			mask &= all
+			arb := NewRoundRobin(n)
+			arb.Advance(uint64(rng.Intn(n)))
+			ref := *arb
+			got := arb.PickFirst(mask)
+			want := ref.Pick(func(i int) bool { return mask>>uint(i)&1 != 0 })
+			if got != want || *arb != ref {
+				t.Fatalf("n=%d mask=%#x: PickFirst granted %d leaving %+v, Pick granted %d leaving %+v",
+					n, mask, got, *arb, want, ref)
+			}
+		}
+	}
+}
+
 func mkFlit(id uint64, dst topology.NodeID, vn flit.VN) *flit.Flit {
 	return &flit.Flit{PacketID: id, Len: 1, Dst: dst, VN: vn}
 }
