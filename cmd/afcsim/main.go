@@ -36,6 +36,8 @@ import (
 	"io"
 	"log"
 	"os"
+	"strconv"
+	"strings"
 
 	"afcnet/internal/check"
 	"afcnet/internal/cmp"
@@ -240,11 +242,14 @@ func runScenario(path string, kinds []network.Kind, mesh topology.Mesh, seed int
 	return nil
 }
 
-// parseMesh parses "WxH" into a mesh.
+// parseMesh parses "WxH" into a mesh. The whole string must be the two
+// numbers and the x: trailing text is an error, not ignored.
 func parseMesh(s string) (topology.Mesh, error) {
-	var w, h int
-	if _, err := fmt.Sscanf(s, "%dx%d", &w, &h); err != nil || w < 2 || h < 2 {
-		return topology.Mesh{}, fmt.Errorf("afcsim: bad mesh %q (want WxH, each >= 2)", s)
+	ws, hs, ok := strings.Cut(s, "x")
+	w, werr := strconv.Atoi(ws)
+	h, herr := strconv.Atoi(hs)
+	if !ok || werr != nil || herr != nil || w < 2 || h < 2 {
+		return topology.Mesh{}, fmt.Errorf("bad mesh %q (want WxH, each >= 2)", s)
 	}
 	return topology.NewMesh(w, h), nil
 }

@@ -11,7 +11,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"afcnet/internal/flit"
@@ -129,36 +131,63 @@ func (t *Trace) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Read parses a trace written by Write.
+// Read parses a trace written by Write. Blank lines are skipped; any
+// other line must be exactly the six non-negative integers, so a line
+// with trailing text is an error naming its line number, not silently
+// truncated.
 func Read(r io.Reader) (*Trace, error) {
 	tr := &Trace{}
 	sc := bufio.NewScanner(r)
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+		fields := strings.Fields(sc.Text())
+		if len(fields) == 0 {
 			continue
 		}
-		var e Event
-		var vn int
-		if _, err := fmt.Sscanf(text, "%d %d %d %d %d %d",
-			&e.At, &e.Src, &e.Dst, &vn, &e.Len, &e.Payload); err != nil {
+		e, err := parseEvent(fields)
+		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: %v", line, err)
 		}
-		if vn < 0 || vn >= int(flit.NumVNs) {
-			return nil, fmt.Errorf("trace: line %d: bad VN %d", line, vn)
-		}
-		if e.Len < 1 {
-			return nil, fmt.Errorf("trace: line %d: bad length %d", line, e.Len)
-		}
-		e.VN = flit.VN(vn)
 		tr.Events = append(tr.Events, e)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	return tr, nil
+}
+
+// eventFields names the columns of a trace line, in Write's order.
+var eventFields = [...]string{"cycle", "src", "dst", "vn", "len", "payload"}
+
+// parseEvent parses the fields of one trace line.
+func parseEvent(fields []string) (Event, error) {
+	if len(fields) != len(eventFields) {
+		return Event{}, fmt.Errorf("%d fields, want %d (%s)",
+			len(fields), len(eventFields), strings.Join(eventFields[:], " "))
+	}
+	var v [len(eventFields)]uint64
+	for i, f := range fields {
+		n, err := strconv.ParseUint(f, 10, 64)
+		if err != nil {
+			return Event{}, fmt.Errorf("%s %q is not a non-negative integer", eventFields[i], f)
+		}
+		v[i] = n
+	}
+	if v[3] >= flit.NumVNs {
+		return Event{}, fmt.Errorf("bad VN %d", v[3])
+	}
+	if v[4] < 1 || v[4] > math.MaxInt32 {
+		return Event{}, fmt.Errorf("bad length %d", v[4])
+	}
+	return Event{
+		At:      v[0],
+		Src:     topology.NodeID(v[1]),
+		Dst:     topology.NodeID(v[2]),
+		VN:      flit.VN(v[3]),
+		Len:     int(v[4]),
+		Payload: v[5],
+	}, nil
 }
 
 // Replayer feeds a trace into a network open-loop: each event's packet is

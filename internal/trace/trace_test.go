@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"afcnet/internal/cmp"
@@ -67,6 +69,43 @@ func TestReadRejectsGarbage(t *testing.T) {
 	for _, c := range cases {
 		if _, err := Read(bytes.NewBufferString(c)); err == nil {
 			t.Errorf("accepted garbage %q", c)
+		}
+	}
+}
+
+// TestReadRejectsTrailingText: a line must be exactly six non-negative
+// integers; extra fields or text glued to a number are errors that name
+// the offending line, never silently dropped.
+func TestReadRejectsTrailingText(t *testing.T) {
+	const good = "0 1 2 0 1 5\n"
+	cases := []struct {
+		name string
+		text string
+		line int // 0: accepted
+	}{
+		{"well formed", good + "\n  3 4 5 2 17 9  \n", 0},
+		{"extra fields", "0 1 2 0 1 5 junk 7\n", 1},
+		{"seventh number", good + "0 1 2 0 1 5 7\n", 2},
+		{"text glued to a number", good + good + "0 1 2 0 1 5junk\n", 3},
+		{"trailing word", "0 1 2 0 1 5 # note\n", 1},
+		{"negative node", good + "0 -1 2 0 1 5\n", 2},
+		{"fractional length", "0 1 2 0 1.5 5\n", 1},
+		{"hex payload", "0 1 2 0 1 0x5\n", 1},
+	}
+	for _, c := range cases {
+		tr, err := Read(bytes.NewBufferString(c.text))
+		if c.line == 0 {
+			if err != nil || len(tr.Events) != 2 {
+				t.Errorf("%s: Read = %v, %v; want 2 events", c.name, tr, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: accepted %q as %+v", c.name, c.text, tr.Events)
+			continue
+		}
+		if want := fmt.Sprintf("line %d:", c.line); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not name %q", c.name, err, want)
 		}
 	}
 }
