@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race race-equality smoke-16x16 smoke-32x32 smoke-64x64 bench-json bench-smoke fuzz-smoke obs-smoke scenario-smoke cover ci
+.PHONY: build vet test race race-equality smoke-16x16 smoke-32x32 smoke-64x64 bench-json bench-smoke bench-layers fuzz-smoke obs-smoke scenario-smoke cover ci
 
 build:
 	$(GO) build ./...
@@ -68,6 +68,17 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=Fig2a -benchtime=1x .
 	$(GO) run ./cmd/benchjson -smoke
 
+# The per-layer microbenchmarks: an AFC router's Tick on a canned input
+# that stays saturated, in backpressured mode (BenchmarkTickBuffered)
+# and backpressureless mode (BenchmarkTickBless), at a fixed iteration
+# count. ns/op is printed for the record; any allocation in the steady
+# state fails the target.
+bench-layers:
+	@out=$$($(GO) test -run='^$$' -bench='^BenchmarkTick' -benchmem -benchtime=200000x ./internal/core) || { echo "$$out"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | awk '/^Benchmark/ { n++; for (i = 2; i <= NF; i++) if ($$i == "allocs/op" && $$(i-1) != 0) { bad = 1; print "FAIL: allocates in steady state: " $$1 } } \
+		END { if (n == 0) { print "FAIL: no benchmark ran"; exit 1 } exit bad }'
+
 # Short run of every native fuzz target (~10s each). The corpora under
 # testdata/fuzz (checked in as they grow) replay first, so previously
 # found inputs regress loudly.
@@ -114,4 +125,4 @@ cover:
 	base=$$(cat coverage-baseline.txt); \
 	awk -v t="$$total" -v b="$$base" 'BEGIN { if (t + 0.5 < b) { printf "coverage regressed: %.1f%% < baseline %.1f%%\n", t, b; exit 1 } else { printf "coverage ok: %.1f%% (baseline %.1f%%)\n", t, b } }'
 
-ci: build vet race race-equality smoke-16x16 smoke-64x64 bench-smoke fuzz-smoke obs-smoke scenario-smoke cover
+ci: build vet race race-equality smoke-16x16 smoke-64x64 bench-smoke bench-layers fuzz-smoke obs-smoke scenario-smoke cover

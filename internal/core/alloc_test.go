@@ -82,7 +82,7 @@ func TestBufferedAllocatorMatchesSlotPredicate(t *testing.T) {
 	heldData := 0 // East data credits not yet returned
 	var creditRejects, blockRejects, grants int
 	for c := 0; c < 800; c++ {
-		h.r.SetPortBlocked(topology.South, (c >= 150 && c < 250) || (c >= 400 && c < 430))
+		r.SetPortBlocked(topology.South, (c >= 150 && c < 250) || (c >= 400 && c < 430))
 		f := mk(id, 3, dsts[c%2], vns[c/2%2])
 		id++
 		h.trySend(topology.West, f)

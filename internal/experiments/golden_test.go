@@ -46,8 +46,8 @@ func digestOf(t *testing.T, v any) string {
 
 // abandonCycles is how long the dirty reuse path runs its abandoned
 // rate-0.55 cell before the next cell's Reset: long enough that every
-// kind holds flits in buffers, latches and pipes, and AFC routers have
-// switched to backpressured mode.
+// kind holds flits (the test checks) and most AFC routers have switched
+// to backpressured mode with flits in their buffers.
 const abandonCycles = 1000
 
 // TestGoldenDigests pins every kind's end state and measurements to
