@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"afcnet/internal/config"
@@ -21,6 +22,10 @@ import (
 var updateGolden = flag.Bool("update", false, "regenerate testdata/golden.json from the current code")
 
 const goldenPath = "testdata/golden.json"
+
+// mesh8Prefix marks the digests of the 8x8 sharded slice, which -short
+// skips.
+const mesh8Prefix = "8x8/"
 
 // goldenFile is the committed digest matrix. Each digest is the SHA-256
 // of one result's JSON encoding; encoding/json writes floats in their
@@ -60,7 +65,10 @@ const abandonCycles = 1000
 // abandonCycles without draining — so Reset must rewind routers that
 // still hold flits. The detScenario run (dead links, a dead router and a
 // throttle) of every kind must match its digest serially and at 3
-// shards.
+// shards. Unless -short, every open-loop cell also runs on an 8x8 mesh
+// serially and at 2, 3 and 8 shards (shardedCell), all four paths
+// pinned to one digest per cell, so the sharded tick is checked against
+// a recorded result rather than only against the serial kernel.
 //
 // The equality gates elsewhere compare two paths compiled into one
 // binary, so a bug the paths share passes them all. This test compares
@@ -70,6 +78,9 @@ const abandonCycles = 1000
 // -update).
 func TestGoldenDigests(t *testing.T) {
 	var want goldenFile
+	if *updateGolden && testing.Short() {
+		t.Fatal("-update records every digest; run it without -short")
+	}
 	if !*updateGolden {
 		b, err := os.ReadFile(goldenPath)
 		if err != nil {
@@ -147,6 +158,30 @@ func TestGoldenDigests(t *testing.T) {
 		add(cellName(c), "dirty8", dirty[i])
 	}
 
+	// The same cells on an 8x8 mesh, serial and through the sharded tick:
+	// 3 shards leave uneven bands (8 rows over 3), 8 is one row per band,
+	// so every boundary pipe is staged.
+	if !testing.Short() {
+		for _, shards := range []int{0, 2, 3, 8} {
+			opt := base
+			opt.Parallelism = 4
+			path := "serial"
+			if shards > 0 {
+				path = fmt.Sprintf("shards%d", shards)
+			}
+			outs, err := runner.Map(len(cells), opt.pool(), func(i int) (activeSetSnap, error) {
+				c := cells[i]
+				return shardedCell(c.kind, c.seed, c.rate, shards, opt), nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range cells {
+				add(mesh8Prefix+cellName(c), path, outs[i])
+			}
+		}
+	}
+
 	var kinds []network.Kind
 	for k := network.Kind(0); k < network.NumKinds; k++ {
 		kinds = append(kinds, k)
@@ -213,6 +248,9 @@ func TestGoldenDigests(t *testing.T) {
 		}
 	}
 	for k := range want.Digests {
+		if testing.Short() && strings.HasPrefix(k, mesh8Prefix) {
+			continue
+		}
 		if _, ok := got[k]; !ok {
 			t.Errorf("%s: recorded digest has no cell", k)
 		}
