@@ -15,21 +15,21 @@ race:
 	$(GO) test -race ./...
 
 # The bit-for-bit equivalence gates under the race detector: the
-# active-set kernel against the dense reference, the pooled memory
+# active-set kernel against the dense reference and the pooled memory
 # engine (arena recycling + cross-cell network reuse) against the
-# no-pool reference, and the sharded two-phase tick against the serial
-# kernel — each with the invariant checker attached — plus the golden
-# digests, which pin the serial and 8-way reuse paths to results
-# recorded in internal/experiments/testdata/golden.json. The sharded
-# gate is the one the race detector bites hardest: any unsynchronized
-# cross-shard access in the barrier is a hard failure there, not a
-# flaky diff. `race` already covers them via ./...; this target exists
-# so CI names them explicitly and a -short or cached run cannot skip
-# them. The explicit -timeout overrides go test's 600s default: on a
-# single-core machine the sharded gate alone can exceed it under the
-# race detector.
+# no-pool reference — each with the invariant checker attached — plus
+# the golden digests, which pin the serial, 8-way reuse and 8x8 sharded
+# (2, 3 and 8 shards) paths to results recorded in
+# internal/experiments/testdata/golden.json. The sharded slice is the
+# one the race detector bites hardest: any unsynchronized cross-shard
+# access in the barrier is a hard failure there, not a flaky diff.
+# `race` already covers them via ./...; this target exists so CI names
+# them explicitly and a -short or cached run cannot skip them. The
+# explicit -timeout overrides go test's 600s default: on a single-core
+# machine the sharded slice alone can exceed it under the race
+# detector.
 race-equality:
-	$(GO) test -race -count=1 -timeout 45m -run='^(TestActiveSetEqualsDense|TestPoolEqualsNoPool|TestShardedEqualsSerial|TestGoldenDigests)$$' ./internal/experiments
+	$(GO) test -race -count=1 -timeout 45m -run='^(TestActiveSetEqualsDense|TestPoolEqualsNoPool|TestGoldenDigests)$$' ./internal/experiments
 
 # The large-radix smoke cells: a short 16x16 AFC run with the invariant
 # checker attached, serial and through the sharded tick at 8 shards (see

@@ -30,13 +30,21 @@ type activeSetSnap struct {
 	QueueLens  []float64
 }
 
-// activeSetCell runs one open-loop (kind, seed, rate) cell with a
-// measurement window followed by a drain phase — the drain exercises
-// whole-kernel fast-forward (RunUntil coasting between wake edges).
+// activeSetCell runs one open-loop (kind, seed, rate) cell on a fresh
+// network built from opt (so opt.System and opt.Shards pick the mesh and
+// the tick) and snapshots it with runSnap.
 func activeSetCell(kind network.Kind, seed int64, rate float64, opt Options) activeSetSnap {
 	net := opt.newNetwork(network.Config{Kind: kind, Seed: seed, MeterEnergy: true})
+	defer net.Close()
 	gen := traffic.NewGenerator(net, traffic.Config{Rate: rate}, net.RandStream)
 	net.AddTicker(gen)
+	return runSnap(net, gen, opt)
+}
+
+// runSnap runs a cell's warmup and measurement window followed by a
+// drain phase — the drain exercises whole-kernel fast-forward (RunUntil
+// coasting between wake edges) — and captures everything it measured.
+func runSnap(net *network.Network, gen *traffic.Generator, opt Options) activeSetSnap {
 	net.Run(opt.OpenLoopWarmup)
 	net.ResetStats()
 	net.Run(opt.OpenLoopMeasure)

@@ -73,11 +73,10 @@ type Options struct {
 	Shards int
 }
 
-// newNetwork builds one cell's network, attaching an invariant checker
-// when opt.Check is set and a counter sampler when opt.Obs collects
-// metrics. Each cell owns its attachments, so observed runs parallelize
-// exactly like plain ones.
-func (o Options) newNetwork(cfg network.Config) *network.Network {
+// netConfig fills what cfg leaves unset from the options: the machine
+// configuration, the reference-path switches and the shard count. A cell
+// that sets its own System or Shards wins.
+func (o Options) netConfig(cfg network.Config) network.Config {
 	if cfg.System.Mesh.Width == 0 {
 		cfg.System = o.System
 	}
@@ -86,12 +85,28 @@ func (o Options) newNetwork(cfg network.Config) *network.Network {
 	if cfg.Shards <= 1 {
 		cfg.Shards = o.Shards
 	}
-	net := network.New(cfg)
+	return cfg
+}
+
+// attach adds the options' observers to a cell's network: the invariant
+// checker when opt.Check is set, then the counter sampler and barrier
+// timing when opt.Obs collects them. The order fixes the kernel's ticker
+// list and the seed source's stream numbering, so a fresh build and a
+// rewound network must both attach through here.
+func (o Options) attach(net *network.Network) {
 	if o.Check {
 		check.Attach(net)
 	}
 	o.Obs.Sample(net)
 	o.Obs.ObserveBarrier(net)
+}
+
+// newNetwork builds one cell's network with the options' attachments.
+// Each cell owns its attachments, so observed runs parallelize exactly
+// like plain ones.
+func (o Options) newNetwork(cfg network.Config) *network.Network {
+	net := network.New(o.netConfig(cfg))
+	o.attach(net)
 	return net
 }
 
@@ -134,30 +149,17 @@ func (o Options) oneShot() *workerState {
 
 // acquire returns a ready network for cfg: the worker's previous network
 // of the same kind rewound in place when the configuration allows (same
-// everything but Seed), a fresh build otherwise. Checker and sampler are
-// attached in the same order as newNetwork, so the kernel's ticker list
-// and the seed source's stream numbering are identical on both paths. A
-// rebuilt entry has nil sys/gen — the caller's cue to construct its
-// traffic layer instead of reattaching it.
+// everything but Seed), a fresh build otherwise. A rebuilt entry has nil
+// sys/gen — the caller's cue to construct its traffic layer instead of
+// reattaching it.
 func (w *workerState) acquire(cfg network.Config) *workerEnt {
-	if cfg.System.Mesh.Width == 0 {
-		cfg.System = w.opt.System
-	}
-	cfg.DenseKernel = cfg.DenseKernel || w.opt.Dense
-	cfg.NoPool = cfg.NoPool || w.opt.NoPool
-	if cfg.Shards <= 1 {
-		cfg.Shards = w.opt.Shards
-	}
+	cfg = w.opt.netConfig(cfg)
 	e := w.ents[cfg.Kind]
 	if e == nil || !e.net.Reset(cfg) {
 		e = &workerEnt{net: network.New(cfg)}
 		w.ents[cfg.Kind] = e
 	}
-	if w.opt.Check {
-		check.Attach(e.net)
-	}
-	w.opt.Obs.Sample(e.net)
-	w.opt.Obs.ObserveBarrier(e.net)
+	w.opt.attach(e.net)
 	return e
 }
 

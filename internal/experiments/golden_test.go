@@ -66,7 +66,7 @@ const abandonCycles = 1000
 // still hold flits. The detScenario run (dead links, a dead router and a
 // throttle) of every kind must match its digest serially and at 3
 // shards. Unless -short, every open-loop cell also runs on an 8x8 mesh
-// serially and at 2, 3 and 8 shards (shardedCell), all four paths
+// serially and at 2, 3 and 8 shards, all four paths
 // pinned to one digest per cell, so the sharded tick is checked against
 // a recorded result rather than only against the serial kernel.
 //
@@ -165,13 +165,15 @@ func TestGoldenDigests(t *testing.T) {
 		for _, shards := range []int{0, 2, 3, 8} {
 			opt := base
 			opt.Parallelism = 4
+			opt.Shards = shards
+			opt.System = config.DefaultWithMesh(topology.NewMesh(8, 8))
 			path := "serial"
 			if shards > 0 {
 				path = fmt.Sprintf("shards%d", shards)
 			}
 			outs, err := runner.Map(len(cells), opt.pool(), func(i int) (activeSetSnap, error) {
 				c := cells[i]
-				return shardedCell(c.kind, c.seed, c.rate, shards, opt), nil
+				return activeSetCell(c.kind, c.seed, c.rate, opt), nil
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -22,27 +22,7 @@ import (
 // cross-cell reuse).
 func pooledCell(ws *workerState, kind network.Kind, seed int64, rate float64) activeSetSnap {
 	net, gen := pooledGen(ws, kind, seed, rate)
-	net.Run(ws.opt.OpenLoopWarmup)
-	net.ResetStats()
-	net.Run(ws.opt.OpenLoopMeasure)
-	gen.Stop()
-	drained := net.RunUntil(net.Drained, 200_000)
-	s := activeSetSnap{
-		Now:        net.Now(),
-		Drained:    drained,
-		Counters:   net.Counters(),
-		Created:    net.CreatedPackets(),
-		Delivered:  net.DeliveredPackets(),
-		Offered:    gen.OfferedFlits(),
-		Latency:    net.MeanTotalLatency(),
-		NetLatency: net.MeanNetLatency(),
-		Throughput: net.ThroughputFlits(),
-		Energy:     net.TotalEnergy(),
-	}
-	for n := 0; n < net.Nodes(); n++ {
-		s.QueueLens = append(s.QueueLens, net.NI(topology.NodeID(n)).MeanQueueLen())
-	}
-	return s
+	return runSnap(net, gen, ws.opt)
 }
 
 // pooledGen acquires ws's network for (kind, seed) and attaches its
