@@ -90,9 +90,10 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzShardBarrier$$' -fuzztime=10s ./internal/network
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/scenario
 
-# One tiny sweep with every observability flag on: the run must succeed,
-# leave a heap profile behind, and produce a manifest that records the
-# single executed cell.
+# One tiny run of each command with the observability flags on: each
+# must succeed, leave a heap profile behind, and produce a manifest that
+# names the command and counts its executed cells. The gossip artifact
+# is a single run outside the worker pool, so figures records no cells.
 obs-smoke:
 	$(GO) run ./cmd/sweep -kinds afc -min 0.1 -max 0.1 -seeds 1 \
 		-warmup 200 -measure 400 -progress \
@@ -100,6 +101,18 @@ obs-smoke:
 	@grep -q '"command": "sweep"' obs-manifest.json
 	@grep -q '"cellsTotal": 1' obs-manifest.json
 	@grep -q '"cellsDone": 1' obs-manifest.json
+	@test -s obs-mem.pprof
+	@rm -f obs-manifest.json obs-mem.pprof
+	$(GO) run ./cmd/afcsim -bench water -kind afc -warmup 50 -tx 100 -progress \
+		-manifest obs-manifest.json -memprofile obs-mem.pprof > /dev/null
+	@grep -q '"command": "afcsim"' obs-manifest.json
+	@grep -q '"cellsDone": 1' obs-manifest.json
+	@test -s obs-mem.pprof
+	@rm -f obs-manifest.json obs-mem.pprof
+	$(GO) run ./cmd/figures -quick -fig gossip -progress \
+		-manifest obs-manifest.json -memprofile obs-mem.pprof > /dev/null
+	@grep -q '"command": "figures"' obs-manifest.json
+	@grep -q '"cellsDone": 0' obs-manifest.json
 	@test -s obs-mem.pprof
 	@rm -f obs-manifest.json obs-mem.pprof
 	@echo "obs smoke ok"

@@ -108,7 +108,8 @@ func BenchmarkKernelStep16x16(b *testing.B) {
 // the sharded tick at 8 shards (two rows per band) — the regime the
 // two-phase barrier targets: one large network whose cycle is wide
 // enough to split across cores. Results are bit-identical to the serial
-// bench's network (TestShardedEqualsSerial); what this bench tracks is
+// bench's network (the 8x8 sharded slice of TestGoldenDigests); what
+// this bench tracks is
 // the wall-clock ratio against BenchmarkKernelStep16x16 (reported by
 // cmd/benchjson as a speedup on multi-core hosts; on a single-core host
 // the barrier is pure overhead and the ratio inverts) and that the

@@ -6,31 +6,25 @@
 //	afcsim [-kind afc] [-bench apache] [-seed 1] [-warmup 2000] [-tx 6000]
 //	afcsim -bench all -kind all          # full cross product
 //
-// The bench × kind matrix runs on a worker pool sized by -parallel (or
-// AFCSIM_PARALLEL; default all CPUs); each run buffers its report and the
-// rows print in matrix order, so output and results are identical to a
-// serial run. Trace recording (-record) forces serial execution because
-// every run writes the same trace file.
+// The bench × kind matrix runs on a worker pool sized by -parallel; each
+// run buffers its report and the rows print in matrix order, so output
+// and results are identical to a serial run. Trace recording (-record)
+// forces serial execution because every run writes the same trace file.
 //
 // -scenario runs a JSON scenario spec (internal/scenario) instead of a
 // closed-loop workload: open-loop traffic whose rate, pattern, bursting,
 // link throttling and fault state change at scheduled cycles, reported
 // as per-phase completion-time percentiles.
 //
-// -check (or AFCSIM_CHECK=1) attaches the internal/check invariant
-// checker to every network; results are identical, runs are slower, and
-// any violation aborts with a diagnostic.
-//
-// Observability (internal/obs, all off by default and bit-for-bit
-// invisible to results): -manifest writes a JSON run record (config,
-// per-cell wall times, worker utilization), -progress (or
-// AFCSIM_PROGRESS=1) prints a live stderr progress line,
-// -cpuprofile/-memprofile write pprof profiles, and -debug-addr serves
-// net/http/pprof plus the simulator's counters as expvars.
+// The flags afcsim shares with figures and sweep (-parallel, -check,
+// -shards, -scenario and the observability flags) and the order in
+// which a run checks its input and starts its profiles and manifest are
+// described in internal/cli.
 package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -40,206 +34,140 @@ import (
 	"strings"
 
 	"afcnet/internal/check"
+	"afcnet/internal/cli"
 	"afcnet/internal/cmp"
 	"afcnet/internal/config"
 	"afcnet/internal/experiments"
 	"afcnet/internal/network"
-	"afcnet/internal/obs"
 	"afcnet/internal/router"
 	"afcnet/internal/runner"
-	"afcnet/internal/scenario"
 	"afcnet/internal/topology"
 	"afcnet/internal/trace"
 )
 
-var kindsByName = map[string]network.Kind{
-	"backpressured":    network.Backpressured,
-	"ideal-bypass":     network.BackpressuredIdealBypass,
-	"backpressureless": network.Bless,
-	"drop":             network.BlessDrop,
-	"afc":              network.AFC,
-	"afc-always-bp":    network.AFCAlwaysBuffered,
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("afcsim: ")
-	var (
-		kindFlag  = flag.String("kind", "afc", "router kind: backpressured|ideal-bypass|backpressureless|drop|afc|afc-always-bp|all")
-		benchFlag = flag.String("bench", "apache", "workload: apache|oltp|specjbb|barnes|ocean|water|all")
-		seed      = flag.Int64("seed", 1, "random seed")
-		warmup    = flag.Uint64("warmup", 2000, "warmup transactions before measurement")
-		tx        = flag.Uint64("tx", 6000, "measured transactions")
-		limit     = flag.Uint64("limit", 20_000_000, "cycle limit")
-		oldest    = flag.Bool("oldest", false, "use oldest-first deflection arbitration instead of randomized")
-		prealloc  = flag.Bool("wb-prealloc", false, "use the writeback pre-allocation protocol variant (Section II)")
-		realVCA   = flag.Bool("realistic-vca", false, "model the 3-stage backpressured pipeline (non-speculative VCA)")
-		meshFlag  = flag.String("mesh", "3x3", "mesh dimensions WxH (the paper uses 3x3; Sec. V-B uses 8x8)")
-		scenarioF = flag.String("scenario", "", "instead of a workload, run the JSON scenario spec at this path open-loop and report per-phase completion-time percentiles")
-		recordTo  = flag.String("record", "", "record the created packet trace to this file")
-		replayOf  = flag.String("replay", "", "instead of a workload, replay a trace file recorded with -record")
-		parallel  = flag.Int("parallel", runner.FromEnv(), "worker-pool size; <=0 means all CPUs, 1 is serial (results are identical either way)")
-		checked   = flag.Bool("check", check.FromEnv(), "attach the runtime invariant checker (or set AFCSIM_CHECK=1); identical results, slower")
-		shards    = flag.Int("shards", network.ShardsFromEnv(), "shard each network's tick across this many row bands of worker goroutines (or set AFCSIM_SHARDS=N); <=1 is the serial kernel, identical results")
-		manifest  = flag.String("manifest", "", "write a JSON run manifest (config, per-cell wall times, worker utilization) to this file")
-		progress  = flag.Bool("progress", obs.ProgressFromEnv(), "print a live progress line to stderr (or set AFCSIM_PROGRESS=1)")
-		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof   = flag.String("memprofile", "", "write a heap profile to this file")
-		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof and expvar simulator counters on this address (e.g. localhost:6060)")
-	)
-	flag.Parse()
-
-	stopCPU, err := obs.StartCPUProfile(*cpuprof)
-	if err != nil {
+	if err := run(flag.CommandLine, os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	var metrics *obs.Metrics
-	if *debugAddr != "" {
-		metrics = &obs.Metrics{}
-		addr, err := obs.ServeDebug(*debugAddr, metrics)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("debug endpoint at http://%s/debug/vars (pprof under /debug/pprof/)", addr)
+}
+
+// run parses args with fs, checks every input, then runs the selected
+// mode and writes its report to stdout.
+func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
+	var (
+		kindFlag  = fs.String("kind", "afc", "router kind: backpressured|ideal-bypass|backpressureless|drop|afc|afc-always-bp|all")
+		benchFlag = fs.String("bench", "apache", "workload: apache|oltp|specjbb|barnes|ocean|water|all")
+		seed      = fs.Int64("seed", 1, "random seed")
+		warmup    = fs.Uint64("warmup", 2000, "warmup transactions before measurement")
+		tx        = fs.Uint64("tx", 6000, "measured transactions")
+		limit     = fs.Uint64("limit", 20_000_000, "cycle limit")
+		oldest    = fs.Bool("oldest", false, "use oldest-first deflection arbitration instead of randomized")
+		prealloc  = fs.Bool("wb-prealloc", false, "use the writeback pre-allocation protocol variant (Section II)")
+		realVCA   = fs.Bool("realistic-vca", false, "model the 3-stage backpressured pipeline (non-speculative VCA)")
+		meshFlag  = fs.String("mesh", "3x3", "mesh dimensions WxH (the paper uses 3x3; Sec. V-B uses 8x8)")
+		recordTo  = fs.String("record", "", "record the created packet trace to this file")
+		replayOf  = fs.String("replay", "", "instead of a workload, replay a trace file recorded with -record")
+	)
+	shared := cli.Register(fs, "instead of a workload, run the JSON scenario spec at this path open-loop and report per-phase completion-time percentiles")
+	fs.Lookup("check").Usage = "attach the runtime invariant checker; identical results, slower"
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
 	mesh, err := parseMesh(*meshFlag)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-
-	var kinds []network.Kind
-	if *kindFlag == "all" {
-		kinds = []network.Kind{
-			network.Backpressured, network.BackpressuredIdealBypass,
-			network.Bless, network.AFCAlwaysBuffered, network.AFC,
-		}
-	} else {
-		k, ok := kindsByName[*kindFlag]
-		if !ok {
-			log.Fatalf("unknown kind %q", *kindFlag)
+	kinds := []network.Kind{
+		network.Backpressured, network.BackpressuredIdealBypass,
+		network.Bless, network.AFCAlwaysBuffered, network.AFC,
+	}
+	if *kindFlag != "all" {
+		k, err := cli.Kind(*kindFlag)
+		if err != nil {
+			return err
 		}
 		kinds = []network.Kind{k}
 	}
-
-	var benches []cmp.Params
-	if *benchFlag == "all" {
-		benches = cmp.AllBenchmarks()
-	} else {
+	benches := cmp.AllBenchmarks()
+	if *benchFlag != "all" {
 		p, ok := cmp.ByName(*benchFlag)
 		if !ok {
-			log.Fatalf("unknown benchmark %q", *benchFlag)
+			return fmt.Errorf("unknown benchmark %q", *benchFlag)
 		}
 		benches = []cmp.Params{p}
 	}
-
-	kindNames := make([]string, len(kinds))
-	for i, k := range kinds {
-		kindNames[i] = k.String()
+	spec, err := shared.LoadScenario(mesh)
+	if err != nil {
+		return err
 	}
-	ob := obs.New(obs.Config{
-		Command:  "afcsim",
-		Args:     os.Args[1:],
-		Workers:  *parallel,
-		Kinds:    kindNames,
-		Seeds:    []int64{*seed},
-		Manifest: *manifest != "",
-		Progress: *progress,
-		Metrics:  metrics,
-	})
-	// finish flushes every enabled observer; it must run on the error
-	// paths too, so the manifest of a failed sweep is still written.
-	finish := func() {
-		ob.Finish()
-		if err := ob.WriteManifestFile(*manifest); err != nil {
-			log.Print(err)
-		}
-		if err := obs.WriteHeapProfile(*memprof); err != nil {
-			log.Print(err)
-		}
-		stopCPU()
-	}
-
-	if *scenarioF != "" {
-		if err := runScenario(*scenarioF, kinds, mesh, *seed, *parallel, *checked, *shards, ob); err != nil {
-			finish()
-			log.Fatal(err)
-		}
-		finish()
-		return
-	}
-
+	var tr *trace.Trace
 	if *replayOf != "" {
-		err := replay(*replayOf, kinds, mesh, *seed, *checked, *shards, ob)
-		finish()
-		if err != nil {
-			log.Fatal(err)
+		if tr, err = readTrace(*replayOf, mesh); err != nil {
+			return err
 		}
-		return
 	}
 
-	fmt.Printf("%-8s %-26s %8s %9s %9s %8s %10s %7s %7s %8s %6s\n",
-		"bench", "kind", "inj", "cycles", "tx/cycle", "netlat",
-		"energy", "buf%", "link%", "bufmode", "defl")
-	pol := router.PolicyRandom
-	if *oldest {
-		pol = router.PolicyOldest
+	ob, finish, err := shared.Start("afcsim", args, kinds, []int64{*seed})
+	if err != nil {
+		return err
 	}
-	pool := runner.Options{Parallelism: *parallel}
-	if *recordTo != "" {
-		// Every run writes the same trace file; keep them ordered.
-		pool.Parallelism = 1
-	}
-	ob.Hook(&pool)
-	nk := len(kinds)
-	reports, err := runner.Map(len(benches)*nk, pool, func(i int) (*bytes.Buffer, error) {
-		p := benches[i/nk]
-		k := kinds[i%nk]
-		if *prealloc {
-			p.WritebackPreAlloc = true
+	// newNet builds a cell's network with the shared -shards and -check
+	// settings and the observer's counter sampler.
+	newNet := func(cfg network.Config) *network.Network {
+		cfg.Shards = shared.Shards
+		net := network.New(cfg)
+		if shared.Check {
+			check.Attach(net)
 		}
-		var buf bytes.Buffer
-		if err := runOne(&buf, p, k, mesh, pol, *realVCA, *seed, *warmup, *tx, *limit, *recordTo, *checked, *shards, ob); err != nil {
-			return nil, err
+		ob.Sample(net)
+		return net
+	}
+	// The report is buffered so it prints after finish has closed the
+	// progress line.
+	var out bytes.Buffer
+	switch {
+	case spec != nil:
+		opt := shared.Options(experiments.Options{Seeds: []int64{*seed}, System: config.DefaultWithMesh(mesh)}, ob)
+		err = cli.RunScenario(&out, spec, kinds, opt)
+	case tr != nil:
+		for _, k := range kinds {
+			replayOne(&out, tr, k, mesh, *seed, newNet)
 		}
-		return &buf, nil
-	})
-	finish()
-	if err != nil {
-		log.Print(err)
-		os.Exit(1)
+	default:
+		pol := router.PolicyRandom
+		if *oldest {
+			pol = router.PolicyOldest
+		}
+		pool := runner.Options{Parallelism: shared.Parallel}
+		if *recordTo != "" {
+			// Every run writes the same trace file; keep them ordered.
+			pool.Parallelism = 1
+		}
+		ob.Hook(&pool)
+		fmt.Fprintf(&out, "%-8s %-26s %8s %9s %9s %8s %10s %7s %7s %8s %6s\n",
+			"bench", "kind", "inj", "cycles", "tx/cycle", "netlat",
+			"energy", "buf%", "link%", "bufmode", "defl")
+		nk := len(kinds)
+		reports := make([]bytes.Buffer, len(benches)*nk)
+		err = runner.Run(len(reports), pool, func(i int) error {
+			p := benches[i/nk]
+			if *prealloc {
+				p.WritebackPreAlloc = true
+			}
+			return runOne(&reports[i], p, kinds[i%nk], mesh, pol, *realVCA, *seed, *warmup, *tx, *limit, *recordTo, newNet)
+		})
+		if err == nil {
+			for i := range reports {
+				out.Write(reports[i].Bytes())
+			}
+		}
 	}
-	for _, r := range reports {
-		os.Stdout.Write(r.Bytes())
-	}
-}
-
-// runScenario runs a scenario spec across the selected kinds and prints
-// the per-phase completion-time report. The spec's timeline replaces the
-// closed-loop workload entirely.
-func runScenario(path string, kinds []network.Kind, mesh topology.Mesh, seed int64, parallel int, checked bool, shards int, ob *obs.Observer) error {
-	spec, err := scenario.ParseFile(path)
-	if err != nil {
-		return err
-	}
-	if err := spec.ValidateFor(mesh); err != nil {
-		return err
-	}
-	opt := experiments.Options{
-		Seeds:       []int64{seed},
-		Parallelism: parallel,
-		Check:       checked,
-		Shards:      shards,
-		System:      config.DefaultWithMesh(mesh),
-		Obs:         ob,
-	}
-	rs, err := experiments.Scenario(kinds, spec, opt)
-	if err != nil {
-		return err
-	}
-	ob.RecordScenario(spec, rs)
-	experiments.WriteScenario(os.Stdout, spec.Name, rs)
-	return nil
+	err = errors.Join(err, finish())
+	_, werr := out.WriteTo(stdout)
+	return errors.Join(err, werr)
 }
 
 // parseMesh parses "WxH" into a mesh. The whole string must be the two
@@ -256,15 +184,11 @@ func parseMesh(s string) (topology.Mesh, error) {
 
 // runOne executes one bench/kind cell and writes its report rows to w
 // (a per-cell buffer under parallel execution, so rows never interleave).
-func runOne(w io.Writer, p cmp.Params, k network.Kind, mesh topology.Mesh, pol router.DeflectPolicy, realVCA bool, seed int64, warmup, tx, limit uint64, recordTo string, checked bool, shards int, ob *obs.Observer) error {
+func runOne(w io.Writer, p cmp.Params, k network.Kind, mesh topology.Mesh, pol router.DeflectPolicy, realVCA bool, seed int64, warmup, tx, limit uint64, recordTo string, newNet func(network.Config) *network.Network) error {
 	sys := config.DefaultWithMesh(mesh)
 	sys.Baseline.RealisticVCA = realVCA
-	net := network.New(network.Config{System: sys, Kind: k, Seed: seed, MeterEnergy: true, Policy: pol, Shards: shards})
+	net := newNet(network.Config{System: sys, Kind: k, Seed: seed, MeterEnergy: true, Policy: pol})
 	defer net.Close()
-	if checked {
-		check.Attach(net)
-	}
-	ob.Sample(net)
 	var tr *trace.Trace
 	if recordTo != "" {
 		tr = trace.Record(net)
@@ -301,41 +225,34 @@ func runOne(w io.Writer, p cmp.Params, k network.Kind, mesh topology.Mesh, pol r
 	return nil
 }
 
-// replay reads a recorded trace, checks it against mesh before any
-// network is built, and replays it into each kind in turn.
-func replay(path string, kinds []network.Kind, mesh topology.Mesh, seed int64, checked bool, shards int, ob *obs.Observer) error {
+// readTrace reads a recorded trace and checks it against mesh, so a
+// trace that does not fit fails before any network is built.
+func readTrace(path string, mesh topology.Mesh) (*trace.Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	tr, err := trace.Read(f)
 	f.Close()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := tr.ValidateFor(mesh); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	for _, k := range kinds {
-		replayOne(tr, k, mesh, seed, checked, shards, ob)
-	}
-	return nil
+	return tr, nil
 }
 
 // replayOne feeds tr open-loop into a fresh network of the given kind and
-// mesh and reports the trace-driven (no-feedback) metrics.
-func replayOne(tr *trace.Trace, k network.Kind, mesh topology.Mesh, seed int64, checked bool, shards int, ob *obs.Observer) {
-	net := network.New(network.Config{System: config.DefaultWithMesh(mesh), Kind: k, Seed: seed, MeterEnergy: true, Shards: shards})
+// mesh and writes the trace-driven (no-feedback) metrics to w.
+func replayOne(w io.Writer, tr *trace.Trace, k network.Kind, mesh topology.Mesh, seed int64, newNet func(network.Config) *network.Network) {
+	net := newNet(network.Config{System: config.DefaultWithMesh(mesh), Kind: k, Seed: seed, MeterEnergy: true})
 	defer net.Close()
-	if checked {
-		check.Attach(net)
-	}
-	ob.Sample(net)
 	rp := trace.NewReplayer(net, tr)
 	net.AddTicker(rp)
 	limit := tr.Duration() + 500_000
 	done := net.RunUntil(func() bool { return rp.Done() && net.Drained() }, limit)
 	backlog := net.CreatedPackets() - net.DeliveredPackets()
-	fmt.Printf("replay    %-26s packets=%d delivered=%d backlog=%d netlat=%.1f drained=%v\n",
+	fmt.Fprintf(w, "replay    %-26s packets=%d delivered=%d backlog=%d netlat=%.1f drained=%v\n",
 		k, net.CreatedPackets(), net.DeliveredPackets(), backlog, net.MeanNetLatency(), done)
 }

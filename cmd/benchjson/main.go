@@ -108,10 +108,10 @@ type Snapshot struct {
 		// Shards and the sharded-step fields (schema v3) measure the same
 		// 16x16 cell through the sharded two-phase tick at Shards row
 		// bands. Bit-identical results to the serial cell by construction
-		// (TestShardedEqualsSerial); the interesting quantities are the
-		// ns/op ratio against Step16x16NsPerOp on a multi-core host and
-		// the allocs/op, which the parallel arena must keep at zero. Zero
-		// in v1/v2 snapshots, which predate the fields.
+		// (TestGoldenDigests' sharded slice); the interesting quantities
+		// are the ns/op ratio against Step16x16NsPerOp on a multi-core
+		// host and the allocs/op, which the parallel arena must keep at
+		// zero. Zero in v1/v2 snapshots, which predate the fields.
 		Shards                      int     `json:"shards,omitempty"`
 		Step16x16ShardedNsPerOp     float64 `json:"kernelStep16x16ShardedNsPerOp"`
 		Step16x16ShardedAllocsPerOp float64 `json:"kernelStep16x16ShardedAllocsPerOp"`

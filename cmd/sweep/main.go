@@ -15,34 +15,28 @@
 // completion-time percentiles.
 //
 // Sweep cells (kind × rate × seed) run on a worker pool sized by
-// -parallel (or AFCSIM_PARALLEL; default all CPUs). Results are
-// bit-for-bit independent of the worker count. -check (or
-// AFCSIM_CHECK=1) attaches the internal/check invariant checker to
-// every cell's network.
-//
-// Observability (internal/obs, all off by default and invisible to
-// results): -manifest writes a JSON run record (config, per-cell wall
-// times, worker utilization), -progress (or AFCSIM_PROGRESS=1) prints a
-// live stderr progress line, -cpuprofile/-memprofile write pprof
-// profiles, and -debug-addr serves net/http/pprof plus the simulator's
-// counters as expvars.
+// -parallel; results are bit-for-bit independent of the worker count.
+// The flags sweep shares with afcsim and figures (-parallel, -check,
+// -shards, -scenario and the observability flags) and the order in
+// which a run checks its input and starts its profiles and manifest are
+// described in internal/cli.
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
 	"strings"
 
-	"afcnet/internal/check"
+	"afcnet/internal/cli"
 	"afcnet/internal/config"
 	"afcnet/internal/experiments"
 	"afcnet/internal/network"
-	"afcnet/internal/obs"
-	"afcnet/internal/runner"
-	"afcnet/internal/scenario"
 	"afcnet/internal/topology"
 	"afcnet/internal/traffic"
 )
@@ -58,131 +52,79 @@ var patterns = map[string]func(topology.Mesh) traffic.Pattern{
 	},
 }
 
-var kindsByName = map[string]network.Kind{
-	"backpressured":    network.Backpressured,
-	"ideal-bypass":     network.BackpressuredIdealBypass,
-	"backpressureless": network.Bless,
-	"drop":             network.BlessDrop,
-	"afc":              network.AFC,
-	"afc-always-bp":    network.AFCAlwaysBuffered,
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sweep: ")
+	if err := run(flag.CommandLine, os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses args with fs, checks every input, then runs the sweep (or
+// the scenario) and writes its report to stdout.
+func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	var (
-		kindList  = flag.String("kinds", "backpressured,backpressureless,drop,afc", "comma-separated router kinds")
-		pattern   = flag.String("pattern", "uniform", "traffic pattern: uniform|transpose|bitcomp|neighbor|hotspot")
-		scenarioF = flag.String("scenario", "", "instead of a rate sweep, run the JSON scenario spec at this path and report per-phase completion-time percentiles")
-		minRate   = flag.Float64("min", 0.05, "minimum offered load (flits/node/cycle)")
-		maxRate   = flag.Float64("max", 0.60, "maximum offered load")
-		step      = flag.Float64("step", 0.05, "offered-load step")
-		seeds     = flag.Int("seeds", 2, "repeated runs per point")
-		warmup    = flag.Uint64("warmup", 10_000, "warmup cycles")
-		measure   = flag.Uint64("measure", 30_000, "measurement cycles")
-		parallel  = flag.Int("parallel", runner.FromEnv(), "worker-pool size; <=0 means all CPUs, 1 is serial (results are identical either way)")
-		checked   = flag.Bool("check", check.FromEnv(), "attach the runtime invariant checker to every run (or set AFCSIM_CHECK=1); identical results, slower")
-		shards    = flag.Int("shards", network.ShardsFromEnv(), "shard each network's tick across this many row bands of worker goroutines (or set AFCSIM_SHARDS=N); <=1 is the serial kernel, identical results")
-		manifest  = flag.String("manifest", "", "write a JSON run manifest (config, per-cell wall times, worker utilization) to this file")
-		progress  = flag.Bool("progress", obs.ProgressFromEnv(), "print a live progress line to stderr (or set AFCSIM_PROGRESS=1)")
-		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof   = flag.String("memprofile", "", "write a heap profile to this file")
-		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof and expvar simulator counters on this address (e.g. localhost:6060)")
+		kindList = fs.String("kinds", "backpressured,backpressureless,drop,afc", "comma-separated router kinds")
+		pattern  = fs.String("pattern", "uniform", "traffic pattern: uniform|transpose|bitcomp|neighbor|hotspot")
+		minRate  = fs.Float64("min", 0.05, "minimum offered load (flits/node/cycle)")
+		maxRate  = fs.Float64("max", 0.60, "maximum offered load")
+		step     = fs.Float64("step", 0.05, "offered-load step")
+		seeds    = fs.Int("seeds", 2, "repeated runs per point")
+		warmup   = fs.Uint64("warmup", 10_000, "warmup cycles")
+		measure  = fs.Uint64("measure", 30_000, "measurement cycles")
 	)
-	flag.Parse()
+	shared := cli.Register(fs, "instead of a rate sweep, run the JSON scenario spec at this path and report per-phase completion-time percentiles")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
 	rates, err := sweepRates(*minRate, *maxRate, *step)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	seedList, err := sweepSeeds(*seeds)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-
-	stopCPU, err := obs.StartCPUProfile(*cpuprof)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var metrics *obs.Metrics
-	if *debugAddr != "" {
-		metrics = &obs.Metrics{}
-		addr, err := obs.ServeDebug(*debugAddr, metrics)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("debug endpoint at http://%s/debug/vars (pprof under /debug/pprof/)", addr)
-	}
-
 	var kinds []network.Kind
 	for _, name := range strings.Split(*kindList, ",") {
-		k, ok := kindsByName[strings.TrimSpace(name)]
-		if !ok {
-			log.Fatalf("unknown kind %q", name)
+		k, err := cli.Kind(strings.TrimSpace(name))
+		if err != nil {
+			return err
 		}
 		kinds = append(kinds, k)
+	}
+	mk, ok := patterns[*pattern]
+	if !ok {
+		return fmt.Errorf("unknown pattern %q", *pattern)
+	}
+	spec, err := shared.LoadScenario(config.Default().Mesh)
+	if err != nil {
+		return err
+	}
+
+	ob, finish, err := shared.Start("sweep", args, kinds, seedList)
+	if err != nil {
+		return err
 	}
 	opt := experiments.Default()
 	opt.Seeds = seedList
 	opt.OpenLoopWarmup = *warmup
 	opt.OpenLoopMeasure = *measure
-	opt.Parallelism = *parallel
-	opt.Check = *checked
-	opt.Shards = *shards
+	opt = shared.Options(opt, ob)
 
-	kindNames := make([]string, len(kinds))
-	for i, k := range kinds {
-		kindNames[i] = k.String()
+	// The report is buffered so it prints after finish has closed the
+	// progress line.
+	var out bytes.Buffer
+	if spec != nil {
+		err = cli.RunScenario(&out, spec, kinds, opt)
+	} else {
+		experiments.WriteSweep(&out, experiments.LatencySweepPattern(kinds, rates, mk, opt))
+		fmt.Fprintln(&out, "note: 'saturated' means mean total latency (including source queueing) exceeded the bound; see internal/experiments.")
 	}
-	ob := obs.New(obs.Config{
-		Command:  "sweep",
-		Args:     os.Args[1:],
-		Workers:  *parallel,
-		Kinds:    kindNames,
-		Seeds:    opt.Seeds,
-		Manifest: *manifest != "",
-		Progress: *progress,
-		Metrics:  metrics,
-	})
-	opt.Obs = ob
-
-	finish := func() {
-		ob.Finish()
-		if err := ob.WriteManifestFile(*manifest); err != nil {
-			log.Fatal(err)
-		}
-		if err := obs.WriteHeapProfile(*memprof); err != nil {
-			log.Fatal(err)
-		}
-		stopCPU()
-	}
-
-	if *scenarioF != "" {
-		spec, err := scenario.ParseFile(*scenarioF)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := spec.ValidateFor(config.Default().Mesh); err != nil {
-			log.Fatal(err)
-		}
-		rs, err := experiments.Scenario(kinds, spec, opt)
-		if err != nil {
-			finish()
-			log.Fatal(err)
-		}
-		ob.RecordScenario(spec, rs)
-		finish()
-		experiments.WriteScenario(os.Stdout, spec.Name, rs)
-		return
-	}
-
-	mk, ok := patterns[*pattern]
-	if !ok {
-		log.Fatalf("unknown pattern %q", *pattern)
-	}
-	pts := experiments.LatencySweepPattern(kinds, rates, mk, opt)
-	finish()
-	experiments.WriteSweep(os.Stdout, pts)
-	fmt.Println("note: 'saturated' means mean total latency (including source queueing) exceeded the bound; see internal/experiments.")
+	err = errors.Join(err, finish())
+	_, werr := out.WriteTo(stdout)
+	return errors.Join(err, werr)
 }
 
 // sweepRates returns the offered loads min, min+step, ... up to max

@@ -1,7 +1,11 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -55,6 +59,43 @@ func TestSweepSeeds(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, c.want) {
 			t.Errorf("sweepSeeds(%d) = %v, want %v", c.n, got, c.want)
+		}
+	}
+}
+
+// TestBadInputHasNoSideEffects: every input sweep checks is checked
+// before the run starts, so a bad one fails and leaves no profile or
+// manifest behind.
+func TestBadInputHasNoSideEffects(t *testing.T) {
+	in := t.TempDir()
+	badJSON := filepath.Join(in, "bad.json")
+	if err := os.WriteFile(badJSON, []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"kind", []string{"-kinds", "afc,bogus"}},
+		{"pattern", []string{"-pattern", "bogus"}},
+		{"missing scenario", []string{"-scenario", filepath.Join(in, "missing.json")}},
+		{"malformed scenario", []string{"-scenario", badJSON}},
+		{"min above max", []string{"-min", "0.5", "-max", "0.1"}},
+		{"zero step", []string{"-step", "0"}},
+		{"zero seeds", []string{"-seeds", "0"}},
+	}
+	for _, c := range cases {
+		dir := t.TempDir()
+		args := append([]string{
+			"-cpuprofile", filepath.Join(dir, "cpu.pprof"),
+			"-memprofile", filepath.Join(dir, "mem.pprof"),
+			"-manifest", filepath.Join(dir, "run.json"),
+		}, c.args...)
+		if err := run(flag.NewFlagSet("sweep", flag.ContinueOnError), args, io.Discard); err == nil {
+			t.Errorf("%s: %q succeeded, want an error", c.name, args)
+		}
+		if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+			t.Errorf("%s: left %s behind", c.name, ents[0].Name())
 		}
 	}
 }

@@ -14,7 +14,6 @@ package check
 
 import (
 	"fmt"
-	"os"
 
 	"afcnet/internal/config"
 	"afcnet/internal/core"
@@ -24,20 +23,6 @@ import (
 	"afcnet/internal/topology"
 	"afcnet/internal/vcrouter"
 )
-
-// EnvVar enables checking in every harness that consults FromEnv
-// (cmd/afcsim, cmd/figures, cmd/sweep).
-const EnvVar = "AFCSIM_CHECK"
-
-// FromEnv reports whether AFCSIM_CHECK requests checked runs. Any value
-// other than empty, "0", "false", "no" or "off" enables checking.
-func FromEnv() bool {
-	switch os.Getenv(EnvVar) {
-	case "", "0", "false", "no", "off":
-		return false
-	}
-	return true
-}
 
 // DefaultMaxFlitAge bounds how long a flit may stay in the network.
 // Deflection routing is only probabilistically livelock-free

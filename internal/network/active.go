@@ -1,29 +1,10 @@
 package network
 
 import (
-	"os"
-	"strconv"
-
 	"afcnet/internal/core"
 	"afcnet/internal/deflect"
 	"afcnet/internal/vcrouter"
 )
-
-// ShardsEnvVar sets the default shard count of the sharded tick in every
-// harness that consults ShardsFromEnv (cmd/afcsim, cmd/figures,
-// cmd/sweep, cmd/benchjson). Values <= 1 (or anything unparseable) keep
-// the serial reference path.
-const ShardsEnvVar = "AFCSIM_SHARDS"
-
-// ShardsFromEnv returns the shard count requested via AFCSIM_SHARDS, or
-// 0 (serial) when unset or not a positive integer.
-func ShardsFromEnv() int {
-	v, err := strconv.Atoi(os.Getenv(ShardsEnvVar))
-	if err != nil || v < 0 {
-		return 0
-	}
-	return v
-}
 
 // The router banks below register a whole mesh's routers as ONE kernel
 // entry per network. This buys two things over per-router registration:

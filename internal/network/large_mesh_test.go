@@ -23,9 +23,10 @@ func TestLargeMesh16x16Smoke(t *testing.T) {
 // TestLargeMesh16x16ShardedSmoke is the same cell through the sharded
 // tick at 8 shards (two rows per band): every boundary behavior — staged
 // pipes, effect journals, the parallel arena — under the checker, cheap
-// enough for every CI invocation. TestShardedEqualsSerial proves
-// bit-equality to serial exhaustively; this cell just keeps the sharded
-// path exercised in short mode.
+// enough for every CI invocation. The 8x8 sharded slice of
+// TestGoldenDigests (internal/experiments) pins bit-equality to serial
+// exhaustively; this cell just keeps the sharded path exercised in short
+// mode.
 func TestLargeMesh16x16ShardedSmoke(t *testing.T) {
 	largeMesh16x16Smoke(t, 8)
 }

@@ -116,7 +116,7 @@ type Config struct {
 	// and drained in a fixed global order, so results match the serial
 	// kernel for any shard count (see internal/network/shard.go). Values
 	// above the mesh height clamp to one shard per row. Shards <= 1 is
-	// the untouched serial reference path (see also ShardsEnvVar).
+	// the untouched serial reference path.
 	Shards int
 }
 

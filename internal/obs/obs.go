@@ -22,21 +22,6 @@ import (
 	"afcnet/internal/runner"
 )
 
-// ProgressEnvVar enables -progress in every command that consults
-// ProgressFromEnv (cmd/afcsim, cmd/figures, cmd/sweep).
-const ProgressEnvVar = "AFCSIM_PROGRESS"
-
-// ProgressFromEnv reports whether AFCSIM_PROGRESS requests live
-// progress. Any value other than empty, "0", "false", "no" or "off"
-// enables it (the same semantics as AFCSIM_CHECK).
-func ProgressFromEnv() bool {
-	switch os.Getenv(ProgressEnvVar) {
-	case "", "0", "false", "no", "off":
-		return false
-	}
-	return true
-}
-
 // Config selects which observers New enables and supplies the run
 // metadata recorded in the manifest.
 type Config struct {

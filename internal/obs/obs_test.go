@@ -201,19 +201,3 @@ func TestObserverNilAndDisabled(t *testing.T) {
 		t.Errorf("disabled WriteManifestFile: %v", err)
 	}
 }
-
-func TestProgressFromEnv(t *testing.T) {
-	for _, tc := range []struct {
-		val  string
-		want bool
-	}{
-		{"", false}, {"0", false}, {"false", false}, {"no", false}, {"off", false},
-		{"1", true}, {"true", true}, {"yes", true},
-	} {
-		t.Setenv(ProgressEnvVar, tc.val)
-		if got := ProgressFromEnv(); got != tc.want {
-			t.Errorf("ProgressFromEnv with %s=%q = %v, want %v",
-				ProgressEnvVar, tc.val, got, tc.want)
-		}
-	}
-}

@@ -21,10 +21,7 @@ package runner
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,33 +65,6 @@ func (o Options) Workers(cells int) int {
 		w = 1
 	}
 	return w
-}
-
-// EnvVar is the environment variable the commands consult for a default
-// worker count (their -parallel flag overrides it).
-const EnvVar = "AFCSIM_PARALLEL"
-
-// FromEnv returns the default worker count: $AFCSIM_PARALLEL when it is a
-// positive integer, GOMAXPROCS otherwise. A set-but-unusable value (not
-// an integer, or <= 0) is reported on stderr so a typo does not silently
-// run at full parallelism.
-func FromEnv() int {
-	return fromEnv(os.Getenv(EnvVar), os.Stderr)
-}
-
-// fromEnv is FromEnv with the environment value and warning sink
-// injected for tests.
-func fromEnv(s string, warn io.Writer) int {
-	def := runtime.GOMAXPROCS(0)
-	if s == "" {
-		return def
-	}
-	if v, err := strconv.Atoi(s); err == nil && v > 0 {
-		return v
-	}
-	fmt.Fprintf(warn, "runner: ignoring %s=%q (want a positive integer); using GOMAXPROCS=%d\n",
-		EnvVar, s, def)
-	return def
 }
 
 // Run executes fn(i) for every i in [0, n) on a pool of

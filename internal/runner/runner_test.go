@@ -215,43 +215,6 @@ func TestWorkersClamp(t *testing.T) {
 	}
 }
 
-func TestFromEnv(t *testing.T) {
-	t.Setenv(EnvVar, "3")
-	if got := FromEnv(); got != 3 {
-		t.Errorf("FromEnv() = %d with %s=3", got, EnvVar)
-	}
-	t.Setenv(EnvVar, "bogus")
-	if got := FromEnv(); got < 1 {
-		t.Errorf("FromEnv() = %d with bogus env", got)
-	}
-}
-
-// TestFromEnvWarnsOnBadValue: an unusable AFCSIM_PARALLEL falls back to
-// GOMAXPROCS but says so, once, on the warning sink; usable and unset
-// values stay silent.
-func TestFromEnvWarnsOnBadValue(t *testing.T) {
-	for _, bad := range []string{"bogus", "0", "-2", "1.5"} {
-		var buf strings.Builder
-		if got := fromEnv(bad, &buf); got < 1 {
-			t.Errorf("fromEnv(%q) = %d", bad, got)
-		}
-		warning := buf.String()
-		if !strings.Contains(warning, EnvVar) || !strings.Contains(warning, bad) {
-			t.Errorf("fromEnv(%q) warning = %q; want it to name the variable and value", bad, warning)
-		}
-		if strings.Count(warning, "\n") != 1 {
-			t.Errorf("fromEnv(%q) warning is not one line: %q", bad, warning)
-		}
-	}
-	for _, ok := range []string{"", "4"} {
-		var buf strings.Builder
-		fromEnv(ok, &buf)
-		if buf.Len() != 0 {
-			t.Errorf("fromEnv(%q) warned: %q", ok, buf.String())
-		}
-	}
-}
-
 // TestSerialEqualsParallel: results collected through the pool are
 // identical to the serial loop for a deterministic per-cell function.
 func TestSerialEqualsParallel(t *testing.T) {
