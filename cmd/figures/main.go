@@ -32,6 +32,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
 	"strings"
 
 	"afcnet/internal/cli"
@@ -76,11 +77,7 @@ func run(fs *flag.FlagSet, args []string, out io.Writer) (err error) {
 	want := func(name string) bool {
 		return *fig == "all" || strings.EqualFold(*fig, name)
 	}
-	known := shared.Scenario != "" || *jsonOut != "" || *svgDir != ""
-	for _, a := range artifacts {
-		known = known || want(a)
-	}
-	if !known {
+	if !slices.ContainsFunc(artifacts, want) && shared.Scenario == "" && *jsonOut == "" && *svgDir == "" {
 		return fmt.Errorf("unknown artifact %q", *fig)
 	}
 	spec, err := shared.LoadScenario(config.Default().Mesh)
