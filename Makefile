@@ -18,8 +18,9 @@ race:
 # active-set kernel against the dense reference and the pooled memory
 # engine (arena recycling + cross-cell network reuse) against the
 # no-pool reference — each with the invariant checker attached — plus
-# the golden digests, which pin the serial, 8-way reuse and 8x8 sharded
-# (2, 3 and 8 shards) paths to results recorded in
+# the golden digests, which pin the serial and 8-way reuse paths
+# (TestGoldenDigests) and the 8x8 serial and sharded (2, 3 and 8 shards)
+# paths (TestShardedEqualsSerial) to results recorded in
 # internal/experiments/testdata/golden.json. The sharded slice is the
 # one the race detector bites hardest: any unsynchronized cross-shard
 # access in the barrier is a hard failure there, not a flaky diff.
@@ -29,7 +30,7 @@ race:
 # machine the sharded slice alone can exceed it under the race
 # detector.
 race-equality:
-	$(GO) test -race -count=1 -timeout 45m -run='^(TestActiveSetEqualsDense|TestPoolEqualsNoPool|TestGoldenDigests)$$' ./internal/experiments
+	$(GO) test -race -count=1 -timeout 45m -run='^(TestActiveSetEqualsDense|TestPoolEqualsNoPool|TestShardedEqualsSerial|TestGoldenDigests)$$' ./internal/experiments
 
 # The large-radix smoke cells: a short 16x16 AFC run with the invariant
 # checker attached, serial and through the sharded tick at 8 shards (see
