@@ -71,14 +71,26 @@ bench-smoke:
 
 # The per-layer microbenchmarks: an AFC router's Tick on a canned input
 # that stays saturated, in backpressured mode (BenchmarkTickBuffered)
-# and backpressureless mode (BenchmarkTickBless), at a fixed iteration
-# count. ns/op is printed for the record; any allocation in the steady
-# state fails the target.
+# and backpressureless mode (BenchmarkTickBless), then the serial kernel
+# step of every router kind at 3x3 and 16x16 (BenchmarkKernelStepKinds),
+# each at a fixed iteration count. ns/op is printed for the record; any
+# allocation in the steady state fails the target, except in the
+# backpressureless-drop kernel-step cells, whose steady-state
+# allocations are an open defect (ROADMAP item 1).
 bench-layers:
 	@out=$$($(GO) test -run='^$$' -bench='^BenchmarkTick' -benchmem -benchtime=200000x ./internal/core) || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
-	echo "$$out" | awk '/^Benchmark/ { n++; for (i = 2; i <= NF; i++) if ($$i == "allocs/op" && $$(i-1) != 0) { bad = 1; print "FAIL: allocates in steady state: " $$1 } } \
-		END { if (n == 0) { print "FAIL: no benchmark ran"; exit 1 } exit bad }'
+	echo "$$out" | awk -v exempt='^$$' '$(ALLOC_GATE)'
+	@out=$$($(GO) test -run='^$$' -bench='^BenchmarkKernelStepKinds$$' -benchmem -benchtime=20000x .) || { echo "$$out"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | awk -v exempt='/backpressureless-drop(-[0-9]+)?$$' '$(ALLOC_GATE)'
+
+# ALLOC_GATE is the awk program bench-layers runs over `go test -bench
+# -benchmem` output: it fails when no benchmark ran or when a benchmark
+# whose name does not match the exempt regexp reports non-zero
+# allocs/op.
+ALLOC_GATE = /^Benchmark/ { n++; if ($$1 ~ exempt) next; for (i = 2; i <= NF; i++) if ($$i == "allocs/op" && $$(i-1) != 0) { bad = 1; print "FAIL: allocates in steady state: " $$1 } } \
+	END { if (n == 0) { print "FAIL: no benchmark ran"; exit 1 } exit bad }
 
 # Short run of every native fuzz target (~10s each). The corpora under
 # testdata/fuzz (checked in as they grow) replay first, so previously

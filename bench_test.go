@@ -56,18 +56,49 @@ func reportKind(b *testing.B, ms []experiments.Measurement, metric string, get f
 	}
 }
 
-// BenchmarkKernelStep measures the per-cycle cost of the simulation
-// kernel itself: one AFC network under moderate uniform open-loop load,
-// stepped cycle by cycle. This is the inner loop every harness above
-// amplifies; run it with -benchmem to track hot-path allocation cost.
-func BenchmarkKernelStep(b *testing.B) {
-	net := network.New(network.Config{Kind: network.AFC, Seed: 1, MeterEnergy: true})
+// stepCell is one kernel-step benchmark cell: a kind network on a
+// side×side mesh under uniform open-loop load at rate, warmed up for
+// warmup cycles before b.N single steps are timed. shards > 1 runs the
+// sharded tick, dense the dense reference kernel, and checked attaches
+// the invariant checker.
+type stepCell struct {
+	kind    network.Kind
+	side    int
+	rate    float64
+	warmup  uint64
+	shards  int
+	dense   bool
+	checked bool
+}
+
+// The kernel-step cells. Uniform traffic on a k×k mesh is
+// bisection-limited at ~2/k flits/node/cycle, so the rate falls as the
+// mesh grows (16×16 saturates near 0.12; 0.3 would sit past saturation,
+// where queues — and allocations — grow without bound and no steady
+// state exists), and the warmup grows with the fill time.
+var (
+	step3x3     = stepCell{kind: network.AFC, side: 3, rate: 0.3, warmup: 1000}
+	stepLowLoad = stepCell{kind: network.AFC, side: 3, rate: 0.02, warmup: 1000}
+	step16x16   = stepCell{kind: network.AFC, side: 16, rate: 0.08, warmup: 5000}
+	step32x32   = stepCell{kind: network.AFC, side: 32, rate: 0.04, warmup: 8000}
+	step64x64   = stepCell{kind: network.AFC, side: 64, rate: 0.02, warmup: 16000}
+)
+
+func (c stepCell) run(b *testing.B) {
+	net := network.New(network.Config{
+		Kind: c.kind, Seed: 1, MeterEnergy: true, Shards: c.shards, DenseKernel: c.dense,
+		System: config.DefaultWithMesh(topology.NewMesh(c.side, c.side)),
+	})
+	defer net.Close()
+	if c.checked {
+		check.Attach(net)
+	}
 	gen := traffic.NewGenerator(net, traffic.Config{
 		Pattern: traffic.Uniform{Mesh: net.Mesh()},
-		Rate:    0.3,
+		Rate:    c.rate,
 	}, net.RandStream)
 	net.AddTicker(gen)
-	net.Run(1000) // reach steady state before measuring
+	net.Run(c.warmup) // reach steady state before measuring
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -75,32 +106,39 @@ func BenchmarkKernelStep(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelStep measures the per-cycle cost of the simulation
+// kernel itself: one AFC network under moderate uniform open-loop load,
+// stepped cycle by cycle. This is the inner loop every harness above
+// amplifies; run it with -benchmem to track hot-path allocation cost.
+func BenchmarkKernelStep(b *testing.B) { step3x3.run(b) }
+
 // BenchmarkKernelStep16x16 is BenchmarkKernelStep on a 16x16 mesh — the
 // large-radix regime the slab-resident router state targets (the
 // paper's own evaluation stops at 3x3; the deflection literature it
-// builds on lives at 64-1024 nodes). The per-cycle cost scales with the router count, so
-// expect roughly 256/9 of the 3x3 number; what this bench tracks is that
-// the per-router cost does not degrade with radix and that the steady
-// state stays allocation-free at scale. The injection rate is scaled
-// down: uniform traffic on a 16x16 mesh saturates near 0.12
-// flits/node/cycle (bisection-limited, ~10.7 average hops), so the 3x3
-// bench's 0.3 would sit past saturation where queues — and allocations —
-// grow without bound and no steady state exists.
-func BenchmarkKernelStep16x16(b *testing.B) {
-	net := network.New(network.Config{
-		Kind: network.AFC, Seed: 1, MeterEnergy: true,
-		System: config.DefaultWithMesh(topology.NewMesh(16, 16)),
-	})
-	gen := traffic.NewGenerator(net, traffic.Config{
-		Pattern: traffic.Uniform{Mesh: net.Mesh()},
-		Rate:    0.08,
-	}, net.RandStream)
-	net.AddTicker(gen)
-	net.Run(5000) // reach steady state before measuring (large mesh: longer fill)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Step()
+// builds on lives at 64-1024 nodes). The per-cycle cost scales with the
+// router count, so expect roughly 256/9 of the 3x3 number; what this
+// bench tracks is that the per-router cost does not degrade with radix
+// and that the steady state stays allocation-free at scale.
+func BenchmarkKernelStep16x16(b *testing.B) { step16x16.run(b) }
+
+// BenchmarkKernelStepKinds is the kernel step of every router kind,
+// serial, on the cells of BenchmarkKernelStep and
+// BenchmarkKernelStep16x16 (BenchmarkKernelStepKinds/3x3/afc is
+// BenchmarkKernelStep's network), so the cost of backpressured against
+// backpressureless routers is measured rather than assumed. make
+// bench-layers runs it with -benchmem and fails on any steady-state
+// allocation outside the backpressureless-drop cells (an open defect on
+// the ROADMAP).
+func BenchmarkKernelStepKinds(b *testing.B) {
+	for _, m := range []struct {
+		name string
+		cell stepCell
+	}{{"3x3", step3x3}, {"16x16", step16x16}} {
+		for k := network.Kind(0); k < network.NumKinds; k++ {
+			c := m.cell
+			c.kind = k
+			b.Run(m.name+"/"+k.String(), c.run)
+		}
 	}
 }
 
@@ -108,29 +146,16 @@ func BenchmarkKernelStep16x16(b *testing.B) {
 // the sharded tick at 8 shards (two rows per band) — the regime the
 // two-phase barrier targets: one large network whose cycle is wide
 // enough to split across cores. Results are bit-identical to the serial
-// bench's network (the 8x8 sharded slice of TestGoldenDigests); what
-// this bench tracks is
-// the wall-clock ratio against BenchmarkKernelStep16x16 (reported by
-// cmd/benchjson as a speedup on multi-core hosts; on a single-core host
-// the barrier is pure overhead and the ratio inverts) and that the
-// parallel arena keeps the steady state allocation-free.
+// bench's network (the 8x8 sharded slice pinned by
+// TestShardedEqualsSerial); what this bench tracks is the wall-clock
+// ratio against BenchmarkKernelStep16x16 (reported by cmd/benchjson as
+// a speedup on multi-core hosts; on a single-core host the barrier is
+// pure overhead and the ratio inverts) and that the parallel arena
+// keeps the steady state allocation-free.
 func BenchmarkKernelStep16x16Sharded(b *testing.B) {
-	net := network.New(network.Config{
-		Kind: network.AFC, Seed: 1, MeterEnergy: true, Shards: 8,
-		System: config.DefaultWithMesh(topology.NewMesh(16, 16)),
-	})
-	defer net.Close()
-	gen := traffic.NewGenerator(net, traffic.Config{
-		Pattern: traffic.Uniform{Mesh: net.Mesh()},
-		Rate:    0.08,
-	}, net.RandStream)
-	net.AddTicker(gen)
-	net.Run(5000) // reach steady state before measuring (large mesh: longer fill)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Step()
-	}
+	c := step16x16
+	c.shards = 8
+	c.run(b)
 }
 
 // BenchmarkKernelStep32x32 scales the large-radix cell to a 32x32 mesh
@@ -140,9 +165,7 @@ func BenchmarkKernelStep16x16Sharded(b *testing.B) {
 // near 0.06 and 0.04 keeps the cell sub-saturation with a real steady
 // state. The warmup stretches to 8000 cycles because the bigger mesh
 // takes proportionally longer to fill (~21 average hops).
-func BenchmarkKernelStep32x32(b *testing.B) {
-	benchKernelStep32x32(b, 0)
-}
+func BenchmarkKernelStep32x32(b *testing.B) { step32x32.run(b) }
 
 // BenchmarkKernelStep32x32Sharded is BenchmarkKernelStep32x32 through
 // the sharded tick at 8 shards (four rows per band). At this width each
@@ -150,26 +173,9 @@ func BenchmarkKernelStep32x32(b *testing.B) {
 // coarser and the fixed dispatch cost proportionally smaller — the
 // regime where the sharded tick should scale best.
 func BenchmarkKernelStep32x32Sharded(b *testing.B) {
-	benchKernelStep32x32(b, 8)
-}
-
-func benchKernelStep32x32(b *testing.B, shards int) {
-	net := network.New(network.Config{
-		Kind: network.AFC, Seed: 1, MeterEnergy: true, Shards: shards,
-		System: config.DefaultWithMesh(topology.NewMesh(32, 32)),
-	})
-	defer net.Close()
-	gen := traffic.NewGenerator(net, traffic.Config{
-		Pattern: traffic.Uniform{Mesh: net.Mesh()},
-		Rate:    0.04,
-	}, net.RandStream)
-	net.AddTicker(gen)
-	net.Run(8000) // reach steady state before measuring (1024 nodes: long fill)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Step()
-	}
+	c := step32x32
+	c.shards = 8
+	c.run(b)
 }
 
 // BenchmarkKernelStep64x64 scales the large-radix cell to a 64x64 mesh
@@ -179,35 +185,16 @@ func benchKernelStep32x32(b *testing.B, shards int) {
 // the per-cycle cost near 4x the 32x32 cell's instead of far above it.
 // The injection rate halves again (bisection-limited near 0.03) and the
 // warmup doubles to 16000 cycles (~42 average hops to fill).
-func BenchmarkKernelStep64x64(b *testing.B) {
-	benchKernelStep64x64(b, 0)
-}
+func BenchmarkKernelStep64x64(b *testing.B) { step64x64.run(b) }
 
 // BenchmarkKernelStep64x64Sharded is BenchmarkKernelStep64x64 through
 // the sharded tick at 8 shards (eight rows per band): the coarsest
 // parallel grain the repo records, where each band's 512-router working
 // set makes the fixed barrier cost smallest relative to useful work.
 func BenchmarkKernelStep64x64Sharded(b *testing.B) {
-	benchKernelStep64x64(b, 8)
-}
-
-func benchKernelStep64x64(b *testing.B, shards int) {
-	net := network.New(network.Config{
-		Kind: network.AFC, Seed: 1, MeterEnergy: true, Shards: shards,
-		System: config.DefaultWithMesh(topology.NewMesh(64, 64)),
-	})
-	defer net.Close()
-	gen := traffic.NewGenerator(net, traffic.Config{
-		Pattern: traffic.Uniform{Mesh: net.Mesh()},
-		Rate:    0.02,
-	}, net.RandStream)
-	net.AddTicker(gen)
-	net.Run(16000) // reach steady state before measuring (4096 nodes: longest fill)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Step()
-	}
+	c := step64x64
+	c.shards = 8
+	c.run(b)
 }
 
 // BenchmarkKernelStepLowLoad is BenchmarkKernelStep at a near-idle
@@ -215,30 +202,15 @@ func benchKernelStep64x64(b *testing.B, shards int) {
 // routers are quiescent most cycles, so the per-cycle cost should be a
 // small fraction of the dense kernel's (compare against
 // BenchmarkKernelStepLowLoadDense).
-func BenchmarkKernelStepLowLoad(b *testing.B) {
-	benchKernelStepLowLoad(b, false)
-}
+func BenchmarkKernelStepLowLoad(b *testing.B) { stepLowLoad.run(b) }
 
 // BenchmarkKernelStepLowLoadDense is the same workload on the dense
 // reference kernel (every ticker every cycle) — the baseline the
 // active-set speedup is measured against.
 func BenchmarkKernelStepLowLoadDense(b *testing.B) {
-	benchKernelStepLowLoad(b, true)
-}
-
-func benchKernelStepLowLoad(b *testing.B, dense bool) {
-	net := network.New(network.Config{Kind: network.AFC, Seed: 1, MeterEnergy: true, DenseKernel: dense})
-	gen := traffic.NewGenerator(net, traffic.Config{
-		Pattern: traffic.Uniform{Mesh: net.Mesh()},
-		Rate:    0.02,
-	}, net.RandStream)
-	net.AddTicker(gen)
-	net.Run(1000) // reach steady state before measuring
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Step()
-	}
+	c := stepLowLoad
+	c.dense = true
+	c.run(b)
 }
 
 // BenchmarkKernelStepChecked is BenchmarkKernelStep with the
@@ -247,19 +219,9 @@ func benchKernelStepLowLoad(b *testing.B, dense bool) {
 // comparing the two benches measures the -check overhead reported in
 // EXPERIMENTS.md.
 func BenchmarkKernelStepChecked(b *testing.B) {
-	net := network.New(network.Config{Kind: network.AFC, Seed: 1, MeterEnergy: true})
-	check.Attach(net)
-	gen := traffic.NewGenerator(net, traffic.Config{
-		Pattern: traffic.Uniform{Mesh: net.Mesh()},
-		Rate:    0.3,
-	}, net.RandStream)
-	net.AddTicker(gen)
-	net.Run(1000) // reach steady state before measuring
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Step()
-	}
+	c := step3x3
+	c.checked = true
+	c.run(b)
 }
 
 // BenchmarkFig2aLowLoadPerformance regenerates Figure 2(a): normalized

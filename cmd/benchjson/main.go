@@ -32,33 +32,27 @@
 // baseline (the repo's headline perf number; the generous ratio absorbs
 // shared-machine noise while still catching real regressions).
 //
-// Snapshot schema: afcnet-bench/v2 adds the 16x16 large-radix kernel
-// number (kernelStep16x16NsPerOp); afcnet-bench/v3 adds the sharded-tick
-// variant of that cell (kernelStep16x16ShardedNsPerOp, measured at
-// kernel.shards row bands) plus the host's core count, since the sharded
-// number is only meaningful relative to the serial one on the same
-// machine width; afcnet-bench/v4 adds the 32x32 kernel pair
-// (kernelStep32x32NsPerOp / kernelStep32x32ShardedNsPerOp), recorded in
-// full runs only — smoke runs skip the cell for CI speed;
-// afcnet-bench/v5 adds the 64x64 kernel pair (kernelStep64x64NsPerOp /
-// kernelStep64x64ShardedNsPerOp — the kilonode record, also full-run
-// only). Older snapshots also carry denseKernel, noPool, noColumnar
-// and payloadElision keys of removed flags; the decoder ignores them.
-// bench-smoke reads v1 through v4 snapshots backward-compatibly —
-// metrics an older baseline lacks are skipped. The sharded ratios are
-// judged on both ends of the machine-width spectrum: hosts with at
-// least as many CPUs as shards must show a live >= 1.5x speedup on the
-// 16x16 pair (the barrier must pay; the margin absorbs machine noise),
-// and the baseline's recorded pairs must stay under per-pair
-// single-core overhead bounds, judged deterministically from the file
-// (with inline dispatch the sharded tick is the same work in a
-// different order plus a fixed per-cycle tail; the bound is 1.15x for
-// the 16x16 pair, where the tail is a real fraction of the
+// Snapshot schema: every snapshot is afcnet-bench/v5 (snapshotSchema);
+// one recorded under an earlier schema was rewritten into it, and a
+// metric its measurement predates reads zero, which every consumer
+// treats as "skip". The kernel cells are the 3x3 steps, the 16x16 pair
+// (serial and sharded at kernel.shards row bands, with the host's core
+// count, since the sharded number is only meaningful relative to the
+// serial one on the same machine width), and the 32x32 and 64x64 pairs,
+// recorded in full runs only — smoke runs skip them for CI speed.
+//
+// The sharded ratios are judged on both ends of the machine-width
+// spectrum: hosts with at least as many CPUs as shards must show a live
+// >= 1.5x speedup on the 16x16 pair (the barrier must pay; the margin
+// absorbs machine noise), and the baseline's recorded pairs must stay
+// under per-pair single-core overhead bounds, judged deterministically
+// from the file (with inline dispatch the sharded tick is the same work
+// in a different order plus a fixed per-cycle tail; the bound is 1.15x
+// for the 16x16 pair, where the tail is a real fraction of the
 // slab-accelerated cycle, and 1.05x for the 32x32 pair, where it
 // amortizes to parity within host noise). Kernel cells are recorded as
-// the fastest of three
-// repetitions — the same minimum statistic the wall cells use — so the
-// recorded ratios are stable enough to gate.
+// the fastest of three repetitions — the same minimum statistic the
+// wall cells use — so the recorded ratios are stable enough to gate.
 package main
 
 import (
@@ -88,8 +82,8 @@ type Snapshot struct {
 	Schema    string `json:"schema"`
 	Label     string `json:"label,omitempty"`
 	GoVersion string `json:"goVersion"`
-	// Cores/MaxProcs (schema v3) record the machine width the snapshot
-	// was taken on: the sharded kernel number is a function of it.
+	// Cores/MaxProcs record the machine width the snapshot was taken
+	// on: the sharded kernel number is a function of it.
 	Cores    int `json:"cores,omitempty"`
 	MaxProcs int `json:"maxProcs,omitempty"`
 	Runs     int `json:"runs"`
@@ -99,34 +93,33 @@ type Snapshot struct {
 		StepAllocsPerOp        float64 `json:"stepAllocsPerOp"`
 		StepLowLoadNsPerOp     float64 `json:"stepLowLoadNsPerOp"`
 		StepLowLoadAllocsPerOp float64 `json:"stepLowLoadAllocsPerOp"`
-		// Step16x16NsPerOp (schema v2) is the large-radix kernel number:
-		// one step of a 16x16 mesh under sub-saturation uniform load
-		// (0.08 flits/node/cycle; see BenchmarkKernelStep16x16). Zero in
-		// v1 snapshots, which predate the field.
+		// Step16x16NsPerOp is the large-radix kernel number: one step of
+		// a 16x16 mesh under sub-saturation uniform load (0.08
+		// flits/node/cycle; see BenchmarkKernelStep16x16). Zero in
+		// snapshots that predate the cell.
 		Step16x16NsPerOp     float64 `json:"kernelStep16x16NsPerOp"`
 		Step16x16AllocsPerOp float64 `json:"kernelStep16x16AllocsPerOp"`
-		// Shards and the sharded-step fields (schema v3) measure the same
-		// 16x16 cell through the sharded two-phase tick at Shards row
-		// bands. Bit-identical results to the serial cell by construction
-		// (TestGoldenDigests' sharded slice); the interesting quantities
-		// are the ns/op ratio against Step16x16NsPerOp on a multi-core
-		// host and the allocs/op, which the parallel arena must keep at
-		// zero. Zero in v1/v2 snapshots, which predate the fields.
+		// Shards and the sharded-step fields measure the same 16x16 cell
+		// through the sharded two-phase tick at Shards row bands.
+		// Bit-identical results to the serial cell by construction
+		// (TestShardedEqualsSerial); the interesting quantities are the
+		// ns/op ratio against Step16x16NsPerOp on a multi-core host and
+		// the allocs/op, which the parallel arena must keep at zero.
 		Shards                      int     `json:"shards,omitempty"`
 		Step16x16ShardedNsPerOp     float64 `json:"kernelStep16x16ShardedNsPerOp"`
 		Step16x16ShardedAllocsPerOp float64 `json:"kernelStep16x16ShardedAllocsPerOp"`
-		// The 32x32 pair (schema v4) is the same serial/sharded cell at
-		// 1024 nodes and 0.04 flits/node/cycle (the bigger mesh's bisection
-		// limit halves again; see BenchmarkKernelStep32x32). Zero in v1-v3
-		// snapshots and in smoke runs, which skip the cell for CI speed.
+		// The 32x32 pair is the same serial/sharded cell at 1024 nodes
+		// and 0.04 flits/node/cycle (the bigger mesh's bisection limit
+		// halves again; see BenchmarkKernelStep32x32). Zero in smoke
+		// runs, which skip the cell for CI speed.
 		Step32x32NsPerOp            float64 `json:"kernelStep32x32NsPerOp,omitempty"`
 		Step32x32AllocsPerOp        float64 `json:"kernelStep32x32AllocsPerOp,omitempty"`
 		Step32x32ShardedNsPerOp     float64 `json:"kernelStep32x32ShardedNsPerOp,omitempty"`
 		Step32x32ShardedAllocsPerOp float64 `json:"kernelStep32x32ShardedAllocsPerOp,omitempty"`
-		// The 64x64 pair (schema v5) is the kilonode record: 4096 nodes
-		// at 0.02 flits/node/cycle, the regime the slab-resident router
-		// state targets (see BenchmarkKernelStep64x64). Full runs only,
-		// like the 32x32 pair. Zero in v1-v4 snapshots and smoke runs.
+		// The 64x64 pair is the kilonode record: 4096 nodes at 0.02
+		// flits/node/cycle, the regime the slab-resident router state
+		// targets (see BenchmarkKernelStep64x64). Full runs only, like
+		// the 32x32 pair.
 		Step64x64NsPerOp            float64 `json:"kernelStep64x64NsPerOp,omitempty"`
 		Step64x64AllocsPerOp        float64 `json:"kernelStep64x64AllocsPerOp,omitempty"`
 		Step64x64ShardedNsPerOp     float64 `json:"kernelStep64x64ShardedNsPerOp,omitempty"`
@@ -190,7 +183,7 @@ func main() {
 // the single low-load cell and fewer repetitions, so CI stays fast.
 func measure(runs int, label string, smoke bool) Snapshot {
 	var s Snapshot
-	s.Schema = "afcnet-bench/v5"
+	s.Schema = snapshotSchema
 	s.Label = label
 	s.GoVersion = runtime.Version()
 	s.Cores = runtime.NumCPU()
@@ -337,32 +330,21 @@ func minWall(n int, f func()) (float64, uint64) {
 	return best.Seconds(), bestAlloc
 }
 
-// knownSchemas lists every snapshot schema bench-smoke can read, oldest
-// first. Fields are only ever added, so one decoder reads them all; the
-// list exists to reject a snapshot from a future schema loudly instead
-// of silently zero-filling the metrics it doesn't know about.
-var knownSchemas = []string{
-	"afcnet-bench/v1",
-	"afcnet-bench/v2",
-	"afcnet-bench/v3",
-	"afcnet-bench/v4",
-	"afcnet-bench/v5",
-}
+// snapshotSchema is the one schema benchjson writes and reads. A
+// snapshot of any other schema is rejected loudly instead of silently
+// zero-filling the metrics this binary does not know about.
+const snapshotSchema = "afcnet-bench/v5"
 
-// parseSnapshot decodes a recorded BENCH_<n>.json of any known schema
-// version. Metrics a version predates decode to zero, which every
-// consumer treats as "skip".
+// parseSnapshot decodes a recorded BENCH_<n>.json.
 func parseSnapshot(buf []byte) (Snapshot, error) {
 	var s Snapshot
 	if err := json.Unmarshal(buf, &s); err != nil {
 		return Snapshot{}, err
 	}
-	for _, k := range knownSchemas {
-		if s.Schema == k {
-			return s, nil
-		}
+	if s.Schema != snapshotSchema {
+		return Snapshot{}, fmt.Errorf("unknown schema %q", s.Schema)
 	}
-	return Snapshot{}, fmt.Errorf("unknown schema %q", s.Schema)
+	return s, nil
 }
 
 var benchName = regexp.MustCompile(`^BENCH_(\d+)\.json$`)
@@ -407,8 +389,7 @@ func benchFiles(dir string) []string {
 // and any growth is a pooling leak, not measurement noise. The
 // moderate-load kernel step ns/op also fails past 1.15x the baseline —
 // it is the repo's headline perf number, and the generous ratio absorbs
-// shared-machine noise. v1 baselines (no 16x16 field) are read
-// backward-compatibly: metrics they lack are skipped.
+// shared-machine noise. Metrics a baseline lacks (zero) are skipped.
 func runSmoke(baselinePath string) error {
 	if baselinePath == "" {
 		files := benchFiles(".")
@@ -438,8 +419,8 @@ func runSmoke(baselinePath string) error {
 	warned, failed := false, false
 	// Wall-clock numbers swing far more than ns/op on shared machines,
 	// so each metric carries its own threshold. A baseline of 0 means
-	// the field predates this schema addition (fields are only added);
-	// skip it rather than divide by zero — except for allocation
+	// the baseline's measurement predates the metric; skip it rather
+	// than divide by zero — except for allocation
 	// metrics, where 0 is the contract: any current value above the
 	// threshold regresses even against a zero baseline.
 	deltaPct := func(baseV, curV float64) float64 {
@@ -482,7 +463,7 @@ func runSmoke(baselinePath string) error {
 	// at 1.15x the recorded baseline.
 	compareFail := func(name string, baseV, curV, threshold float64) {
 		if baseV == 0 {
-			return // field predates the baseline's schema
+			return // the baseline predates the metric
 		}
 		delta := deltaPct(baseV, curV)
 		mark := ""

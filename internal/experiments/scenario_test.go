@@ -87,11 +87,11 @@ func TestScenarioEqualsSerial(t *testing.T) {
 // and duty-cycles a throttle mid-run must produce bit-for-bit identical
 // per-phase results through the sharded tick at 8 shards (two rows per
 // band) as through the serial kernel, invariant checker attached. Fault
-// mutation is what stresses the band-quiescence machinery: a dead link
-// or throttle flips run conditions from serial ticker context, and the
-// wake edge must reach every quiescent band before its next skipped
-// tick — a stale quiet flag diverges here, not in the steady-state
-// equality gates.
+// mutation is what the steady-state equality gates never exercise: a
+// dead link or throttle flips run conditions from serial ticker
+// context, and every router's quiescence skip on a worker goroutine
+// must see the new port masks at its next cycle — a mutation the
+// barrier failed to order before the parallel pass diverges here.
 func TestScenarioFaultShards16x16(t *testing.T) {
 	spec := &scenario.Spec{
 		Name:     "faults-16x16",

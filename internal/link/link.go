@@ -226,18 +226,16 @@ func (b *StagedBucket) add(par int, c Committer) {
 }
 
 // Commit applies every send parked in the given parity slot, in the
-// sender's deterministic tick order, and empties the slot. Returns
-// whether anything was committed, so the owner can wake its band.
-func (b *StagedBucket) Commit(par int) bool {
+// sender's deterministic tick order, and empties the slot.
+func (b *StagedBucket) Commit(par int) {
 	pend := b.pend[par]
 	if len(pend) == 0 {
-		return false
+		return
 	}
 	for _, c := range pend {
 		c.CommitStaged(par)
 	}
 	b.pend[par] = pend[:0]
-	return true
 }
 
 // Pending reports whether either parity slot holds uncommitted sends.

@@ -3,30 +3,41 @@ package network
 import (
 	"afcnet/internal/core"
 	"afcnet/internal/deflect"
+	"afcnet/internal/router"
 	"afcnet/internal/vcrouter"
 )
 
-// The router banks below register a whole mesh's routers as ONE kernel
-// entry per network. This buys two things over per-router registration:
-// the hot per-cycle loop dispatches Tick/Quiescent/FastForward on a
-// concrete type (devirtualized, inlinable) instead of through the
-// router.Router interface, and the active-set skip happens per router
-// inside the bank, so one busy router does not force its 63 idle
-// neighbors through full Tick bodies. Routers tick in node order, exactly
-// as the previous one-entry-per-router registration did.
+// The router bank registers a whole mesh's routers as ONE kernel entry
+// per network. This buys two things over per-router registration: the
+// hot per-cycle loop dispatches Tick/Quiescent/FastForward on a concrete
+// type (devirtualized, inlinable) instead of through the router.Router
+// interface, and the active-set skip happens per router inside the bank,
+// so one busy router does not force its idle neighbors through full Tick
+// bodies. Routers tick in node order, exactly as one-entry-per-router
+// registration would.
 //
-// The banks are written out per concrete type on purpose: a generic bank
-// would route every call through the type parameter's dictionary and give
-// the devirtualization back.
+// The bank holds one band per shard — a single band of every node on a
+// serial network, one row band per shard on a sharded one (shard.go).
+// Only the call into a band goes through the routerBand interface; each
+// band type is written out per router kind on purpose, so every
+// per-router call inside its loops is on a concrete pointer. A generic
+// band would route those calls through the type parameter's dictionary
+// and give the devirtualization back.
 
-type vcBank struct {
-	rs    []*vcrouter.Router
-	dense bool
+// routerBand is one shard's routers of one kind, in node order.
+type routerBand interface {
+	// tick runs one cycle: each router ticks, or fast-forwards when it
+	// is quiescent and the bank is not dense.
+	tick(now uint64, dense bool)
+	quiescent(now uint64) bool
+	fastForward(cycles uint64)
 }
 
-func (b *vcBank) Tick(now uint64) {
-	for _, r := range b.rs {
-		if !b.dense && r.Quiescent(now) {
+type vcBand []*vcrouter.Router
+
+func (b vcBand) tick(now uint64, dense bool) {
+	for _, r := range b {
+		if !dense && r.Quiescent(now) {
 			r.FastForward(1)
 		} else {
 			r.Tick(now)
@@ -34,8 +45,8 @@ func (b *vcBank) Tick(now uint64) {
 	}
 }
 
-func (b *vcBank) Quiescent(now uint64) bool {
-	for _, r := range b.rs {
+func (b vcBand) quiescent(now uint64) bool {
+	for _, r := range b {
 		if !r.Quiescent(now) {
 			return false
 		}
@@ -43,20 +54,17 @@ func (b *vcBank) Quiescent(now uint64) bool {
 	return true
 }
 
-func (b *vcBank) FastForward(cycles uint64) {
-	for _, r := range b.rs {
+func (b vcBand) fastForward(cycles uint64) {
+	for _, r := range b {
 		r.FastForward(cycles)
 	}
 }
 
-type deflectBank struct {
-	rs    []*deflect.Router
-	dense bool
-}
+type deflectBand []*deflect.Router
 
-func (b *deflectBank) Tick(now uint64) {
-	for _, r := range b.rs {
-		if !b.dense && r.Quiescent(now) {
+func (b deflectBand) tick(now uint64, dense bool) {
+	for _, r := range b {
+		if !dense && r.Quiescent(now) {
 			r.FastForward(1)
 		} else {
 			r.Tick(now)
@@ -64,8 +72,8 @@ func (b *deflectBank) Tick(now uint64) {
 	}
 }
 
-func (b *deflectBank) Quiescent(now uint64) bool {
-	for _, r := range b.rs {
+func (b deflectBand) quiescent(now uint64) bool {
+	for _, r := range b {
 		if !r.Quiescent(now) {
 			return false
 		}
@@ -73,20 +81,17 @@ func (b *deflectBank) Quiescent(now uint64) bool {
 	return true
 }
 
-func (b *deflectBank) FastForward(cycles uint64) {
-	for _, r := range b.rs {
+func (b deflectBand) fastForward(cycles uint64) {
+	for _, r := range b {
 		r.FastForward(cycles)
 	}
 }
 
-type dropBank struct {
-	rs    []*deflect.DropRouter
-	dense bool
-}
+type dropBand []*deflect.DropRouter
 
-func (b *dropBank) Tick(now uint64) {
-	for _, r := range b.rs {
-		if !b.dense && r.Quiescent(now) {
+func (b dropBand) tick(now uint64, dense bool) {
+	for _, r := range b {
+		if !dense && r.Quiescent(now) {
 			r.FastForward(1)
 		} else {
 			r.Tick(now)
@@ -94,8 +99,8 @@ func (b *dropBank) Tick(now uint64) {
 	}
 }
 
-func (b *dropBank) Quiescent(now uint64) bool {
-	for _, r := range b.rs {
+func (b dropBand) quiescent(now uint64) bool {
+	for _, r := range b {
 		if !r.Quiescent(now) {
 			return false
 		}
@@ -103,20 +108,17 @@ func (b *dropBank) Quiescent(now uint64) bool {
 	return true
 }
 
-func (b *dropBank) FastForward(cycles uint64) {
-	for _, r := range b.rs {
+func (b dropBand) fastForward(cycles uint64) {
+	for _, r := range b {
 		r.FastForward(cycles)
 	}
 }
 
-type coreBank struct {
-	rs    []*core.Router
-	dense bool
-}
+type coreBand []*core.Router
 
-func (b *coreBank) Tick(now uint64) {
-	for _, r := range b.rs {
-		if !b.dense && r.Quiescent(now) {
+func (b coreBand) tick(now uint64, dense bool) {
+	for _, r := range b {
+		if !dense && r.Quiescent(now) {
 			r.FastForward(1)
 		} else {
 			r.Tick(now)
@@ -124,8 +126,8 @@ func (b *coreBank) Tick(now uint64) {
 	}
 }
 
-func (b *coreBank) Quiescent(now uint64) bool {
-	for _, r := range b.rs {
+func (b coreBand) quiescent(now uint64) bool {
+	for _, r := range b {
 		if !r.Quiescent(now) {
 			return false
 		}
@@ -133,55 +135,93 @@ func (b *coreBank) Quiescent(now uint64) bool {
 	return true
 }
 
-func (b *coreBank) FastForward(cycles uint64) {
-	for _, r := range b.rs {
+func (b coreBand) fastForward(cycles uint64) {
+	for _, r := range b {
 		r.FastForward(cycles)
 	}
 }
 
-// registerRouterBank wraps n.routers in the concrete bank for the
-// network's kind and registers it as a single kernel entry. With the
-// sharded tick enabled the bank is the sharded one (shard.go), which
-// runs the same per-router loops through the worker-group barrier.
+// routerBank is the network's one router entry in the kernel.
+type routerBank struct {
+	n     *Network
+	dense bool
+	bands []routerBand
+	// tick is the stored tickShard method value of a sharded bank, so
+	// group.Run closes over nothing per cycle; nil on a serial network.
+	tick func(shard int, now uint64)
+}
+
+// registerRouterBank slices n.routers into one band per shard and
+// registers the bank as a single kernel entry. The kind switch needs no
+// fallback: newRouter has already panicked on an unknown kind.
 func (n *Network) registerRouterBank() {
-	if n.shards > 1 {
-		if b := n.newShardedBank(); b != nil {
-			n.shardBank = b
-			n.kernel.Register(b)
-			return
+	bands := n.bands
+	if bands == nil {
+		bands = Bands(n.mesh, 1)
+	}
+	b := &routerBank{n: n, dense: n.cfg.DenseKernel}
+	for _, band := range bands {
+		rs := n.routers[band.Lo:band.Hi]
+		var rb routerBand
+		switch n.cfg.Kind {
+		case Backpressured, BackpressuredIdealBypass:
+			rb = vcBand(concrete[*vcrouter.Router](rs))
+		case Bless:
+			rb = deflectBand(concrete[*deflect.Router](rs))
+		case BlessDrop:
+			rb = dropBand(concrete[*deflect.DropRouter](rs))
+		case AFC, AFCAlwaysBuffered:
+			rb = coreBand(concrete[*core.Router](rs))
+		}
+		b.bands = append(b.bands, rb)
+	}
+	if n.group != nil {
+		b.tick = b.tickShard
+	}
+	n.kernel.Register(b)
+}
+
+// concrete asserts every router of rs to its concrete type R. Build-time
+// only: the bands it fills are what keep the hot loops devirtualized.
+func concrete[R router.Router](rs []router.Router) []R {
+	out := make([]R, len(rs))
+	for i, r := range rs {
+		out[i] = r.(R)
+	}
+	return out
+}
+
+// Tick implements sim.Ticker: the single band on the caller, or one
+// sharded cycle through the worker group (shard.go).
+func (b *routerBank) Tick(now uint64) {
+	if b.tick == nil {
+		b.bands[0].tick(now, b.dense)
+		return
+	}
+	b.tickSharded(now)
+}
+
+// Quiescent implements sim.Quiescer. Serial-side call between cycles.
+// Pending boundary commits of a sharded network veto quiescence
+// outright: a parked send is in-flight traffic no router sees yet.
+func (b *routerBank) Quiescent(now uint64) bool {
+	if b.n.stagedPending() {
+		return false
+	}
+	for _, rb := range b.bands {
+		if !rb.quiescent(now) {
+			return false
 		}
 	}
-	switch n.cfg.Kind {
-	case Backpressured, BackpressuredIdealBypass:
-		b := &vcBank{dense: n.cfg.DenseKernel}
-		for _, r := range n.routers {
-			b.rs = append(b.rs, r.(*vcrouter.Router))
-		}
-		n.kernel.Register(b)
-	case Bless:
-		b := &deflectBank{dense: n.cfg.DenseKernel}
-		for _, r := range n.routers {
-			b.rs = append(b.rs, r.(*deflect.Router))
-		}
-		n.kernel.Register(b)
-	case BlessDrop:
-		b := &dropBank{dense: n.cfg.DenseKernel}
-		for _, r := range n.routers {
-			b.rs = append(b.rs, r.(*deflect.DropRouter))
-		}
-		n.kernel.Register(b)
-	case AFC, AFCAlwaysBuffered:
-		b := &coreBank{dense: n.cfg.DenseKernel}
-		for _, r := range n.routers {
-			b.rs = append(b.rs, r.(*core.Router))
-		}
-		n.kernel.Register(b)
-	default:
-		// Unknown kind: keep the generic per-router registration so tests
-		// exercising future kinds still run (no active-set skipping).
-		for _, r := range n.routers {
-			n.kernel.Register(r)
-		}
+	return true
+}
+
+// FastForward implements sim.Quiescer. Skipped cycles advance serially
+// on every network: fast-forward bodies are cheap static bookkeeping,
+// not worth a barrier.
+func (b *routerBank) FastForward(cycles uint64) {
+	for _, rb := range b.bands {
+		rb.fastForward(cycles)
 	}
 }
 

@@ -68,7 +68,6 @@ func (n *Network) killHalf(node topology.NodeID, d topology.Dir) {
 	n.deadLinks[e] = true
 	n.haveFault = true
 	n.faultable(node).SetPortDead(d)
-	n.wakeShards()
 }
 
 // KillRouter permanently freezes node's router and kills all of its
@@ -86,7 +85,6 @@ func (n *Network) KillRouter(node topology.NodeID) {
 		n.KillLink(node, d)
 	}
 	n.faultable(node).SetDead()
-	n.wakeShards()
 }
 
 // SetLinkBlocked sets (or clears) the throttled state of both directions
@@ -104,17 +102,6 @@ func (n *Network) SetLinkBlocked(node topology.NodeID, d topology.Dir, blocked b
 	}
 	if opp := d.Opposite(); !n.LinkDead(nb, opp) {
 		n.faultable(nb).SetPortBlocked(opp, blocked)
-	}
-	n.wakeShards()
-}
-
-// wakeShards raises every band's wake edge after a fault mutation, so a
-// band that was skipping itself as quiescent re-evaluates its routers
-// against the new port masks. Serial-context only (all mutators are);
-// a no-op on serial networks.
-func (n *Network) wakeShards() {
-	if n.shardBank != nil {
-		n.shardBank.wakeAll()
 	}
 }
 

@@ -116,7 +116,8 @@ type Config struct {
 	// and drained in a fixed global order, so results match the serial
 	// kernel for any shard count (see internal/network/shard.go). Values
 	// above the mesh height clamp to one shard per row. Shards <= 1 is
-	// the untouched serial reference path.
+	// serial: the bank's one band of every node ticks on the caller, with
+	// no worker group, staging or drain.
 	Shards int
 }
 
@@ -174,9 +175,8 @@ type Network struct {
 	// substrate registers one); inParallel is true exactly while the
 	// worker group is inside a compute phase — shared-state mutators
 	// (NACK scheduling, ACK clears, create hooks) consult it to decide
-	// between acting inline and journaling; shardBank is the registered
-	// router bank (band-quiescence wake edges and reset reach it here);
-	// timing/btally are the opt-in barrier wall-time tallies.
+	// between acting inline and journaling; timing/btally are the opt-in
+	// barrier wall-time tallies.
 	shards     int
 	shardOf    []int
 	bands      []Band
@@ -185,7 +185,6 @@ type Network struct {
 	journals   [][]shardEffect
 	drainHooks []func(now uint64)
 	inParallel bool
-	shardBank  *shardedBank
 	timing     bool
 	btally     barrierTally
 
@@ -315,11 +314,14 @@ func (n *Network) build() {
 		n.nis[node] = niSlab.New(node)
 		n.nis[node].SetArena(n.arena)
 		if n.shards > 1 {
-			// Create hooks (trace recording) write cross-shard state, so
-			// while a parallel phase is running the NI journals the packet
-			// shard-locally; the drain replays it in serial node order.
+			// Packetize and recycle go through the shard's arena
+			// magazine. Create hooks (trace recording) write cross-shard
+			// state, so while a parallel phase is running the NI journals
+			// the packet shard-locally; the drain replays it in serial
+			// node order.
 			sh := n.shardOf[node]
 			nd := node
+			n.nis[node].SetArenaShard(n.arena.Shard(sh))
 			n.nis[node].SetCreateDefer(&n.inParallel, func(p flit.Packet) {
 				n.journals[sh] = append(n.journals[sh], shardEffect{kind: effCreate, node: nd, packet: p})
 			})
@@ -380,8 +382,13 @@ func (n *Network) newRouter(node topology.NodeID, w router.Wires, meter *energy.
 			}
 			n.nis[d.Src].ClearRetained(d.ID)
 		})
-		return n.dropSlab.New(n.mesh, node, sys.EjectWidth, n.source.Stream(), w, nif, nif, meter,
+		dr := n.dropSlab.New(n.mesh, node, sys.EjectWidth, n.source.Stream(), w, nif, nif, meter,
 			&nodeNacker{net: n, node: node}, n.tables)
+		if n.shards > 1 {
+			// Drop retirement recycles through the shard's arena magazine.
+			dr.SetArenaShard(n.arena.Shard(n.shardOf[node]))
+		}
+		return dr
 	case AFC:
 		return n.coreSlab.New(n.mesh, node, sys.AFC, sys.LinkLatency, sys.EjectWidth, n.source.Stream(), w, nif, nif, meter,
 			core.Options{Policy: n.cfg.Policy, MisrouteThreshold: n.cfg.MisrouteThreshold, Tables: n.tables})
@@ -491,8 +498,7 @@ func (n *Network) Reset(cfg Config) bool {
 	// re-registered by whoever reattaches (like tickers), but clear both
 	// so a cell abandoned mid-cycle cannot leak effects into the next.
 	// Boundary buckets likewise: the pipes' own Reset above discarded any
-	// parked values. The band-quiescence flags restart cold (quiet=false
-	// forces a full first pass). The barrier tally deliberately survives:
+	// parked values. The barrier tally deliberately survives:
 	// it is lifetime telemetry, not simulation state, and the obs layer
 	// folds it into the run manifest once at the end of a sweep — zeroing
 	// here would drop every cell but the last from a reused network.
@@ -505,9 +511,6 @@ func (n *Network) Reset(cfg Config) bool {
 				b.Reset()
 			}
 		}
-	}
-	if n.shardBank != nil {
-		n.shardBank.reset()
 	}
 	n.drainHooks = n.drainHooks[:0]
 	n.inParallel = false

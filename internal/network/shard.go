@@ -20,14 +20,12 @@ package network
 //   shard, separated by the kernel barrier and by register parity, no
 //   phase of the protocol shares memory across shards.
 //
-//   Phase A (parallel): every shard ticks its own routers in node order,
-//   with the per-router quiescence skip of the serial banks — or, when
-//   the whole band was quiescent last cycle and nothing arrived or woke
-//   it (band-level quiescence), a straight FastForward of the band that
-//   skips even the per-router checks. All state a router touches is
-//   shard-local by construction — its own latches and meters, its NI,
-//   the shard's arena magazine (flit.ArenaShard), and the pipes it owns
-//   an end of — except for the journaled effects below.
+//   Phase A (parallel): every shard ticks its own band of the router
+//   bank (active.go) in node order, with the same per-router quiescence
+//   skip as a serial network's single band. All state a router touches
+//   is shard-local by construction — its own latches and meters, its
+//   NI, the shard's arena magazine (flit.ArenaShard), and the pipes it
+//   owns an end of — except for the journaled effects below.
 //
 //   Serial tail (same cycle, inside the bank's Tick): the arena
 //   reconciles starved magazines (a branch per shard in steady state),
@@ -48,19 +46,20 @@ package network
 // still in flight?" — is handled by counting parked sends as in-flight
 // (Pipe.AppendInFlight) and by stagedPending gating Drained and the
 // bank's own quiescence.
+//
+// A serial network (Shards <= 1) has none of this: its bank is one band
+// of every node, ticked on the caller, with no worker group, staged
+// pipes, journals, Reconcile or drain.
 
 import (
 	"runtime"
 	"sync/atomic"
 	"time"
 
-	"afcnet/internal/core"
-	"afcnet/internal/deflect"
 	"afcnet/internal/flit"
 	"afcnet/internal/link"
 	"afcnet/internal/sim"
 	"afcnet/internal/topology"
-	"afcnet/internal/vcrouter"
 )
 
 // Band is one shard's node range [Lo, Hi): a contiguous run of whole
@@ -211,16 +210,13 @@ func (n *Network) bucketFor(src, dst int) *link.StagedBucket {
 // ascending source shard, matching the old serial drain order (commit
 // order across pipes cannot affect results — each commit touches only
 // its own pipe — but a fixed order keeps runs byte-for-byte
-// reproducible under any interleaving). Reports whether anything
-// arrived, so the caller can un-quiesce the band.
-func (n *Network) commitInbound(shard, par int) bool {
-	committed := false
+// reproducible under any interleaving).
+func (n *Network) commitInbound(shard, par int) {
 	for _, b := range n.inBuckets[shard] {
-		if b != nil && b.Commit(par) {
-			committed = true
+		if b != nil {
+			b.Commit(par)
 		}
 	}
-	return committed
 }
 
 // stagedPending reports whether any boundary bucket still holds
@@ -364,108 +360,9 @@ func (n *Network) ShardDispatchInline() bool {
 	return n.group != nil && n.group.Inline()
 }
 
-// shardedBank is the sharded counterpart of the per-kind serial banks in
-// active.go: one kernel entry ticking the whole mesh, but through the
-// worker group. Exactly one of the per-kind slices is non-nil (networks
-// are homogeneous); each holds one sub-slice of concrete routers per
-// shard, so the hot loops stay devirtualized.
-type shardedBank struct {
-	n     *Network
-	dense bool
-	vc    [][]*vcrouter.Router
-	defl  [][]*deflect.Router
-	drop  [][]*deflect.DropRouter
-	afc   [][]*core.Router
-	// tick is the stored tickShard method value, so group.Run closes over
-	// nothing per cycle.
-	tick func(shard int, now uint64)
-
-	// Band-level quiescence. quiet[s] means every router of shard s
-	// fast-forwarded in its last pass; wake[s] is the edge that
-	// invalidates the conclusion from outside the band — an NI enqueue
-	// into the band (traffic, retransmission; set through ni.SetWakeFlag)
-	// or a fault mutation. While quiet and unwoken and with no inbound
-	// commit, tickShard fast-forwards the whole band without even the
-	// per-router Quiescent polls. Each worker reads and writes only its
-	// own elements during a phase; serial-side writers (housekeeping,
-	// traffic, faults) are ordered by the kernel barrier.
-	quiet []bool
-	wake  []bool
-}
-
-// newShardedBank slices n.routers by band into a shardedBank, or returns
-// nil for a kind without a concrete bank (the caller falls back to the
-// serial per-router registration). It also wires the per-node shard
-// plumbing that only makes sense once the bank exists: each NI's arena
-// magazine and band-wake flag, and each drop router's magazine for drop
-// retirement.
-func (n *Network) newShardedBank() *shardedBank {
-	b := &shardedBank{n: n, dense: n.cfg.DenseKernel}
-	switch n.cfg.Kind {
-	case Backpressured, BackpressuredIdealBypass:
-		b.vc = make([][]*vcrouter.Router, n.shards)
-		for s, band := range n.bands {
-			for v := band.Lo; v < band.Hi; v++ {
-				b.vc[s] = append(b.vc[s], n.routers[v].(*vcrouter.Router))
-			}
-		}
-	case Bless:
-		b.defl = make([][]*deflect.Router, n.shards)
-		for s, band := range n.bands {
-			for v := band.Lo; v < band.Hi; v++ {
-				b.defl[s] = append(b.defl[s], n.routers[v].(*deflect.Router))
-			}
-		}
-	case BlessDrop:
-		b.drop = make([][]*deflect.DropRouter, n.shards)
-		for s, band := range n.bands {
-			for v := band.Lo; v < band.Hi; v++ {
-				b.drop[s] = append(b.drop[s], n.routers[v].(*deflect.DropRouter))
-			}
-		}
-	case AFC, AFCAlwaysBuffered:
-		b.afc = make([][]*core.Router, n.shards)
-		for s, band := range n.bands {
-			for v := band.Lo; v < band.Hi; v++ {
-				b.afc[s] = append(b.afc[s], n.routers[v].(*core.Router))
-			}
-		}
-	default:
-		return nil
-	}
-	b.tick = b.tickShard
-	b.quiet = make([]bool, n.shards)
-	b.wake = make([]bool, n.shards)
-	for s, band := range n.bands {
-		for v := band.Lo; v < band.Hi; v++ {
-			n.nis[v].SetArenaShard(n.arena.Shard(s))
-			n.nis[v].SetWakeFlag(&b.wake[s])
-			if dr, ok := n.routers[v].(*deflect.DropRouter); ok {
-				dr.SetArenaShard(n.arena.Shard(s))
-			}
-		}
-	}
-	return b
-}
-
-// wakeAll raises every band's wake edge (fault mutations, reset).
-func (b *shardedBank) wakeAll() {
-	for i := range b.wake {
-		b.wake[i] = true
-	}
-}
-
-// reset clears the band-quiescence state for a fresh cell.
-func (b *shardedBank) reset() {
-	for i := range b.quiet {
-		b.quiet[i] = false
-		b.wake[i] = false
-	}
-}
-
-// Tick implements sim.Ticker: one sharded cycle — parallel pass
-// (owner commits + router ticks) and the serial tail.
-func (b *shardedBank) Tick(now uint64) {
+// tickSharded is one sharded cycle of the router bank: the parallel
+// pass (owner commits + band ticks) and the serial tail.
+func (b *routerBank) tickSharded(now uint64) {
 	n := b.n
 	var t0, t1 time.Time
 	if n.timing {
@@ -487,37 +384,8 @@ func (b *shardedBank) Tick(now uint64) {
 	}
 }
 
-// tickShard is one shard's parallel pass: commit last cycle's inbound
-// boundary sends, then tick the band — with the per-router quiescence
-// skip of the serial banks, or a band-level fast-forward when the whole
-// band proved quiescent last pass and nothing arrived or woke it.
-//
-// The per-router skip stays bit-identical to serial even though a
-// shard's view of the pipe in-flight counters is not serial's. In
-// serial node order a router's Quiescent sees same-cycle sends from
-// lower-numbered routers; with row bands the only lower-numbered
-// cross-shard sender is the North neighbor (v-Width) of the band's
-// first row, and its same-cycle sends sit parked in staged boundary
-// registers — invisible to the counters until the owner commits them
-// next cycle. A first-row router can therefore fast-forward where
-// serial ticked. That is harmless because of the Quiescent contract
-// (documented on each router's Quiescent): whenever Quiescent is true,
-// Tick is bit-for-bit equivalent to FastForward(1). The in-flight flit
-// serial saw arrives no earlier than the next cycle (link latency >=
-// 1), so serial's Tick received nothing and changed nothing FastForward
-// does not replay; and at the arrival cycle the send has been
-// committed — before this band ticks — visible to both views, and both
-// tick.
-//
-// The band-level skip leans on the same contract plus an induction:
-// quiet[shard] was set because every router fast-forwarded last pass,
-// fast-forwards preserve quiescence (idle cycles keep AFC mode windows
-// clear and draw no randomness), and the only events that can make a
-// quiescent router non-quiescent from outside are an inbound boundary
-// commit (the committed flag), an NI enqueue into the band or a fault
-// mutation (the wake flag). None of those → every router is still
-// quiescent → fast-forward them without polling.
-func (b *shardedBank) tickShard(shard int, now uint64) {
+// tickShard is one shard's parallel pass, inside the timing shell.
+func (b *routerBank) tickShard(shard int, now uint64) {
 	if b.n.timing {
 		t0 := time.Now()
 		b.runShard(shard, now)
@@ -528,210 +396,27 @@ func (b *shardedBank) tickShard(shard int, now uint64) {
 }
 
 // runShard is tickShard minus the timing shell, so the untimed hot path
-// carries no clock reads and no time.Time locals.
-func (b *shardedBank) runShard(shard int, now uint64) {
-	n := b.n
+// carries no clock reads and no time.Time locals: commit last cycle's
+// inbound boundary sends, then tick the band with the per-router
+// quiescence skip.
+//
+// The skip stays bit-identical to serial even though a shard's view of
+// the pipe in-flight counters is not serial's. In serial node order a
+// router's Quiescent sees same-cycle sends from lower-numbered routers;
+// with row bands the only lower-numbered cross-shard sender is the
+// North neighbor (v-Width) of the band's first row, and its same-cycle
+// sends sit parked in staged boundary registers — invisible to the
+// counters until the owner commits them next cycle. A first-row router
+// can therefore fast-forward where serial ticked. That is harmless
+// because of the Quiescent contract (documented on each router's
+// Quiescent): whenever Quiescent is true, Tick is bit-for-bit
+// equivalent to FastForward(1). The in-flight flit serial saw arrives
+// no earlier than the next cycle (link latency >= 1), so serial's Tick
+// received nothing and changed nothing FastForward does not replay; and
+// at the arrival cycle the send has been committed — before this band
+// ticks — visible to both views, and both tick.
+func (b *routerBank) runShard(shard int, now uint64) {
 	// Sends parked last cycle carry the opposite parity of now.
-	committed := false
-	if n.inBuckets != nil {
-		committed = n.commitInbound(shard, int(now+1)&1)
-	}
-	if !b.dense && b.quiet[shard] && !committed && !b.wake[shard] {
-		switch {
-		case b.vc != nil:
-			ffBandVC(b.vc[shard])
-		case b.defl != nil:
-			ffBandDefl(b.defl[shard])
-		case b.drop != nil:
-			ffBandDrop(b.drop[shard])
-		case b.afc != nil:
-			ffBandAFC(b.afc[shard])
-		}
-		return
-	}
-	b.wake[shard] = false
-	quiet := false
-	switch {
-	case b.vc != nil:
-		quiet = tickBandVC(b.vc[shard], now, b.dense)
-	case b.defl != nil:
-		quiet = tickBandDefl(b.defl[shard], now, b.dense)
-	case b.drop != nil:
-		quiet = tickBandDrop(b.drop[shard], now, b.dense)
-	case b.afc != nil:
-		quiet = tickBandAFC(b.afc[shard], now, b.dense)
-	}
-	b.quiet[shard] = !b.dense && quiet
-}
-
-// The band loops live in their own small functions — the same shape as
-// the serial banks' Tick loops in active.go, and for the same reason:
-// inside one big tickShard body the compiler spilled its way through
-// four switch arms, and the hot loop measurably lost to the serial
-// bank. Each returns whether every router of the band fast-forwarded.
-
-func tickBandVC(rs []*vcrouter.Router, now uint64, dense bool) bool {
-	quiet := true
-	for _, r := range rs {
-		if !dense && r.Quiescent(now) {
-			r.FastForward(1)
-		} else {
-			r.Tick(now)
-			quiet = false
-		}
-	}
-	return quiet
-}
-
-func tickBandDefl(rs []*deflect.Router, now uint64, dense bool) bool {
-	quiet := true
-	for _, r := range rs {
-		if !dense && r.Quiescent(now) {
-			r.FastForward(1)
-		} else {
-			r.Tick(now)
-			quiet = false
-		}
-	}
-	return quiet
-}
-
-func tickBandDrop(rs []*deflect.DropRouter, now uint64, dense bool) bool {
-	quiet := true
-	for _, r := range rs {
-		if !dense && r.Quiescent(now) {
-			r.FastForward(1)
-		} else {
-			r.Tick(now)
-			quiet = false
-		}
-	}
-	return quiet
-}
-
-func tickBandAFC(rs []*core.Router, now uint64, dense bool) bool {
-	quiet := true
-	for _, r := range rs {
-		if !dense && r.Quiescent(now) {
-			r.FastForward(1)
-		} else {
-			r.Tick(now)
-			quiet = false
-		}
-	}
-	return quiet
-}
-
-func ffBandVC(rs []*vcrouter.Router) {
-	for _, r := range rs {
-		r.FastForward(1)
-	}
-}
-
-func ffBandDefl(rs []*deflect.Router) {
-	for _, r := range rs {
-		r.FastForward(1)
-	}
-}
-
-func ffBandDrop(rs []*deflect.DropRouter) {
-	for _, r := range rs {
-		r.FastForward(1)
-	}
-}
-
-func ffBandAFC(rs []*core.Router) {
-	for _, r := range rs {
-		r.FastForward(1)
-	}
-}
-
-// Quiescent implements sim.Quiescer. Serial-side call between cycles, so
-// the plain reads race with nothing. Pending boundary commits veto
-// quiescence outright — a parked send is in-flight traffic — and bands
-// that proved quiescent last pass (and were not woken since) are
-// skipped without polling their routers, the serial-side mirror of the
-// band-level fast-forward.
-func (b *shardedBank) Quiescent(now uint64) bool {
-	if b.n.stagedPending() {
-		return false
-	}
-	switch {
-	case b.vc != nil:
-		for s, rs := range b.vc {
-			if b.quiet[s] && !b.wake[s] {
-				continue
-			}
-			for _, r := range rs {
-				if !r.Quiescent(now) {
-					return false
-				}
-			}
-		}
-	case b.defl != nil:
-		for s, rs := range b.defl {
-			if b.quiet[s] && !b.wake[s] {
-				continue
-			}
-			for _, r := range rs {
-				if !r.Quiescent(now) {
-					return false
-				}
-			}
-		}
-	case b.drop != nil:
-		for s, rs := range b.drop {
-			if b.quiet[s] && !b.wake[s] {
-				continue
-			}
-			for _, r := range rs {
-				if !r.Quiescent(now) {
-					return false
-				}
-			}
-		}
-	case b.afc != nil:
-		for s, rs := range b.afc {
-			if b.quiet[s] && !b.wake[s] {
-				continue
-			}
-			for _, r := range rs {
-				if !r.Quiescent(now) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// FastForward implements sim.Quiescer: skipped cycles advance serially —
-// fast-forward bodies are cheap static bookkeeping, not worth a barrier.
-func (b *shardedBank) FastForward(cycles uint64) {
-	switch {
-	case b.vc != nil:
-		for _, rs := range b.vc {
-			for _, r := range rs {
-				r.FastForward(cycles)
-			}
-		}
-	case b.defl != nil:
-		for _, rs := range b.defl {
-			for _, r := range rs {
-				r.FastForward(cycles)
-			}
-		}
-	case b.drop != nil:
-		for _, rs := range b.drop {
-			for _, r := range rs {
-				r.FastForward(cycles)
-			}
-		}
-	case b.afc != nil:
-		for _, rs := range b.afc {
-			for _, r := range rs {
-				r.FastForward(cycles)
-			}
-		}
-	}
+	b.n.commitInbound(shard, int(now+1)&1)
+	b.bands[shard].tick(now, b.dense)
 }

@@ -75,7 +75,7 @@ func (p *pending) mark(seq int) bool {
 // router.LocalSource and router.LocalSink.
 //
 // The leading fields are the per-cycle working set (the router's
-// Peek/Pop/QueuedFlits calls and the wake flag); NIs are normally
+// Peek/Pop/QueuedFlits calls); NIs are normally
 // carved from a Slab in ascending node order so those fields of
 // adjacent nodes share cache lines during the housekeeping sweep.
 type NI struct {
@@ -92,10 +92,6 @@ type NI struct {
 	// it (lock-free shard-local fast path) instead of the serial arena
 	// entry points. Nil on serial networks.
 	ashard *flit.ArenaShard
-	// wake, on sharded networks, points at the owning shard's band-wake
-	// flag: enqueueing injection work un-quiesces the band. Nil
-	// otherwise.
-	wake *bool
 
 	nextPkt uint64
 
@@ -199,11 +195,6 @@ func (n *NI) SetArena(a *flit.Arena) { n.arena = a }
 // when building a sharded tick; nil keeps the serial arena paths.
 func (n *NI) SetArenaShard(s *flit.ArenaShard) { n.ashard = s }
 
-// SetWakeFlag points the NI at its shard's band-wake flag: any enqueue
-// of injection work sets it, so a quiescence-skipped band is re-ticked
-// the next cycle. Network-owned wiring; nil disables.
-func (n *NI) SetWakeFlag(w *bool) { n.wake = w }
-
 // packetize expands p through the shard magazine when one is attached,
 // through the serial arena otherwise.
 func (n *NI) packetize(p flit.Packet) []*flit.Flit {
@@ -300,9 +291,6 @@ func (n *NI) enqueue(p flit.Packet) {
 	fs := n.packetize(p)
 	n.queues[p.VN] = append(n.queues[p.VN], fs...)
 	n.queuedFlits += len(fs)
-	if n.wake != nil {
-		*n.wake = true
-	}
 }
 
 // RetransmitStatus reports the outcome of a Retransmit call.
@@ -343,9 +331,6 @@ func (n *NI) Retransmit(now uint64, packetID uint64) RetransmitStatus {
 	n.queued[packetID] = p.Len
 	n.queues[p.VN] = append(n.queues[p.VN], fs...)
 	n.queuedFlits += len(fs)
-	if n.wake != nil {
-		*n.wake = true
-	}
 	return Retransmitted
 }
 

@@ -55,12 +55,15 @@ type Manifest struct {
 // per cycle. PhaseAAvgNs is the parallel pass (router bands plus the
 // barrier itself), PhaseBAvgNs the serial tail (journal replay, arena
 // reconcile, drain hooks); ShardBusyAvgNs[i] is how much of a cycle
-// shard i actually spent ticking, so the gap between max(ShardBusyAvgNs)
+// shard i actually spent ticking, averaged over the cycles of the
+// networks that have a shard i, so the gap between max(ShardBusyAvgNs)
 // and PhaseAAvgNs is dispatch overhead plus load imbalance.
 type BarrierRecord struct {
-	// Shards is the shard count of the observed networks; InlineDispatch
-	// records whether they ran the single-P inline dispatch mode (one
-	// goroutine, no channel handoff) or spawned workers.
+	// Shards is the largest shard count of the observed networks (a run
+	// can mix them: -shards 8 gives a 3x3 mesh 3 shards, one per row);
+	// InlineDispatch records whether they ran the single-P inline
+	// dispatch mode (one goroutine, no channel handoff) or spawned
+	// workers.
 	Shards         int       `json:"shards"`
 	InlineDispatch bool      `json:"inlineDispatch"`
 	Cycles         uint64    `json:"cycles"`

@@ -176,15 +176,18 @@ func (o *Observer) ObserveBarrier(net *network.Network) {
 // the manifest record and the metrics gauge. Idempotent — it recomputes
 // the summary from the live tallies each call, and the tallies are
 // atomic, so flushing mid-sweep while other workers tick is safe.
-// Caller holds o.mu.
+// The networks of one run may differ in shard count (Bands clamps the
+// count to the mesh height), so shard slot i is averaged over the cycles
+// of the networks that have a shard i. Caller holds o.mu.
 func (o *Observer) flushBarrier() {
 	if len(o.barrierNets) == 0 {
 		return
 	}
-	shards := o.barrierNets[0].ShardCount()
 	inline := o.barrierNets[0].ShardDispatchInline()
 	var cycles, phaseA, phaseB uint64
-	var busy []uint64
+	// busy[i] and busyCycles[i] sum shard slot i's busy time and the
+	// cycles of the networks that have that slot.
+	var busy, busyCycles []uint64
 	for _, n := range o.barrierNets {
 		t := n.BarrierTally()
 		cycles += t.Cycles
@@ -192,23 +195,29 @@ func (o *Observer) flushBarrier() {
 		phaseB += t.PhaseBNs
 		for len(busy) < len(t.ShardBusyNs) {
 			busy = append(busy, 0)
+			busyCycles = append(busyCycles, 0)
 		}
 		for i, ns := range t.ShardBusyNs {
 			busy[i] += ns
+			busyCycles[i] += t.Cycles
 		}
 	}
 	if cycles == 0 {
 		return
 	}
 	rec := &BarrierRecord{
-		Shards:         shards,
+		Shards:         len(busy),
 		InlineDispatch: inline,
 		Cycles:         cycles,
 		PhaseAAvgNs:    float64(phaseA) / float64(cycles),
 		PhaseBAvgNs:    float64(phaseB) / float64(cycles),
 	}
-	for _, ns := range busy {
-		rec.ShardBusyAvgNs = append(rec.ShardBusyAvgNs, float64(ns)/float64(cycles))
+	for i, ns := range busy {
+		avg := 0.0
+		if busyCycles[i] > 0 {
+			avg = float64(ns) / float64(busyCycles[i])
+		}
+		rec.ShardBusyAvgNs = append(rec.ShardBusyAvgNs, avg)
 	}
 	if o.manifest != nil {
 		o.manifest.Barrier = rec

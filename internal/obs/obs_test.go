@@ -10,7 +10,11 @@ import (
 	"runtime"
 	"testing"
 
+	"afcnet/internal/config"
+	"afcnet/internal/network"
 	"afcnet/internal/runner"
+	"afcnet/internal/topology"
+	"afcnet/internal/traffic"
 )
 
 // driveTwoBatches pushes two runner batches through ob the way the
@@ -199,5 +203,62 @@ func TestObserverNilAndDisabled(t *testing.T) {
 	}
 	if err := off.WriteManifestFile(filepath.Join(t.TempDir(), "x.json")); err != nil {
 		t.Errorf("disabled WriteManifestFile: %v", err)
+	}
+}
+
+// TestBarrierRecordMixedShardCounts observes two networks whose shard
+// counts differ, as `figures -shards 8` builds them: a 3x3 mesh (the
+// count clamps to its 3 rows) beside an 8x8 one at 8 shards. The
+// record must carry the larger count, and each shard slot must average
+// over the cycles of the networks that have that shard — slots 3-7
+// over the 8x8 network's cycles alone.
+func TestBarrierRecordMixedShardCounts(t *testing.T) {
+	ob := New(Config{Command: "test", Manifest: true})
+	var nets []*network.Network
+	for _, side := range []int{3, 8} {
+		n := network.New(network.Config{
+			Kind: network.AFC, Seed: 1, Shards: 8,
+			System: config.DefaultWithMesh(topology.NewMesh(side, side)),
+		})
+		defer n.Close()
+		n.AddTicker(traffic.NewGenerator(n, traffic.Config{
+			Pattern: traffic.Uniform{Mesh: n.Mesh()},
+			Rate:    0.2,
+		}, n.RandStream))
+		ob.ObserveBarrier(n)
+		n.Run(1000)
+		nets = append(nets, n)
+	}
+	if got := nets[0].ShardCount(); got != 3 {
+		t.Fatalf("3x3 network at Shards 8 has %d shards, want 3", got)
+	}
+	var buf bytes.Buffer
+	if err := ob.WriteManifest(&buf); err != nil {
+		t.Fatalf("WriteManifest: %v", err)
+	}
+	var m Manifest
+	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
+		t.Fatalf("manifest JSON: %v", err)
+	}
+	b := m.Barrier
+	if b == nil {
+		t.Fatal("no barrier record")
+	}
+	if b.Shards != 8 || len(b.ShardBusyAvgNs) != 8 {
+		t.Fatalf("barrier record shards = %d with %d busy slots, want 8 and 8", b.Shards, len(b.ShardBusyAvgNs))
+	}
+	small, large := nets[0].BarrierTally(), nets[1].BarrierTally()
+	if b.Cycles != small.Cycles+large.Cycles {
+		t.Errorf("barrier cycles = %d, want %d", b.Cycles, small.Cycles+large.Cycles)
+	}
+	for i, got := range b.ShardBusyAvgNs {
+		busy, cycles := large.ShardBusyNs[i], large.Cycles
+		if i < len(small.ShardBusyNs) {
+			busy += small.ShardBusyNs[i]
+			cycles += small.Cycles
+		}
+		if want := float64(busy) / float64(cycles); got != want {
+			t.Errorf("shard %d busy average = %.1f ns, want %.1f (busy %d ns over %d cycles)", i, got, want, busy, cycles)
+		}
 	}
 }
