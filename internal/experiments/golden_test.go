@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"afcnet/internal/cmp"
 	"afcnet/internal/config"
 	"afcnet/internal/network"
 	"afcnet/internal/runner"
@@ -23,12 +24,24 @@ var updateGolden = flag.Bool("update", false, "regenerate testdata/golden.json f
 
 const goldenPath = "testdata/golden.json"
 
-// mesh8Prefix marks the digests of the 8x8 sharded slice, which
-// TestShardedEqualsSerial checks and TestGoldenDigests leaves alone.
+// mesh8Prefix marks the digests of the 8x8 sharded slice.
 const mesh8Prefix = "8x8/"
 
-// inMesh8Slice reports whether key belongs to the 8x8 sharded slice.
-func inMesh8Slice(key string) bool { return strings.HasPrefix(key, mesh8Prefix) }
+// goldenOwner names the test that records key under -update. Several
+// tests may run the same cell (TestScenarioEqualsSerial runs the seed-1
+// scenario cells TestGoldenDigests records); each records only the keys
+// it owns and checks the rest against the file.
+func goldenOwner(key string) string {
+	switch {
+	case strings.HasPrefix(key, mesh8Prefix):
+		return "TestShardedEqualsSerial"
+	case strings.HasPrefix(key, fig2aQuickPrefix):
+		return "TestShardCountInvarianceFig2a"
+	case strings.HasPrefix(key, "scenario/") && strings.HasSuffix(key, "/seed2"):
+		return "TestScenarioEqualsSerial"
+	}
+	return "TestGoldenDigests"
+}
 
 // goldenFile is the committed digest matrix. Each digest is the SHA-256
 // of one result's JSON encoding; encoding/json writes floats in their
@@ -61,6 +74,49 @@ type pathDigest struct{ path, digest string }
 func (g goldenDigests) add(t *testing.T, key, path string, v any) {
 	t.Helper()
 	g[key] = append(g[key], pathDigest{path, digestOf(t, v)})
+}
+
+// shardPath names the path of a run at the given shard count.
+func shardPath(shards int) string {
+	if shards > 1 {
+		return fmt.Sprintf("shards%d", shards)
+	}
+	return "serial"
+}
+
+// addScenario runs detScenario for kinds x opt.Seeds on the 8x8 mesh,
+// checker attached, and adds each result under path.
+func (g goldenDigests) addScenario(t *testing.T, path string, kinds []network.Kind, opt Options) {
+	t.Helper()
+	opt.Check = true
+	opt.System = config.DefaultWithMesh(topology.NewMesh(8, 8))
+	rs, err := Scenario(kinds, detScenario(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rs {
+		g.add(t, fmt.Sprintf("scenario/%s/seed%d", r.Kind, r.Seed), path, r)
+	}
+}
+
+// The closed-loop Fig. 2a slices: the short one (TestGoldenDigests) and
+// the one at Quick() lengths (TestShardCountInvarianceFig2a).
+const (
+	fig2aShortPrefix = "fig2a/short/"
+	fig2aQuickPrefix = "fig2a/quick/"
+)
+
+// addFig2a runs the Fig. 2a measurement of the first low-load benchmark
+// for kinds and adds each (bench, kind) row under prefix and path.
+func (g goldenDigests) addFig2a(t *testing.T, prefix, path string, kinds []network.Kind, opt Options) {
+	t.Helper()
+	ms, err := ClosedLoop(cmp.LowLoad()[:1], kinds, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range ms {
+		g.add(t, prefix+m.Bench+"/"+m.Kind.String(), path, m)
+	}
 }
 
 // goldenCell is one open-loop (kind, seed, rate) cell of the digest
@@ -122,50 +178,30 @@ func loadGolden(t *testing.T) goldenFile {
 	return rec
 }
 
-// checkGolden checks got against rec over the keys owns selects: every
-// path of every key must hash to its recorded digest, and every recorded
-// key must have run. Under -update it records got instead, refusing when
-// two paths of one key disagree, and rewrites the file with the keys
-// owns does not select unchanged, so each test regenerates only its own
-// part of it.
-func checkGolden(t *testing.T, rec goldenFile, got goldenDigests, owns func(key string) bool) {
+// checkGolden checks got against rec: every path of every key must hash
+// to its recorded digest, and every recorded key t owns (goldenOwner)
+// must have run. Under -update it records the keys t owns instead,
+// refusing when two paths of one key disagree, still checks the keys it
+// does not own, and rewrites the file with every other key unchanged,
+// so each test regenerates only its own part of it.
+func checkGolden(t *testing.T, rec goldenFile, got goldenDigests) {
 	t.Helper()
+	owns := func(key string) bool { return goldenOwner(key) == t.Name() }
 	keys := make([]string, 0, len(got))
 	for k := range got {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 
-	if *updateGolden {
-		for k := range rec.Digests {
-			if owns(k) {
-				delete(rec.Digests, k)
-			}
-		}
-		for _, k := range keys {
-			d := got[k][0].digest
+	for _, k := range keys {
+		if *updateGolden && owns(k) {
 			for _, pd := range got[k][1:] {
-				if pd.digest != d {
+				if pd.digest != got[k][0].digest {
 					t.Fatalf("%s: %s and %s disagree, refusing to record", k, got[k][0].path, pd.path)
 				}
 			}
-			rec.Digests[k] = d
+			continue
 		}
-		b, err := json.MarshalIndent(rec, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d digests to %s", len(keys), goldenPath)
-		return
-	}
-
-	for _, k := range keys {
 		w, ok := rec.Digests[k]
 		if !ok {
 			t.Errorf("%s: no recorded digest (regenerate with -update)", k)
@@ -177,11 +213,41 @@ func checkGolden(t *testing.T, rec goldenFile, got goldenDigests, owns func(key 
 			}
 		}
 	}
+	if !*updateGolden {
+		for k := range rec.Digests {
+			if _, ok := got[k]; owns(k) && !ok {
+				t.Errorf("%s: recorded digest has no cell", k)
+			}
+		}
+		return
+	}
+
+	if t.Failed() {
+		t.Fatal("refusing to record: keys this test does not own disagree with the file")
+	}
 	for k := range rec.Digests {
-		if _, ok := got[k]; owns(k) && !ok {
-			t.Errorf("%s: recorded digest has no cell", k)
+		if owns(k) {
+			delete(rec.Digests, k)
 		}
 	}
+	n := 0
+	for _, k := range keys {
+		if owns(k) {
+			rec.Digests[k] = got[k][0].digest
+			n++
+		}
+	}
+	b, err := json.MarshalIndent(rec, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenPath, append(b, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %d digests to %s", n, goldenPath)
 }
 
 // abandonCycles is how long the dirty reuse path runs its abandoned
@@ -193,87 +259,107 @@ const abandonCycles = 1000
 // TestGoldenDigests pins every kind's end state and measurements to
 // digests committed in-tree. Each open-loop cell (every kind x seeds
 // {1,2,3,5} x rates {0.05,0.30,0.55}, checker attached) must hash to its
-// recorded digest along three paths: a fresh serial build per cell
-// (activeSetCell), the 8-way worker pool that rewinds each worker's
-// network with Reset between cells (pooledCell), and that pool again
-// with each cell preceded by an abandoned one — rate 0.55, stopped after
-// abandonCycles without draining — so Reset must rewind routers that
-// still hold flits. The detScenario run (dead links, a dead router and a
+// recorded digest along six paths: a fresh serial build per cell
+// (activeSetCell); the worker pool that rewinds each worker's network
+// with Reset between cells (pooledCell), with one worker and with eight;
+// the 8-way pool again with each cell preceded by an abandoned one —
+// rate 0.55, stopped after abandonCycles without draining — so Reset
+// must rewind routers that still hold flits; and the dense and no-pool
+// reference paths. The detScenario run (dead links, a dead router and a
 // throttle) of every kind must match its digest serially and at 3
-// shards. TestShardedEqualsSerial checks the 8x8 sharded slice of the
-// same file.
+// shards, and its Bless and AFC seed-5 runs serially and on the dense
+// kernel. The closed-loop Fig. 2a slice (the first low-load benchmark,
+// backpressured and AFC, seeds 1 and 2, so the second seed rewinds each
+// network and CMP substrate) must match on the pooled path and the
+// no-pool path. TestShardedEqualsSerial, TestScenarioEqualsSerial and
+// TestShardCountInvarianceFig2a check the other slices of the same file
+// (goldenOwner).
 //
 // The equality gates elsewhere compare two paths compiled into one
 // binary, so a bug the paths share passes them all. This test compares
 // against results recorded from an earlier binary: any change in
 // behaviour shows up here, and an intended one as a reviewed diff of
 // testdata/golden.json (regenerate with go test -run
-// 'TestGoldenDigests|TestShardedEqualsSerial' -update).
+// 'TestGoldenDigests|TestShardedEqualsSerial|TestScenarioEqualsSerial|TestShardCountInvarianceFig2a'
+// -update).
 func TestGoldenDigests(t *testing.T) {
 	rec := loadGolden(t)
 	got := goldenDigests{}
 	cells := goldenCells()
 	base := goldenBase()
 
+	fresh := func(path string, opt Options) {
+		outs, err := runner.Map(len(cells), opt.pool(), func(i int) (activeSetSnap, error) {
+			c := cells[i]
+			return activeSetCell(c.kind, c.seed, c.rate, opt), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range cells {
+			got.add(t, c.name(), path, outs[i])
+		}
+	}
+	pooled := func(path string, parallelism int, dirty bool) {
+		opt := base
+		opt.Parallelism = parallelism
+		ws := opt.workerStates(opt.pool().Workers(len(cells)))
+		outs, err := runner.MapWorkers(len(cells), opt.pool(), func(worker, i int) (activeSetSnap, error) {
+			c := cells[i]
+			if dirty {
+				net, _ := pooledGen(ws[worker], c.kind, c.seed+1000, 0.55)
+				net.Run(abandonCycles)
+				if net.Drained() {
+					return activeSetSnap{}, fmt.Errorf("%s: abandoned cell holds no flits", c.name())
+				}
+			}
+			return pooledCell(ws[worker], c.kind, c.seed, c.rate), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range cells {
+			got.add(t, c.name(), path, outs[i])
+		}
+	}
 	serial := base
 	serial.Parallelism = 1
-	fresh, err := runner.Map(len(cells), serial.pool(), func(i int) (activeSetSnap, error) {
-		c := cells[i]
-		return activeSetCell(c.kind, c.seed, c.rate, serial), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pooled8 := base
-	pooled8.Parallelism = 8
-	ws := pooled8.workerStates(pooled8.pool().Workers(len(cells)))
-	reused, err := runner.MapWorkers(len(cells), pooled8.pool(), func(worker, i int) (activeSetSnap, error) {
-		c := cells[i]
-		return pooledCell(ws[worker], c.kind, c.seed, c.rate), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wsDirty := pooled8.workerStates(pooled8.pool().Workers(len(cells)))
-	dirty, err := runner.MapWorkers(len(cells), pooled8.pool(), func(worker, i int) (activeSetSnap, error) {
-		c := cells[i]
-		net, _ := pooledGen(wsDirty[worker], c.kind, c.seed+1000, 0.55)
-		net.Run(abandonCycles)
-		if net.Drained() {
-			return activeSetSnap{}, fmt.Errorf("%s: abandoned cell holds no flits", c.name())
-		}
-		return pooledCell(wsDirty[worker], c.kind, c.seed, c.rate), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range cells {
-		got.add(t, c.name(), "serial", fresh[i])
-		got.add(t, c.name(), "reuse8", reused[i])
-		got.add(t, c.name(), "dirty8", dirty[i])
-	}
+	fresh("serial", serial)
+	pooled("reuse1", 1, false)
+	pooled("reuse8", 8, false)
+	pooled("dirty8", 8, true)
+	dense := base
+	dense.Parallelism = 8
+	dense.Dense = true
+	fresh("dense", dense)
+	nopool := base
+	nopool.Parallelism = 8
+	nopool.NoPool = true
+	fresh("nopool", nopool)
 
 	var kinds []network.Kind
 	for k := network.Kind(0); k < network.NumKinds; k++ {
 		kinds = append(kinds, k)
 	}
 	for _, shards := range []int{0, 3} {
-		opt := Options{
-			Seeds:       []int64{1},
-			Parallelism: 1,
-			Check:       true,
-			Shards:      shards,
-			System:      config.DefaultWithMesh(topology.NewMesh(8, 8)),
-		}
-		rs, err := Scenario(kinds, detScenario(), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range rs {
-			key := fmt.Sprintf("scenario/%s/seed%d", r.Kind, r.Seed)
-			got.add(t, key, fmt.Sprintf("shards%d", shards), r)
-		}
+		got.addScenario(t, shardPath(shards), kinds, Options{Seeds: []int64{1}, Parallelism: 1, Shards: shards})
 	}
+	deflective := []network.Kind{network.Bless, network.AFC}
+	got.addScenario(t, "serial", deflective, Options{Seeds: []int64{5}, Parallelism: 1})
+	got.addScenario(t, "dense", deflective, Options{Seeds: []int64{5}, Parallelism: 1, Dense: true})
 
-	checkGolden(t, rec, got, func(key string) bool { return !inMesh8Slice(key) })
+	closed := Options{
+		Seeds:       []int64{1, 2},
+		WarmupTx:    100,
+		MeasureTx:   300,
+		CycleLimit:  2_000_000,
+		Parallelism: 1,
+		Check:       true,
+	}
+	closedKinds := []network.Kind{network.Backpressured, network.AFC}
+	got.addFig2a(t, fig2aShortPrefix, "pooled", closedKinds, closed)
+	closed.NoPool = true
+	got.addFig2a(t, fig2aShortPrefix, "nopool", closedKinds, closed)
+
+	checkGolden(t, rec, got)
 }

@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-	"reflect"
 	"testing"
 
-	"afcnet/internal/cmp"
 	"afcnet/internal/config"
 	"afcnet/internal/runner"
 	"afcnet/internal/topology"
@@ -37,10 +34,6 @@ func TestShardedEqualsSerial(t *testing.T) {
 		opt.Parallelism = 4
 		opt.Shards = shards
 		opt.System = config.DefaultWithMesh(topology.NewMesh(8, 8))
-		path := "serial"
-		if shards > 0 {
-			path = fmt.Sprintf("shards%d", shards)
-		}
 		outs, err := runner.Map(len(cells), opt.pool(), func(i int) (activeSetSnap, error) {
 			c := cells[i]
 			return activeSetCell(c.kind, c.seed, c.rate, opt), nil
@@ -49,41 +42,32 @@ func TestShardedEqualsSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, c := range cells {
-			got.add(t, mesh8Prefix+c.name(), path, outs[i])
+			got.add(t, mesh8Prefix+c.name(), shardPath(shards), outs[i])
 		}
 	}
-	checkGolden(t, rec, got, inMesh8Slice)
+	checkGolden(t, rec, got)
 }
 
 // TestShardCountInvarianceFig2a is the metamorphic gate on the paper's
 // headline figure: the Fig2a closed-loop measurement (low-load workload,
-// all Figure 2 kinds, CMP substrate in the loop) must be invariant under
-// the shard count. This walks the sharded barrier through the full stack
-// — delivery handlers firing inside the parallel phase, bank jobs and
-// counters staged per shard, the drop variant's ACK/NACK journals — and
-// demands the aggregated Measurements come out DeepEqual.
+// all Figure 2 kinds, CMP substrate in the loop) must hash to the digest
+// recorded per (bench, kind) row under the fig2a/quick/ keys of
+// testdata/golden.json serially and at 2 and 3 shards. This walks the
+// sharded barrier through the full stack — delivery handlers firing
+// inside the parallel phase, bank jobs and counters staged per shard,
+// the drop variant's ACK/NACK journals.
 func TestShardCountInvarianceFig2a(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three closed-loop Fig2a runs")
 	}
-	benches := cmp.LowLoad()[:1]
-	run := func(shards int) []Measurement {
+	rec := loadGolden(t)
+	got := goldenDigests{}
+	for _, shards := range []int{0, 2, 3} {
 		opt := Quick()
 		opt.Parallelism = 4
 		opt.Check = true
 		opt.Shards = shards
-		ms, err := ClosedLoop(benches, Fig2Kinds, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ms
+		got.addFig2a(t, fig2aQuickPrefix, shardPath(shards), Fig2Kinds, opt)
 	}
-	serial := run(0)
-	for _, shards := range []int{2, 3} {
-		sharded := run(shards)
-		if !reflect.DeepEqual(serial, sharded) {
-			t.Errorf("Fig2a measurements changed under %d shards:\nserial:  %+v\nsharded: %+v",
-				shards, serial, sharded)
-		}
-	}
+	checkGolden(t, rec, got)
 }
