@@ -14,23 +14,23 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The bit-for-bit equivalence gates under the race detector: the
-# active-set kernel against the dense reference and the pooled memory
-# engine (arena recycling + cross-cell network reuse) against the
-# no-pool reference — each with the invariant checker attached — plus
-# the golden digests, which pin the serial and 8-way reuse paths
-# (TestGoldenDigests) and the 8x8 serial and sharded (2, 3 and 8 shards)
-# paths (TestShardedEqualsSerial) to results recorded in
-# internal/experiments/testdata/golden.json. The sharded slice is the
-# one the race detector bites hardest: any unsynchronized cross-shard
-# access in the barrier is a hard failure there, not a flaky diff.
-# `race` already covers them via ./...; this target exists so CI names
-# them explicitly and a -short or cached run cannot skip them. The
-# explicit -timeout overrides go test's 600s default: on a single-core
-# machine the sharded slice alone can exceed it under the race
-# detector.
+# The bit-for-bit equivalence gates under the race detector, each with
+# the invariant checker attached and each checking its slice of the
+# digests recorded in internal/experiments/testdata/golden.json:
+# TestGoldenDigests pins the open/ keys (3x3 open-loop cells, fresh,
+# pooled reuse at 1 and 8 workers, and reuse after an abandoned cell),
+# the seed-1 and seed-5 scenario/ keys and the fig2a/short/ closed-loop
+# keys; TestShardedEqualsSerial pins the 8x8/ keys (serial and 2, 3 and
+# 8 shards); TestShardCountInvarianceFig2a pins the fig2a/quick/ keys
+# (serial and 2 and 3 shards). The sharded slices are the ones the race
+# detector bites hardest: any unsynchronized cross-shard access in the
+# barrier is a hard failure there, not a flaky diff. `race` already
+# covers them via ./...; this target exists so CI names them explicitly
+# and a -short or cached run cannot skip them. The explicit -timeout
+# overrides go test's 600s default: on a single-core machine the 8x8
+# sharded slice alone can exceed it under the race detector.
 race-equality:
-	$(GO) test -race -count=1 -timeout 45m -run='^(TestActiveSetEqualsDense|TestPoolEqualsNoPool|TestShardedEqualsSerial|TestGoldenDigests)$$' ./internal/experiments
+	$(GO) test -race -count=1 -timeout 45m -run='^(TestGoldenDigests|TestShardedEqualsSerial|TestShardCountInvarianceFig2a)$$' ./internal/experiments
 
 # The large-radix smoke cells: a short 16x16 AFC run with the invariant
 # checker attached, serial and through the sharded tick at 8 shards (see
@@ -131,15 +131,17 @@ obs-smoke:
 	@echo "obs smoke ok"
 
 # The scenario-layer gates under the race detector: the determinism
-# test (same spec bit-for-bit identical across experiment parallelism
-# and shard counts, checker attached — covers deflective and buffered
-# kinds with a ramp, burst, hotspot move, dead link, dead router and a
-# duty-cycled throttle) plus the mid-run dead-link fault test (deflective
-# kinds reroute, buffered kinds degrade gracefully, conservation holds)
-# plus the 16x16 scenario x shards x faults gate (dead links, a dead
-# router and a throttle under -shards 8, bit-identical to serial).
+# test TestScenarioEqualsSerial (the same spec across experiment
+# parallelism and shard counts, checker attached — deflective and
+# buffered kinds with a ramp, burst, hotspot move, dead link, dead
+# router and a duty-cycled throttle — hashes to the seed-1 and seed-2
+# scenario/ keys of internal/experiments/testdata/golden.json) plus the
+# mid-run dead-link fault test (deflective kinds reroute, buffered kinds
+# degrade gracefully, conservation holds) plus the 16x16 scenario x
+# shards x faults gate (dead links, a dead router and a throttle under
+# -shards 8, bit-identical to serial).
 scenario-smoke:
-	$(GO) test -race -count=1 -timeout 45m -run='^(TestScenarioEqualsSerial|TestScenarioFaultCompletion|TestScenarioFaultShards16x16|TestScenarioDenseEqualsActiveSet)$$' ./internal/experiments
+	$(GO) test -race -count=1 -timeout 45m -run='^(TestScenarioEqualsSerial|TestScenarioFaultCompletion|TestScenarioFaultShards16x16)$$' ./internal/experiments
 
 # Whole-repo statement coverage, compared against the checked-in
 # baseline (coverage-baseline.txt) with half a point of slack so

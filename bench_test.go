@@ -59,15 +59,13 @@ func reportKind(b *testing.B, ms []experiments.Measurement, metric string, get f
 // stepCell is one kernel-step benchmark cell: a kind network on a
 // side×side mesh under uniform open-loop load at rate, warmed up for
 // warmup cycles before b.N single steps are timed. shards > 1 runs the
-// sharded tick, dense the dense reference kernel, and checked attaches
-// the invariant checker.
+// sharded tick, and checked attaches the invariant checker.
 type stepCell struct {
 	kind    network.Kind
 	side    int
 	rate    float64
 	warmup  uint64
 	shards  int
-	dense   bool
 	checked bool
 }
 
@@ -86,7 +84,7 @@ var (
 
 func (c stepCell) run(b *testing.B) {
 	net := network.New(network.Config{
-		Kind: c.kind, Seed: 1, MeterEnergy: true, Shards: c.shards, DenseKernel: c.dense,
+		Kind: c.kind, Seed: 1, MeterEnergy: true, Shards: c.shards,
 		System: config.DefaultWithMesh(topology.NewMesh(c.side, c.side)),
 	})
 	defer net.Close()
@@ -200,18 +198,8 @@ func BenchmarkKernelStep64x64Sharded(b *testing.B) {
 // BenchmarkKernelStepLowLoad is BenchmarkKernelStep at a near-idle
 // injection rate — the regime where active-set scheduling pays: most
 // routers are quiescent most cycles, so the per-cycle cost should be a
-// small fraction of the dense kernel's (compare against
-// BenchmarkKernelStepLowLoadDense).
+// small fraction of BenchmarkKernelStep's.
 func BenchmarkKernelStepLowLoad(b *testing.B) { stepLowLoad.run(b) }
-
-// BenchmarkKernelStepLowLoadDense is the same workload on the dense
-// reference kernel (every ticker every cycle) — the baseline the
-// active-set speedup is measured against.
-func BenchmarkKernelStepLowLoadDense(b *testing.B) {
-	c := stepLowLoad
-	c.dense = true
-	c.run(b)
-}
 
 // BenchmarkKernelStepChecked is BenchmarkKernelStep with the
 // internal/check invariant checker attached. The checker is a plain

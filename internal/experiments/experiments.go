@@ -51,16 +51,6 @@ type Options struct {
 	// purely observational — results are bit-for-bit identical with or
 	// without it.
 	Obs *obs.Observer
-	// Dense builds every network with the dense reference kernel
-	// (network.Config.DenseKernel): every ticker runs every cycle instead
-	// of active-set scheduling. Results are bit-for-bit identical either
-	// way; the flag exists for equivalence tests.
-	Dense bool
-	// NoPool builds every network without the flit arena
-	// (network.Config.NoPool): every packetization heap-allocates, as the
-	// original reference path did. Results are bit-for-bit identical
-	// either way; the flag exists for equivalence tests.
-	NoPool bool
 	// System overrides the machine configuration (mesh size, buffer
 	// depths, …) for every network the harnesses build; the zero value
 	// keeps config.Default(). A cell that sets its own System wins.
@@ -74,14 +64,12 @@ type Options struct {
 }
 
 // netConfig fills what cfg leaves unset from the options: the machine
-// configuration, the reference-path switches and the shard count. A cell
-// that sets its own System or Shards wins.
+// configuration and the shard count. A cell that sets its own System or
+// Shards wins.
 func (o Options) netConfig(cfg network.Config) network.Config {
 	if cfg.System.Mesh.Width == 0 {
 		cfg.System = o.System
 	}
-	cfg.DenseKernel = cfg.DenseKernel || o.Dense
-	cfg.NoPool = cfg.NoPool || o.NoPool
 	if cfg.Shards <= 1 {
 		cfg.Shards = o.Shards
 	}

@@ -259,21 +259,22 @@ const abandonCycles = 1000
 // TestGoldenDigests pins every kind's end state and measurements to
 // digests committed in-tree. Each open-loop cell (every kind x seeds
 // {1,2,3,5} x rates {0.05,0.30,0.55}, checker attached) must hash to its
-// recorded digest along six paths: a fresh serial build per cell
+// recorded digest along four paths: a fresh serial build per cell
 // (activeSetCell); the worker pool that rewinds each worker's network
 // with Reset between cells (pooledCell), with one worker and with eight;
-// the 8-way pool again with each cell preceded by an abandoned one —
+// and the 8-way pool again with each cell preceded by an abandoned one —
 // rate 0.55, stopped after abandonCycles without draining — so Reset
-// must rewind routers that still hold flits; and the dense and no-pool
-// reference paths. The detScenario run (dead links, a dead router and a
-// throttle) of every kind must match its digest serially and at 3
-// shards, and its Bless and AFC seed-5 runs serially and on the dense
-// kernel. The closed-loop Fig. 2a slice (the first low-load benchmark,
-// backpressured and AFC, seeds 1 and 2, so the second seed rewinds each
-// network and CMP substrate) must match on the pooled path and the
-// no-pool path. TestShardedEqualsSerial, TestScenarioEqualsSerial and
-// TestShardCountInvarianceFig2a check the other slices of the same file
-// (goldenOwner).
+// must rewind routers that still hold flits. The detScenario run (dead
+// links, a dead router and a throttle) of every kind must match its
+// digest serially and at 3 shards, and so must its Bless and AFC seed-5
+// runs serially. The closed-loop Fig. 2a slice (the first low-load
+// benchmark, backpressured and AFC, seeds 1 and 2, so the second seed
+// rewinds each network and CMP substrate) must match its digests too.
+// The open-loop, seed-5 scenario and closed-loop digests were recorded
+// when the dense reference kernel and the heap-allocating no-pool path
+// still existed, and both hashed to them. TestShardedEqualsSerial,
+// TestScenarioEqualsSerial and TestShardCountInvarianceFig2a check the
+// other slices of the same file (goldenOwner).
 //
 // The equality gates elsewhere compare two paths compiled into one
 // binary, so a bug the paths share passes them all. This test compares
@@ -328,14 +329,6 @@ func TestGoldenDigests(t *testing.T) {
 	pooled("reuse1", 1, false)
 	pooled("reuse8", 8, false)
 	pooled("dirty8", 8, true)
-	dense := base
-	dense.Parallelism = 8
-	dense.Dense = true
-	fresh("dense", dense)
-	nopool := base
-	nopool.Parallelism = 8
-	nopool.NoPool = true
-	fresh("nopool", nopool)
 
 	var kinds []network.Kind
 	for k := network.Kind(0); k < network.NumKinds; k++ {
@@ -346,7 +339,6 @@ func TestGoldenDigests(t *testing.T) {
 	}
 	deflective := []network.Kind{network.Bless, network.AFC}
 	got.addScenario(t, "serial", deflective, Options{Seeds: []int64{5}, Parallelism: 1})
-	got.addScenario(t, "dense", deflective, Options{Seeds: []int64{5}, Parallelism: 1, Dense: true})
 
 	closed := Options{
 		Seeds:       []int64{1, 2},
@@ -358,8 +350,6 @@ func TestGoldenDigests(t *testing.T) {
 	}
 	closedKinds := []network.Kind{network.Backpressured, network.AFC}
 	got.addFig2a(t, fig2aShortPrefix, "pooled", closedKinds, closed)
-	closed.NoPool = true
-	got.addFig2a(t, fig2aShortPrefix, "nopool", closedKinds, closed)
 
 	checkGolden(t, rec, got)
 }

@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"reflect"
 	"testing"
 
-	"afcnet/internal/cmp"
 	"afcnet/internal/config"
 	"afcnet/internal/network"
-	"afcnet/internal/runner"
 	"afcnet/internal/topology"
 	"afcnet/internal/traffic"
 )
@@ -17,9 +14,7 @@ import (
 // acquired from ws — rewound in place when the worker's previous cell
 // had the same kind — and the generator is reattached rather than
 // rebuilt. This is the production steady-state path of every sweep
-// harness, so equality against the fresh-build no-pool reference proves
-// both halves of the memory engine at once (arena recycling and
-// cross-cell reuse).
+// harness.
 func pooledCell(ws *workerState, kind network.Kind, seed int64, rate float64) activeSetSnap {
 	net, gen := pooledGen(ws, kind, seed, rate)
 	return runSnap(net, gen, ws.opt)
@@ -37,80 +32,6 @@ func pooledGen(ws *workerState, kind network.Kind, seed int64, rate float64) (*n
 	}
 	e.net.AddTicker(e.gen)
 	return e.net, e.gen
-}
-
-// TestPoolEqualsNoPool is the gate on the memory engine: every network
-// kind, four seeds, and three load levels must produce DeepEqual
-// measurements under (a) the no-pool reference path — heap-allocated
-// flits, a fresh network per cell — and (b) the pooled production path —
-// arena recycling plus worker-level network reuse — serial and 8-way
-// parallel, with the invariant checker attached. The cell order is
-// kind-major, so consecutive cells on a worker share a kind and the
-// Reset/Reattach rewind path fires constantly; the drain phase is where
-// every recycled flit must come home to the arena.
-func TestPoolEqualsNoPool(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every kind x seed x rate three times")
-	}
-	seeds := []int64{1, 2, 3, 5}
-	rates := []float64{0.05, 0.30, 0.55}
-	type cellKey struct {
-		kind network.Kind
-		seed int64
-		rate float64
-	}
-	var cells []cellKey
-	for k := network.Kind(0); k < network.NumKinds; k++ {
-		for _, seed := range seeds {
-			for _, rate := range rates {
-				cells = append(cells, cellKey{k, seed, rate})
-			}
-		}
-	}
-	base := Options{
-		OpenLoopWarmup:  500,
-		OpenLoopMeasure: 1500,
-		Check:           true,
-	}
-	runRef := func(parallelism int) []activeSetSnap {
-		opt := base
-		opt.Parallelism = parallelism
-		opt.NoPool = true
-		outs, err := runner.Map(len(cells), opt.pool(), func(i int) (activeSetSnap, error) {
-			c := cells[i]
-			return activeSetCell(c.kind, c.seed, c.rate, opt), nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return outs
-	}
-	runPooled := func(parallelism int) []activeSetSnap {
-		opt := base
-		opt.Parallelism = parallelism
-		ws := opt.workerStates(opt.pool().Workers(len(cells)))
-		outs, err := runner.MapWorkers(len(cells), opt.pool(), func(worker, i int) (activeSetSnap, error) {
-			c := cells[i]
-			return pooledCell(ws[worker], c.kind, c.seed, c.rate), nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return outs
-	}
-	ref := runRef(8)
-	pooled := runPooled(1)
-	pooled8 := runPooled(8)
-	for i, c := range cells {
-		if !reflect.DeepEqual(ref[i], pooled[i]) {
-			t.Errorf("%v seed %d rate %.2f: pooled (serial) diverged from no-pool reference:\nnopool: %+v\npooled: %+v",
-				c.kind, c.seed, c.rate, ref[i], pooled[i])
-		}
-		if !reflect.DeepEqual(ref[i], pooled8[i]) {
-			t.Errorf("%v seed %d rate %.2f: pooled (8-way) diverged from no-pool reference:\nnopool: %+v\npooled: %+v",
-				c.kind, c.seed, c.rate, ref[i], pooled8[i])
-		}
-	}
 }
 
 // TestPoolLeakOracle is the arena's conservation law: after a cell
@@ -135,11 +56,7 @@ func TestPoolLeakOracle(t *testing.T) {
 				t.Errorf("%v seed %d: did not drain", k, seed)
 				continue
 			}
-			a := ws.ents[k].net.Arena()
-			if a == nil {
-				t.Fatalf("%v seed %d: pooled network has no arena", k, seed)
-			}
-			if live := a.Live(); live != 0 {
+			if live := ws.ents[k].net.Arena().Live(); live != 0 {
 				t.Errorf("%v seed %d: %d flits still checked out after drain (pool leak)", k, seed, live)
 			}
 		}
@@ -176,62 +93,12 @@ func TestPoolLeakOracleSharded(t *testing.T) {
 				if net.ShardCount() != shards {
 					t.Fatalf("%v seed %d: network runs %d shards, want %d", k, seed, net.ShardCount(), shards)
 				}
-				a := net.Arena()
-				if a == nil {
-					t.Fatalf("%v seed %d shards %d: pooled network has no arena", k, seed, shards)
-				}
-				if live := a.Live(); live != 0 {
+				if live := net.Arena().Live(); live != 0 {
 					t.Errorf("%v seed %d shards %d: %d flits still checked out after drain (magazine leak)",
 						k, seed, shards, live)
 				}
 			}
 			ws.ents[k].net.Close()
 		}
-	}
-}
-
-// TestClosedLoopPoolEqualsNoPoolShort is the short-mode slice of the
-// pool gate for the closed-loop path: ClosedLoop with two seeds per
-// kind reuses each worker's network and CMP substrate (acquire +
-// cmp.Reattach) for the second seed, and the pooled results must
-// DeepEqual the no-pool run of the same cells. The full gate
-// (TestPoolEqualsNoPool) covers every kind, seed and rate but is
-// skipped under -short.
-func TestClosedLoopPoolEqualsNoPoolShort(t *testing.T) {
-	opt := Options{
-		Seeds:       []int64{1, 2},
-		WarmupTx:    100,
-		MeasureTx:   300,
-		CycleLimit:  2_000_000,
-		Parallelism: 1,
-		Check:       true,
-	}
-	benches := cmp.LowLoad()[:1]
-	kinds := []network.Kind{network.Backpressured, network.AFC}
-	pooled, err := ClosedLoop(benches, kinds, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.NoPool = true
-	nopool, err := ClosedLoop(benches, kinds, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(pooled, nopool) {
-		t.Errorf("pooled closed-loop run diverged from no-pool:\npooled: %+v\nnopool: %+v", pooled, nopool)
-	}
-
-	// The one-shot path the ablation harnesses use shares the same cell
-	// code without cross-cell reuse; it must agree too.
-	opt.NoPool = false
-	res, net, err := runCell(benches[0], network.AFC, 1, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cycles == 0 {
-		t.Error("one-shot cell measured zero cycles")
-	}
-	if net.Arena() == nil {
-		t.Error("one-shot pooled cell built a network without an arena")
 	}
 }

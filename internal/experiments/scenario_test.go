@@ -171,30 +171,3 @@ func TestScenarioFaultCompletion(t *testing.T) {
 		}
 	}
 }
-
-// TestScenarioDenseEqualsActiveSet pins the engine's Quiescer/Sleeper
-// contract: coasting between scheduled actions must not change any
-// result relative to the dense reference kernel.
-func TestScenarioDenseEqualsActiveSet(t *testing.T) {
-	spec := detScenario()
-	kinds := []network.Kind{network.Bless, network.AFC}
-	base := Options{
-		Seeds:       []int64{5},
-		Parallelism: 1,
-		Check:       true,
-		System:      config.DefaultWithMesh(topology.NewMesh(8, 8)),
-	}
-	want, err := Scenario(kinds, spec, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense := base
-	dense.Dense = true
-	got, err := Scenario(kinds, spec, dense)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("dense kernel diverges:\n got %+v\nwant %+v", got, want)
-	}
-}

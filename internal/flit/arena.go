@@ -104,10 +104,10 @@ type ArenaShard struct {
 }
 
 // SetShards mints n per-shard magazines (idempotent for the same n).
-// Serial-phase only. No-op on a nil arena or n <= 1: a serial network
-// keeps the plain single-goroutine paths.
+// Serial-phase only. No-op for n <= 1: a serial network keeps the plain
+// single-goroutine paths.
 func (a *Arena) SetShards(n int) {
-	if a == nil || n <= 1 || len(a.mags) == n {
+	if n <= 1 || len(a.mags) == n {
 		return
 	}
 	a.mags = make([]*ArenaShard, n)
@@ -116,22 +116,13 @@ func (a *Arena) SetShards(n int) {
 	}
 }
 
-// Shard returns shard i's magazine, nil on a nil arena (the NoPool
-// reference path) so call sites can thread it unconditionally.
-func (a *Arena) Shard(i int) *ArenaShard {
-	if a == nil {
-		return nil
-	}
-	return a.mags[i]
-}
+// Shard returns shard i's magazine.
+func (a *Arena) Shard(i int) *ArenaShard { return a.mags[i] }
 
 // SetShardsSerial marks every magazine as free of cross-shard
 // concurrency (inline shard dispatch), so Recycle skips its atomics.
-// No-op on a nil arena; call after SetShards.
+// Call after SetShards.
 func (a *Arena) SetShardsSerial(on bool) {
-	if a == nil {
-		return
-	}
 	for _, m := range a.mags {
 		m.serial = on
 	}
@@ -184,12 +175,11 @@ func (a *Arena) fill(b *block, p Packet) []*Flit {
 }
 
 // Packetize expands p into flits like Packet.Flits, reusing a recycled
-// block when one of the right length is free. A nil arena (or an
-// out-of-range length) falls back to heap allocation, which is the
-// NoPool reference path. Single-goroutine (serial networks); sharded
-// networks packetize through their ArenaShard magazines instead.
+// block when one of the right length is free. An out-of-range length
+// falls back to heap allocation. Single-goroutine (serial networks);
+// sharded networks packetize through their ArenaShard magazines instead.
 func (a *Arena) Packetize(p Packet) []*Flit {
-	if a == nil || p.Len < 1 || p.Len > maxPooledLen {
+	if p.Len < 1 || p.Len > maxPooledLen {
 		return p.Flits()
 	}
 	var b *block
@@ -318,9 +308,6 @@ func (s *ArenaShard) flush(length int) {
 // sharded tick calls it once per cycle after the barrier. The starved-flag
 // check keeps the steady-state cost at one branch per magazine.
 func (a *Arena) Reconcile() {
-	if a == nil {
-		return
-	}
 	for _, m := range a.mags {
 		if !m.starvedAny {
 			continue
@@ -400,9 +387,6 @@ func CheckHandle(f *Flit) error {
 // (possibly negative) deltas: a flit packetized on one shard and
 // recycled on another cancels across the sum.
 func (a *Arena) Live() int {
-	if a == nil {
-		return 0
-	}
 	t := a.live
 	for _, m := range a.mags {
 		t += m.live
@@ -419,9 +403,6 @@ func (a *Arena) Live() int {
 // and the magazines restart empty; serial arenas keep them on the free
 // lists, as a fresh build would.
 func (a *Arena) Reclaim() {
-	if a == nil {
-		return
-	}
 	for i := range a.free {
 		a.free[i] = a.free[i][:0]
 	}
@@ -456,9 +437,4 @@ func (a *Arena) Reclaim() {
 
 // Blocks returns how many blocks the arena has ever minted, for tests
 // and telemetry.
-func (a *Arena) Blocks() int {
-	if a == nil {
-		return 0
-	}
-	return len(a.all)
-}
+func (a *Arena) Blocks() int { return len(a.all) }

@@ -155,15 +155,3 @@ func TestOverlongPacketFallsBack(t *testing.T) {
 		t.Fatalf("overlong packet touched the arena: live=%d blocks=%d", a.Live(), a.Blocks())
 	}
 }
-
-func TestNilArena(t *testing.T) {
-	var a *Arena
-	fs := a.Packetize(testPacket(2))
-	if len(fs) != 2 || fs[0].blk != nil {
-		t.Fatalf("nil arena must fall back to heap flits")
-	}
-	if a.Live() != 0 || a.Blocks() != 0 {
-		t.Fatalf("nil arena reported state")
-	}
-	a.Reclaim() // must not panic
-}

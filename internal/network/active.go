@@ -27,17 +27,17 @@ import (
 // routerBand is one shard's routers of one kind, in node order.
 type routerBand interface {
 	// tick runs one cycle: each router ticks, or fast-forwards when it
-	// is quiescent and the bank is not dense.
-	tick(now uint64, dense bool)
+	// is quiescent.
+	tick(now uint64)
 	quiescent(now uint64) bool
 	fastForward(cycles uint64)
 }
 
 type vcBand []*vcrouter.Router
 
-func (b vcBand) tick(now uint64, dense bool) {
+func (b vcBand) tick(now uint64) {
 	for _, r := range b {
-		if !dense && r.Quiescent(now) {
+		if r.Quiescent(now) {
 			r.FastForward(1)
 		} else {
 			r.Tick(now)
@@ -62,9 +62,9 @@ func (b vcBand) fastForward(cycles uint64) {
 
 type deflectBand []*deflect.Router
 
-func (b deflectBand) tick(now uint64, dense bool) {
+func (b deflectBand) tick(now uint64) {
 	for _, r := range b {
-		if !dense && r.Quiescent(now) {
+		if r.Quiescent(now) {
 			r.FastForward(1)
 		} else {
 			r.Tick(now)
@@ -89,9 +89,9 @@ func (b deflectBand) fastForward(cycles uint64) {
 
 type dropBand []*deflect.DropRouter
 
-func (b dropBand) tick(now uint64, dense bool) {
+func (b dropBand) tick(now uint64) {
 	for _, r := range b {
-		if !dense && r.Quiescent(now) {
+		if r.Quiescent(now) {
 			r.FastForward(1)
 		} else {
 			r.Tick(now)
@@ -116,9 +116,9 @@ func (b dropBand) fastForward(cycles uint64) {
 
 type coreBand []*core.Router
 
-func (b coreBand) tick(now uint64, dense bool) {
+func (b coreBand) tick(now uint64) {
 	for _, r := range b {
-		if !dense && r.Quiescent(now) {
+		if r.Quiescent(now) {
 			r.FastForward(1)
 		} else {
 			r.Tick(now)
@@ -144,7 +144,6 @@ func (b coreBand) fastForward(cycles uint64) {
 // routerBank is the network's one router entry in the kernel.
 type routerBank struct {
 	n     *Network
-	dense bool
 	bands []routerBand
 	// tick is the stored tickShard method value of a sharded bank, so
 	// group.Run closes over nothing per cycle; nil on a serial network.
@@ -159,7 +158,7 @@ func (n *Network) registerRouterBank() {
 	if bands == nil {
 		bands = Bands(n.mesh, 1)
 	}
-	b := &routerBank{n: n, dense: n.cfg.DenseKernel}
+	b := &routerBank{n: n}
 	for _, band := range bands {
 		rs := n.routers[band.Lo:band.Hi]
 		var rb routerBand
@@ -195,7 +194,7 @@ func concrete[R router.Router](rs []router.Router) []R {
 // sharded cycle through the worker group (shard.go).
 func (b *routerBank) Tick(now uint64) {
 	if b.tick == nil {
-		b.bands[0].tick(now, b.dense)
+		b.bands[0].tick(now)
 		return
 	}
 	b.tickSharded(now)

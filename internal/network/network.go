@@ -100,16 +100,6 @@ type Config struct {
 	// cumulative-misroute policy instead of local contention thresholds
 	// (ablation A7; see core.Options.MisrouteThreshold).
 	MisrouteThreshold int
-	// DenseKernel disables active-set scheduling: every ticker runs every
-	// cycle, as the original reference kernel did. Results are bit-for-bit
-	// identical either way; the dense path exists as the baseline for
-	// equivalence tests and benchmarks.
-	DenseKernel bool
-	// NoPool disables the flit arena: every packetization heap-allocates,
-	// as the original reference path did. Results are bit-for-bit
-	// identical either way; the heap path exists as the baseline for
-	// equivalence tests.
-	NoPool bool
 	// Shards splits the router bank's tick across a persistent worker
 	// group: the mesh is partitioned into contiguous row bands, each
 	// band's routers tick in parallel with all cross-shard effects staged
@@ -127,7 +117,7 @@ type Network struct {
 	mesh   topology.Mesh
 	kernel *sim.Kernel
 	source *sim.Source
-	arena  *flit.Arena // nil when cfg.NoPool
+	arena  *flit.Arena
 
 	routers []router.Router
 	nis     []*ni.NI
@@ -215,10 +205,8 @@ func New(cfg Config) *Network {
 		mesh:        cfg.System.Mesh,
 		kernel:      sim.NewKernel(),
 		source:      sim.NewSource(cfg.Seed),
+		arena:       flit.NewArena(),
 		nackPending: make(map[uint64]bool),
-	}
-	if !cfg.NoPool {
-		n.arena = flit.NewArena()
 	}
 	n.build()
 	n.baseTickers = n.kernel.Mark()
@@ -339,7 +327,6 @@ func (n *Network) build() {
 	// One bank entry + housekeeping + a handful of AddTicker clients
 	// (generator or CMP, probe, checker, observer).
 	n.kernel.Reserve(8)
-	n.kernel.SetDense(n.cfg.DenseKernel)
 	n.registerRouterBank()
 	n.kernel.Register(&houseKeeper{n: n})
 }
@@ -418,8 +405,8 @@ func (n *Network) houseKeep(now uint64) {
 	}
 }
 
-// Arena returns the network's flit arena (nil with NoPool). Tests use it
-// as the leak oracle: a drained network must have zero live flits.
+// Arena returns the network's flit arena. Tests use it as the leak
+// oracle: a drained network must have zero live flits.
 func (n *Network) Arena() *flit.Arena { return n.arena }
 
 // Reset rewinds the network to the state New(cfg) would have produced,

@@ -418,5 +418,5 @@ func (b *routerBank) tickShard(shard int, now uint64) {
 func (b *routerBank) runShard(shard int, now uint64) {
 	// Sends parked last cycle carry the opposite parity of now.
 	b.n.commitInbound(shard, int(now+1)&1)
-	b.bands[shard].tick(now, b.dense)
+	b.bands[shard].tick(now)
 }

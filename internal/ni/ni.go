@@ -84,8 +84,7 @@ type NI struct {
 	queuedFlits int // total across all VN queues, maintained O(1)
 	queues      [flit.NumVNs][]*flit.Flit
 
-	// arena, when set, supplies recycled flit blocks for packetization;
-	// nil means plain heap allocation (the NoPool reference path).
+	// arena supplies recycled flit blocks for packetization.
 	arena *flit.Arena
 	// ashard, on sharded networks, is the allocation magazine of the
 	// shard this NI's node belongs to; packetize and recycle go through
@@ -159,7 +158,8 @@ func NewSlab(count int) *Slab {
 	return &Slab{nis: make([]NI, count)}
 }
 
-// New carves the next NI from the slab and initializes it for node.
+// New carves the next NI from the slab and initializes it for node. The
+// caller attaches its flit arena with SetArena before the first packet.
 func (s *Slab) New(node topology.NodeID) *NI {
 	if s.next >= len(s.nis) {
 		panic("ni: slab exhausted")
@@ -178,16 +178,19 @@ func (s *Slab) New(node topology.NodeID) *NI {
 	return n
 }
 
-// New returns the network interface for node (a slab of one).
+// New returns the network interface for node (a slab of one) with a
+// flit arena of its own.
 func New(node topology.NodeID) *NI {
-	return NewSlab(1).New(node)
+	n := NewSlab(1).New(node)
+	n.SetArena(flit.NewArena())
+	return n
 }
 
 // Node returns the node this NI serves.
 func (n *NI) Node() topology.NodeID { return n.node }
 
 // SetArena attaches the flit arena used for packetization. The network
-// sets it at construction; passing nil selects heap allocation.
+// sets it at construction.
 func (n *NI) SetArena(a *flit.Arena) { n.arena = a }
 
 // SetArenaShard routes this NI's packetize/recycle traffic through a

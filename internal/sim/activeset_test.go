@@ -50,17 +50,6 @@ func TestKernelSkipsQuiescentTickers(t *testing.T) {
 	}
 }
 
-func TestKernelDenseDisablesSkipping(t *testing.T) {
-	k := NewKernel()
-	k.SetDense(true)
-	idle := &fakeQuiescer{quiet: func(uint64) bool { return true }}
-	k.Register(idle)
-	k.Run(7)
-	if len(idle.ticks) != 7 || idle.ffwd != 0 {
-		t.Errorf("dense kernel skipped: %d ticks, %d ffwd; want 7, 0", len(idle.ticks), idle.ffwd)
-	}
-}
-
 func TestKernelCoastsToWakeEdge(t *testing.T) {
 	k := NewKernel()
 	s := newFakeSleeper(100)

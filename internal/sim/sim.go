@@ -21,9 +21,8 @@
 // time (Sleeper) or the end of the run in one step.
 //
 // The contract is exact, not approximate: a skipped cycle must leave the
-// component in the bit-identical state a real Tick would have, so active-
-// set runs produce bit-for-bit the same results as dense runs. SetDense
-// keeps the dense reference kernel available behind a flag.
+// component in the bit-identical state a real Tick would have, so
+// skipping changes no result.
 package sim
 
 import (
@@ -105,7 +104,6 @@ type entry struct {
 type Kernel struct {
 	clock   Clock
 	entries []entry
-	dense   bool
 }
 
 // NewKernel returns an empty kernel at cycle 0.
@@ -156,21 +154,12 @@ func (k *Kernel) Truncate(mark int) {
 // its cycle-0 state.
 func (k *Kernel) Rewind() { k.clock.now = 0 }
 
-// SetDense selects the dense reference kernel: every ticker runs every
-// cycle and Quiescent is never consulted. Results are bit-for-bit
-// identical either way; dense mode exists as the trusted baseline the
-// active-set path is regression-tested against.
-func (k *Kernel) SetDense(dense bool) { k.dense = dense }
-
-// Dense reports whether the dense reference kernel is selected.
-func (k *Kernel) Dense() bool { return k.dense }
-
 // Now returns the current cycle.
 func (k *Kernel) Now() uint64 { return k.clock.Now() }
 
 // Step runs one cycle: every registered ticker runs at the current time,
 // then the clock advances. Quiescent tickers are skipped (fast-forwarded
-// by one cycle) unless the kernel is in dense mode.
+// by one cycle).
 func (k *Kernel) Step() { k.step() }
 
 // step is Step, additionally reporting whether every ticker was skipped
@@ -181,7 +170,7 @@ func (k *Kernel) step() bool {
 	idle := true
 	for i := range k.entries {
 		e := &k.entries[i]
-		if e.q != nil && !k.dense && e.q.Quiescent(now) {
+		if e.q != nil && e.q.Quiescent(now) {
 			// FastForward eagerly (per cycle, not batched) so that any
 			// state read between steps — predicates, probes, stats —
 			// always sees fully up-to-date counters.
@@ -237,7 +226,7 @@ func (k *Kernel) coast(end uint64) {
 func (k *Kernel) Run(n uint64) {
 	end := k.clock.Now() + n
 	for k.clock.Now() < end {
-		if k.step() && !k.dense && k.clock.Now() < end {
+		if k.step() && k.clock.Now() < end {
 			k.coast(end)
 		}
 	}
@@ -262,7 +251,7 @@ func (k *Kernel) RunUntil(pred func() bool, limit uint64) bool {
 		if pred() {
 			return true
 		}
-		if k.step() && !k.dense && k.clock.Now() < end {
+		if k.step() && k.clock.Now() < end {
 			k.coast(end)
 		}
 	}
