@@ -74,16 +74,18 @@ bench-smoke:
 # and backpressureless mode (BenchmarkTickBless), then the serial kernel
 # step of every router kind at 3x3 and 16x16 (BenchmarkKernelStepKinds),
 # each at a fixed iteration count. ns/op is printed for the record; any
-# allocation in the steady state fails the target, except in the
-# backpressureless-drop kernel-step cells, whose steady-state
-# allocations are an open defect (ROADMAP item 1).
+# allocation in the steady state fails the target, except in the 16x16
+# backpressureless-drop kernel step: at rate 0.08 that cell is past the
+# drop kind's saturation (it accepts about 0.05), so its source queues
+# and arena grow for as long as it runs and its last allocations are
+# that growth, not a leak.
 bench-layers:
 	@out=$$($(GO) test -run='^$$' -bench='^BenchmarkTick' -benchmem -benchtime=200000x ./internal/core) || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
 	echo "$$out" | awk -v exempt='^$$' '$(ALLOC_GATE)'
 	@out=$$($(GO) test -run='^$$' -bench='^BenchmarkKernelStepKinds$$' -benchmem -benchtime=20000x .) || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
-	echo "$$out" | awk -v exempt='/backpressureless-drop(-[0-9]+)?$$' '$(ALLOC_GATE)'
+	echo "$$out" | awk -v exempt='/16x16/backpressureless-drop(-[0-9]+)?$$' '$(ALLOC_GATE)'
 
 # ALLOC_GATE is the awk program bench-layers runs over `go test -bench
 # -benchmem` output: it fails when no benchmark ran or when a benchmark

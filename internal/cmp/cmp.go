@@ -22,6 +22,7 @@ import (
 	"afcnet/internal/flit"
 	"afcnet/internal/network"
 	"afcnet/internal/ni"
+	"afcnet/internal/sim"
 	"afcnet/internal/topology"
 )
 
@@ -104,56 +105,12 @@ type coreState struct {
 	neighbors   []topology.NodeID
 }
 
+// bankJob is an L2 bank access whose data response leaves when the job
+// falls due.
 type bankJob struct {
-	due  uint64
 	bank topology.NodeID
 	core topology.NodeID
 	tx   uint64
-}
-
-// jobHeap is a hand-rolled min-heap on due. It mirrors container/heap's
-// sift order exactly (so tie-breaking among equal due times is unchanged)
-// but avoids the interface{} boxing of heap.Push/Pop, which shows up in
-// allocation profiles of closed-loop runs.
-type jobHeap []bankJob
-
-func (h *jobHeap) push(j bankJob) {
-	*h = append(*h, j)
-	hs := *h
-	i := len(hs) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if hs[parent].due <= hs[i].due {
-			break
-		}
-		hs[parent], hs[i] = hs[i], hs[parent]
-		i = parent
-	}
-}
-
-func (h *jobHeap) pop() bankJob {
-	hs := *h
-	n := len(hs) - 1
-	hs[0], hs[n] = hs[n], hs[0]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		j := l
-		if r := l + 1; r < n && hs[r].due < hs[l].due {
-			j = r
-		}
-		if hs[i].due <= hs[j].due {
-			break
-		}
-		hs[i], hs[j] = hs[j], hs[i]
-		i = j
-	}
-	top := hs[n]
-	*h = hs[:n]
-	return top
 }
 
 // System couples a CMP workload to a network. Construct it after the
@@ -162,7 +119,7 @@ type System struct {
 	net    *network.Network
 	params Params
 	cores  []coreState
-	jobs   jobHeap
+	jobs   sim.DueHeap[bankJob]
 	rngs   []*rand.Rand
 
 	totalCompleted uint64
@@ -189,7 +146,7 @@ type System struct {
 
 // shardCell stages one shard's cross-shard CMP effects for one cycle.
 type shardCell struct {
-	jobs       []bankJob
+	jobs       []sim.Timed[bankJob]
 	completed  uint64
 	writebacks uint64
 	wbReqs     uint64
@@ -297,7 +254,7 @@ func (s *System) drainStaged(now uint64) {
 	for i := range s.cells {
 		c := &s.cells[i]
 		for _, j := range c.jobs {
-			s.jobs.push(j)
+			s.jobs.Push(j.Due, j.V)
 		}
 		s.totalCompleted += c.completed
 		s.writebacksSent += c.writebacks
@@ -342,7 +299,7 @@ func (s *System) Quiescent(now uint64) bool {
 	if !s.stopped && s.fullCores != len(s.cores) {
 		return false
 	}
-	return len(s.jobs) == 0 || s.jobs[0].due > now
+	return len(s.jobs) == 0 || s.jobs[0].Due > now
 }
 
 // FastForward implements sim.Quiescer: a quiescent Tick touches no
@@ -357,7 +314,7 @@ func (s *System) NextWake(now uint64) (uint64, bool) {
 	if len(s.jobs) == 0 {
 		return 0, false
 	}
-	return s.jobs[0].due, true
+	return s.jobs[0].Due, true
 }
 
 // Tick implements sim.Ticker: issue new misses and complete due bank jobs.
@@ -392,8 +349,8 @@ func (s *System) Tick(now uint64) {
 }
 
 func (s *System) completeJobs(now uint64) {
-	for len(s.jobs) > 0 && s.jobs[0].due <= now {
-		j := s.jobs.pop()
+	for len(s.jobs) > 0 && s.jobs[0].Due <= now {
+		j := s.jobs.Pop()
 		s.net.NI(j.bank).SendPacket(now, j.core, flit.VNData,
 			flit.DataPacketFlits, payload(msgResponse, j.tx))
 	}
@@ -425,11 +382,11 @@ func (s *System) onPacket(now uint64, d ni.Delivered) {
 		if s.rngs[d.Dst].Float64() < s.params.MemFraction {
 			lat += uint64(s.params.MemLatency)
 		}
-		j := bankJob{due: now + lat, bank: d.Dst, core: d.Src, tx: payloadTx(d.Payload)}
+		j := bankJob{bank: d.Dst, core: d.Src, tx: payloadTx(d.Payload)}
 		if cell := s.cell(d.Dst); cell != nil {
-			cell.jobs = append(cell.jobs, j)
+			cell.jobs = append(cell.jobs, sim.Timed[bankJob]{Due: now + lat, V: j})
 		} else {
-			s.jobs.push(j)
+			s.jobs.Push(now+lat, j)
 		}
 	case msgResponse:
 		// The miss completes: the MSHR frees; occasionally the evicted

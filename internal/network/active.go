@@ -241,7 +241,7 @@ func (h *houseKeeper) Quiescent(now uint64) bool {
 			return false
 		}
 	}
-	return len(h.n.nacks) == 0 || h.n.nacks[0].due > now
+	return len(h.n.nacks) == 0 || h.n.nacks[0].Due > now
 }
 
 // FastForward implements sim.Quiescer: record the skipped cycles' zero
@@ -259,5 +259,5 @@ func (h *houseKeeper) NextWake(now uint64) (uint64, bool) {
 	if len(h.n.nacks) == 0 {
 		return 0, false
 	}
-	return h.n.nacks[0].due, true
+	return h.n.nacks[0].Due, true
 }

@@ -5,7 +5,6 @@
 package network
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -150,7 +149,7 @@ type Network struct {
 	// whatever probes, checkers or traffic layers the previous cell added.
 	baseTickers int
 
-	nacks       nackHeap
+	nacks       sim.DueHeap[nackEntry]
 	nackPending map[uint64]bool
 
 	resetCycle uint64
@@ -392,13 +391,13 @@ func (n *Network) houseKeep(now uint64) {
 	for _, nif := range n.nis {
 		nif.SampleQueues()
 	}
-	for len(n.nacks) > 0 && n.nacks[0].due <= now {
-		e := heap.Pop(&n.nacks).(nackEntry)
+	for len(n.nacks) > 0 && n.nacks[0].Due <= now {
+		e := n.nacks.Pop()
 		switch n.nis[e.src].Retransmit(now, e.pkt) {
 		case ni.RetransmitDeferred:
 			// The current copy is still draining out of the source; retry
 			// shortly — dropping this NACK would stall the packet.
-			heap.Push(&n.nacks, nackEntry{due: now + 32, src: e.src, pkt: e.pkt})
+			n.nacks.Push(now+32, e)
 		default:
 			delete(n.nackPending, e.pkt)
 		}
@@ -605,27 +604,13 @@ func (n *Network) scheduleNack(now uint64, node, src topology.NodeID, pkt uint64
 	}
 	delay <<= uint(epoch)
 	n.nackPending[pkt] = true
-	heap.Push(&n.nacks, nackEntry{due: now + delay, src: src, pkt: pkt})
+	n.nacks.Push(now+delay, nackEntry{src: src, pkt: pkt})
 }
 
+// nackEntry is a scheduled source retransmission of packet pkt.
 type nackEntry struct {
-	due uint64
 	src topology.NodeID
 	pkt uint64
-}
-
-type nackHeap []nackEntry
-
-func (h nackHeap) Len() int            { return len(h) }
-func (h nackHeap) Less(i, j int) bool  { return h[i].due < h[j].due }
-func (h nackHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nackHeap) Push(x interface{}) { *h = append(*h, x.(nackEntry)) }
-func (h *nackHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }
 
 // MarshalJSON encodes the kind as its string name, so exported experiment

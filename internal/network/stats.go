@@ -141,7 +141,7 @@ func (n *Network) Drained() bool {
 	for _, e := range n.nacks {
 		// Pending NACKs matter only if their packet is still undelivered;
 		// stale entries fire as no-ops.
-		if n.nis[e.src].Epoch(e.pkt) >= 0 {
+		if n.nis[e.V.src].Epoch(e.V.pkt) >= 0 {
 			return false
 		}
 	}
