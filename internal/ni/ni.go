@@ -130,9 +130,9 @@ type NI struct {
 	createdPackets   uint64
 	deliveredFlits   uint64
 	deliveredPackets uint64
-	netLatency       *stats.Histogram
-	totalLatency     *stats.Histogram
-	deflections      *stats.Histogram
+	netLatency       stats.Summary
+	totalLatency     stats.Summary
+	deflections      stats.Summary
 	queueLenSum      uint64
 	queueLenSamples  uint64
 
@@ -172,9 +172,6 @@ func (s *Slab) New(node topology.NodeID) *NI {
 	n.completed = make(map[uint64]struct{})
 	n.epoch = make(map[uint64]int)
 	n.queued = make(map[uint64]int)
-	n.netLatency = stats.NewHistogram(4096)
-	n.totalLatency = stats.NewHistogram(4096)
-	n.deflections = stats.NewHistogram(4096)
 	return n
 }
 
@@ -518,18 +515,18 @@ func (n *NI) DeliveredFlits() uint64 { return n.deliveredFlits }
 // PendingReassembly returns how many packets are partially received.
 func (n *NI) PendingReassembly() int { return len(n.reassembly) }
 
-// NetLatency returns the histogram of network latencies (injection to
-// delivery) of packets delivered at this node.
-func (n *NI) NetLatency() *stats.Histogram { return n.netLatency }
+// NetLatency summarizes the network latencies (injection to delivery)
+// of packets delivered at this node.
+func (n *NI) NetLatency() *stats.Summary { return &n.netLatency }
 
-// TotalLatency returns the histogram of total latencies (creation to
-// delivery, source queueing included).
-func (n *NI) TotalLatency() *stats.Histogram { return n.totalLatency }
+// TotalLatency summarizes the total latencies (creation to delivery,
+// source queueing included).
+func (n *NI) TotalLatency() *stats.Summary { return &n.totalLatency }
 
-// Deflections returns the per-delivered-flit misroute histogram — the
+// Deflections summarizes the misroutes of each delivered flit — the
 // observable behind the probabilistic livelock-freedom argument
-// (Section III-F): the tail must stay bounded even at high load.
-func (n *NI) Deflections() *stats.Histogram { return n.deflections }
+// (Section III-F): the maximum must stay bounded even at high load.
+func (n *NI) Deflections() *stats.Summary { return &n.deflections }
 
 // TotalInjectedFlits returns the lifetime count of flits popped into the
 // network. Unlike InjectedFlits it is never reset.
@@ -578,9 +575,8 @@ func (n *NI) CheckReassembly() error {
 	return nil
 }
 
-// ResetStats clears counters and histograms (used to discard warmup)
-// without touching in-flight state. Histograms are reset in place so
-// their backing arrays survive into the measurement window.
+// ResetStats clears counters and summaries (used to discard warmup)
+// without touching in-flight state.
 func (n *NI) ResetStats() {
 	n.injectedFlits = 0
 	n.injectedPackets = 0
@@ -595,10 +591,10 @@ func (n *NI) ResetStats() {
 }
 
 // Reset rewinds the NI to its freshly constructed state, keeping the
-// queue backing arrays, map storage, and histogram capacity. The retain
-// flag and ack hook are network-owned configuration and survive; the
-// user handler and create hook are cleared — whoever reattaches the
-// traffic layer registers them again, exactly as on a fresh build.
+// queue backing arrays and map storage. The retain flag and ack hook are
+// network-owned configuration and survive; the user handler and create
+// hook are cleared — whoever reattaches the traffic layer registers them
+// again, exactly as on a fresh build.
 func (n *NI) Reset() {
 	n.nextPkt = 0
 	for vn := range n.queues {

@@ -101,13 +101,52 @@ func (m *IntensityMonitor) Reset() {
 	*m = IntensityMonitor{weight: m.weight}
 }
 
-// Histogram is a simple integer-valued histogram with exact small values
-// and power-of-two overflow buckets, adequate for latency distributions.
+// Summary keeps the exact count, sum, minimum and maximum of integer
+// samples and no samples themselves. The zero value is empty and ready to
+// use.
+type Summary struct {
+	count uint64
+	sum   uint64
+	min   uint64
+	max   uint64
+}
+
+// Add records a sample.
+func (s *Summary) Add(v uint64) {
+	if s.count == 0 || v < s.min {
+		s.min = v
+	}
+	if v > s.max {
+		s.max = v
+	}
+	s.count++
+	s.sum += v
+}
+
+// Reset empties the summary.
+func (s *Summary) Reset() { *s = Summary{} }
+
+// Count returns the number of samples.
+func (s *Summary) Count() uint64 { return s.count }
+
+// Mean returns the mean sample value, or 0 with no samples.
+func (s *Summary) Mean() float64 {
+	if s.count == 0 {
+		return 0
+	}
+	return float64(s.sum) / float64(s.count)
+}
+
+// Min returns the smallest sample, or 0 with no samples.
+func (s *Summary) Min() uint64 { return s.min }
+
+// Max returns the largest sample, or 0 with no samples.
+func (s *Summary) Max() uint64 { return s.max }
+
+// Histogram is a Summary that also retains samples, systematically
+// thinned once full, for percentile queries.
 type Histogram struct {
-	count  uint64
-	sum    uint64
-	min    uint64
-	max    uint64
+	Summary
 	values []uint64 // retained samples for percentile queries
 	sorted []uint64 // cached sort of values; valid while !dirty
 	dirty  bool     // values changed since sorted was built
@@ -127,18 +166,14 @@ func NewHistogram(capacity int) *Histogram {
 	// grow it doubling-by-doubling across the first ~capacity samples,
 	// which on large meshes spreads construction cost over the measured
 	// steady state (the kernel's zero-allocation contract).
-	return &Histogram{min: math.MaxUint64, cap: capacity, stride: 1,
-		values: make([]uint64, 0, capacity)}
+	return &Histogram{cap: capacity, stride: 1, values: make([]uint64, 0, capacity)}
 }
 
 // Reset empties the histogram while keeping the retained-sample backing
 // arrays, so a reused histogram behaves bit-for-bit like a fresh
 // NewHistogram of the same capacity without reallocating.
 func (h *Histogram) Reset() {
-	h.count = 0
-	h.sum = 0
-	h.min = math.MaxUint64
-	h.max = 0
+	h.Summary.Reset()
 	h.values = h.values[:0]
 	h.sorted = h.sorted[:0]
 	h.dirty = false
@@ -148,14 +183,7 @@ func (h *Histogram) Reset() {
 
 // Add records a sample.
 func (h *Histogram) Add(v uint64) {
-	h.count++
-	h.sum += v
-	if v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
+	h.Summary.Add(v)
 	h.seen++
 	if h.seen%h.stride != 0 {
 		return
@@ -179,28 +207,6 @@ func (h *Histogram) Add(v uint64) {
 	h.values = append(h.values, v)
 	h.dirty = true
 }
-
-// Count returns the number of samples.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Mean returns the mean sample value, or 0 with no samples.
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
-// Min returns the smallest sample, or 0 with no samples.
-func (h *Histogram) Min() uint64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest sample.
-func (h *Histogram) Max() uint64 { return h.max }
 
 // Percentile returns the p-th percentile (0 < p <= 100) of the retained
 // samples, or 0 with no samples. It panics when p lies outside (0, 100]:

@@ -59,6 +59,27 @@ func TestIntensityMonitorPanicsOnBadWeight(t *testing.T) {
 	}
 }
 
+// TestSummaryZeroValueAndReset: a zero Summary is empty, and after Reset
+// the first sample sets the minimum rather than comparing against the
+// previous run's.
+func TestSummaryZeroValueAndReset(t *testing.T) {
+	var s Summary
+	if s.Count() != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
+		t.Fatalf("zero summary not empty: %+v", s)
+	}
+	for _, v := range []uint64{5, 3, 9} {
+		s.Add(v)
+	}
+	if s.Count() != 3 || s.Min() != 3 || s.Max() != 9 || s.Mean() != 17.0/3 {
+		t.Errorf("count/min/max/mean = %d/%d/%d/%g", s.Count(), s.Min(), s.Max(), s.Mean())
+	}
+	s.Reset()
+	s.Add(7)
+	if s.Count() != 1 || s.Min() != 7 || s.Max() != 7 {
+		t.Errorf("after reset: count/min/max = %d/%d/%d", s.Count(), s.Min(), s.Max())
+	}
+}
+
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram(100)
 	for i := uint64(1); i <= 10; i++ {
