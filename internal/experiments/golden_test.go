@@ -289,17 +289,17 @@ func TestGoldenDigests(t *testing.T) {
 	cells := goldenCells()
 	base := goldenBase()
 
-	fresh := func(path string, opt Options) {
-		outs, err := runner.Map(len(cells), opt.pool(), func(i int) (activeSetSnap, error) {
-			c := cells[i]
-			return activeSetCell(c.kind, c.seed, c.rate, opt), nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, c := range cells {
-			got.add(t, c.name(), path, outs[i])
-		}
+	serial := base
+	serial.Parallelism = 1
+	fresh, err := runner.Map(len(cells), serial.pool(), func(i int) (activeSetSnap, error) {
+		c := cells[i]
+		return activeSetCell(c.kind, c.seed, c.rate, serial), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cells {
+		got.add(t, c.name(), "serial", fresh[i])
 	}
 	pooled := func(path string, parallelism int, dirty bool) {
 		opt := base
@@ -323,9 +323,6 @@ func TestGoldenDigests(t *testing.T) {
 			got.add(t, c.name(), path, outs[i])
 		}
 	}
-	serial := base
-	serial.Parallelism = 1
-	fresh("serial", serial)
 	pooled("reuse1", 1, false)
 	pooled("reuse8", 8, false)
 	pooled("dirty8", 8, true)
@@ -337,19 +334,17 @@ func TestGoldenDigests(t *testing.T) {
 	for _, shards := range []int{0, 3} {
 		got.addScenario(t, shardPath(shards), kinds, Options{Seeds: []int64{1}, Parallelism: 1, Shards: shards})
 	}
-	deflective := []network.Kind{network.Bless, network.AFC}
-	got.addScenario(t, "serial", deflective, Options{Seeds: []int64{5}, Parallelism: 1})
+	got.addScenario(t, "serial", []network.Kind{network.Bless, network.AFC},
+		Options{Seeds: []int64{5}, Parallelism: 1})
 
-	closed := Options{
+	got.addFig2a(t, fig2aShortPrefix, "pooled", []network.Kind{network.Backpressured, network.AFC}, Options{
 		Seeds:       []int64{1, 2},
 		WarmupTx:    100,
 		MeasureTx:   300,
 		CycleLimit:  2_000_000,
 		Parallelism: 1,
 		Check:       true,
-	}
-	closedKinds := []network.Kind{network.Backpressured, network.AFC}
-	got.addFig2a(t, fig2aShortPrefix, "pooled", closedKinds, closed)
+	})
 
 	checkGolden(t, rec, got)
 }
