@@ -53,37 +53,58 @@ smoke-32x32:
 smoke-64x64:
 	$(GO) test -short -count=1 -run='^TestLargeMesh64x64(Sharded)?Smoke$$' ./internal/network
 
-# Record a numbered BENCH_<n>.json performance snapshot: kernel ns/op
-# and allocs/op plus low-load vs saturation cell wall times (minimum of
-# -runs repetitions). The checked-in snapshots are the repo's perf
-# trajectory; bench-smoke compares against the newest one.
+# Record the next free BENCH_<n>.json: every value/unit pair `go test
+# -bench -benchmem` prints for ^BenchmarkKernelStep (root package) and
+# ^BenchmarkTick (internal/core), with the Go version, CPU model, NumCPU
+# and GOMAXPROCS of the host. The checked-in snapshots are the repo's
+# perf history; no gate reads them. LABEL is recorded with the numbers.
+LABEL ?=
 bench-json:
-	$(GO) run ./cmd/benchjson
+	$(GO) run ./cmd/benchjson -label '$(LABEL)'
 
-# One-iteration pass over a closed-loop benchmark (catches harness
-# regressions without paying for a full measurement run), then a
-# reduced benchjson measurement compared against the newest recorded
-# BENCH_<n>.json snapshot: wall-clock deltas warn, allocation
-# regressions fail the target.
+# The paired performance gate: BASE's root test binary (from git
+# archive) against the working tree's, on this host, in 10 alternating
+# rounds of BenchmarkKernelStep and BenchmarkKernelStep16x16 at fixed
+# iteration counts. It fails when the tree loses at least 8 rounds of a
+# cell with its median above BASE's upper quartile, or when a cell's
+# allocs/op rises; when BenchmarkFig2aLowLoadPerformance at one CPU
+# (which also runs the closed-loop harness end to end) allocates more
+# than 10% above BASE; and, with GOMAXPROCS >= 2, when the tree's
+# BenchmarkKernelStep32x32Sharded is not faster than
+# BenchmarkKernelStep32x32. Takes under a minute on a 2-CPU VM. In a
+# clean checkout BASE=HEAD compares the tree with itself; pass
+# BASE=HEAD~1 (or the branch point) to gate the last commit.
+#
+# It replaces a gate that compared one run against the newest BENCH
+# file, recorded on another host. Its checks now live here: the step
+# ns/op bound and the low-load cell's heap bound (paired against BASE),
+# the one-iteration Fig2a pass (the heap check runs it), and the live
+# sharded speedup (the 32x32 check). Its steady-state allocation check
+# of the 3x3, low-load, 16x16 and 16x16-sharded kernel steps is
+# bench-layers'. Its wall-clock warnings and its check of the sharded
+# pairs recorded in a BENCH file, which measured nothing, are gone.
+BASE ?= HEAD
 bench-smoke:
-	$(GO) test -run='^$$' -bench=Fig2a -benchtime=1x .
-	$(GO) run ./cmd/benchjson -smoke
+	$(GO) run ./cmd/benchjson -base $(BASE)
 
 # The per-layer microbenchmarks: an AFC router's Tick on a canned input
 # that stays saturated, in backpressured mode (BenchmarkTickBuffered)
 # and backpressureless mode (BenchmarkTickBless), then the serial kernel
 # step of every router kind at 3x3 and 16x16 (BenchmarkKernelStepKinds),
+# the AFC step at near-idle load (BenchmarkKernelStepLowLoad) and the
+# 16x16 AFC step through the sharded tick (BenchmarkKernelStep16x16Sharded),
 # each at a fixed iteration count. ns/op is printed for the record; any
 # allocation in the steady state fails the target, except in the 16x16
 # backpressureless-drop kernel step: at rate 0.08 that cell is past the
 # drop kind's saturation (it accepts about 0.05), so its source queues
 # and arena grow for as long as it runs and its last allocations are
-# that growth, not a leak.
+# that growth, not a leak. This is the repo's steady-state allocation
+# gate, bench-smoke's included.
 bench-layers:
 	@out=$$($(GO) test -run='^$$' -bench='^BenchmarkTick' -benchmem -benchtime=200000x ./internal/core) || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
 	echo "$$out" | awk -v exempt='^$$' '$(ALLOC_GATE)'
-	@out=$$($(GO) test -run='^$$' -bench='^BenchmarkKernelStepKinds$$' -benchmem -benchtime=20000x .) || { echo "$$out"; exit 1; }; \
+	@out=$$($(GO) test -run='^$$' -bench='^BenchmarkKernelStep(Kinds|LowLoad|16x16Sharded)$$' -benchmem -benchtime=20000x .) || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
 	echo "$$out" | awk -v exempt='/16x16/backpressureless-drop(-[0-9]+)?$$' '$(ALLOC_GATE)'
 

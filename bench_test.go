@@ -149,10 +149,9 @@ func BenchmarkKernelStepKinds(b *testing.B) {
 // enough to split across cores. Results are bit-identical to the serial
 // bench's network (the 8x8 sharded slice pinned by
 // TestShardedEqualsSerial); what this bench tracks is the wall-clock
-// ratio against BenchmarkKernelStep16x16 (reported by cmd/benchjson as
-// a speedup on multi-core hosts; on a single-core host the barrier is
-// pure overhead and the ratio inverts) and that the parallel arena
-// keeps the steady state allocation-free.
+// ratio against BenchmarkKernelStep16x16 (on a single-core host the
+// barrier is pure overhead and the ratio inverts) and that the parallel
+// arena keeps the steady state allocation-free (make bench-layers).
 func BenchmarkKernelStep16x16Sharded(b *testing.B) {
 	c := step16x16
 	c.shards = 8
@@ -172,7 +171,9 @@ func BenchmarkKernelStep32x32(b *testing.B) { step32x32.run(b) }
 // the sharded tick at 8 shards (four rows per band). At this width each
 // band is ~4x the 16x16 bench's, so the per-cycle parallel grain is
 // coarser and the fixed dispatch cost proportionally smaller — the
-// regime where the sharded tick should scale best.
+// regime where the sharded tick should scale best. make bench-smoke
+// fails when, with GOMAXPROCS >= 2, it is not faster than
+// BenchmarkKernelStep32x32.
 func BenchmarkKernelStep32x32Sharded(b *testing.B) {
 	c := step32x32
 	c.shards = 8

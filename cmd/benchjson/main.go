@@ -1,579 +1,320 @@
-// Command benchjson measures the simulator's performance envelope and
-// records it as a numbered BENCH_<n>.json snapshot, so the perf
-// trajectory of the repo is tracked in-tree alongside the results it
-// produces (EXPERIMENTS.md).
+// Command benchjson records the kernel benchmarks as a numbered
+// BENCH_<n>.json snapshot, and gates the working tree against a base
+// revision on the same host. It defines no benchmark: every number is one
+// that `go test -bench -benchmem` prints for a cell of bench_test.go or
+// internal/core, so each cell has one definition.
 //
-// Two kinds of numbers are captured:
+//	benchjson [-label text] [-o file]  # record (default: the next free BENCH_<n>.json)
+//	benchjson -base REV                # paired gate
 //
-//   - kernel microbenchmarks: ns/op and allocs/op of Network.Step under
-//     moderate (0.3 flits/node/cycle) and near-idle (0.02) open-loop
-//     load — the latter is the regime active-set scheduling targets;
-//   - cell wall times: end-to-end wall-clock seconds of representative
-//     closed-loop cells (the low-load Fig. 2a set, its single
-//     lowest-load benchmark, and a saturation benchmark), each run
-//     -runs times with the minimum recorded, since the minimum is the
-//     least noisy wall-clock statistic.
+// A snapshot keeps every value/unit pair of ^BenchmarkKernelStep and
+// ^BenchmarkTick by benchmark name, with the host it ran on. It is
+// history: no gate reads one, since a number recorded on one host says
+// nothing of another.
 //
-// Usage:
-//
-//	benchjson                    # measure, write BENCH_<n>.json (next free n)
-//	benchjson -o my.json         # explicit output path
-//	benchjson -smoke             # reduced run compared vs the newest
-//	                             # BENCH_*.json (CI bench-smoke gate)
-//
-// -smoke performs a benchstat-style threshold comparison against the
-// recorded baseline: each metric's delta is printed. Wall-clock
-// regressions beyond the threshold are flagged as warnings (warn-only —
-// shared machines make wall time noisy). Two metric classes FAIL the run
-// with a non-zero exit: allocation regressions (allocs/op, per-cell heap
-// bytes — the steady state is zero-allocation by construction, so any
-// growth is a real leak of the pooling discipline, not noise), and the
-// moderate-load kernel step ns/op when it exceeds 1.15x the recorded
-// baseline (the repo's headline perf number; the generous ratio absorbs
-// shared-machine noise while still catching real regressions).
-//
-// Snapshot schema: every snapshot is afcnet-bench/v5 (snapshotSchema);
-// one recorded under an earlier schema was rewritten into it, and a
-// metric its measurement predates reads zero, which every consumer
-// treats as "skip". The kernel cells are the 3x3 steps, the 16x16 pair
-// (serial and sharded at kernel.shards row bands, with the host's core
-// count, since the sharded number is only meaningful relative to the
-// serial one on the same machine width), and the 32x32 and 64x64 pairs,
-// recorded in full runs only — smoke runs skip them for CI speed.
-//
-// The sharded ratios are judged on both ends of the machine-width
-// spectrum: hosts with at least as many CPUs as shards must show a live
-// >= 1.5x speedup on the 16x16 pair (the barrier must pay; the margin
-// absorbs machine noise), and the baseline's recorded pairs must stay
-// under per-pair single-core overhead bounds, judged deterministically
-// from the file (with inline dispatch the sharded tick is the same work
-// in a different order plus a fixed per-cycle tail; the bound is 1.15x
-// for the 16x16 pair, where the tail is a real fraction of the
-// slab-accelerated cycle, and 1.05x for the 32x32 pair, where it
-// amortizes to parity within host noise). Kernel cells are recorded as
-// the fastest of three repetitions — the same minimum statistic the
-// wall cells use — so the recorded ratios are stable enough to gate.
+// The gate builds REV's root test binary (from git archive) and the
+// tree's once each, runs the gated cells in alternating order at fixed
+// iteration counts, and prints each cell's median, quartiles and wins.
+// It fails when the tree loses minLosses of rounds rounds of a gated cell
+// with its median above REV's upper quartile; when a gated cell's
+// allocs/op rises; when BenchmarkFig2aLowLoadPerformance at one CPU,
+// where its heap repeats to within a few bytes, allocates more than
+// heapSlack times REV's B/op; or when, with GOMAXPROCS >= 2, the tree's
+// BenchmarkKernelStep32x32Sharded is not faster than
+// BenchmarkKernelStep32x32.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"runtime"
 	"sort"
 	"strconv"
-	"testing"
-	"time"
-
-	"afcnet/internal/cmp"
-	"afcnet/internal/config"
-	"afcnet/internal/experiments"
-	"afcnet/internal/network"
-	"afcnet/internal/topology"
-	"afcnet/internal/traffic"
+	"strings"
 )
 
-// Snapshot is the recorded BENCH_<n>.json schema.
+// snapshotSchema is the one schema of every BENCH_<n>.json.
+const snapshotSchema = "afcnet-bench/v6"
+
+// The gate's rule. By chance alone, a tree loses 8 or more of 10 rounds
+// 5.5% of the time; its median must also clear the base's upper quartile.
+const (
+	rounds    = 10
+	minLosses = 8
+	heapSlack = 1.10
+)
+
+// gated are the kernel cells the paired gate times, each at an iteration
+// count that steps for about 0.3 s per run on a 2-CPU VM.
+var gated = []struct{ name, benchtime string }{
+	{"BenchmarkKernelStep", "100000x"},
+	{"BenchmarkKernelStep16x16", "4000x"},
+}
+
+// results maps a benchmark name to its value per unit ("ns/op", ...).
+type results map[string]map[string]float64
+
+// Snapshot is the recorded BENCH_<n>.json schema. CPU, NumCPU and
+// GOMAXPROCS are empty in snapshots recorded before they were kept.
 type Snapshot struct {
-	Schema    string `json:"schema"`
-	Label     string `json:"label,omitempty"`
-	GoVersion string `json:"goVersion"`
-	// Cores/MaxProcs record the machine width the snapshot was taken
-	// on: the sharded kernel number is a function of it.
-	Cores    int `json:"cores,omitempty"`
-	MaxProcs int `json:"maxProcs,omitempty"`
-	Runs     int `json:"runs"`
-
-	Kernel struct {
-		StepNsPerOp            float64 `json:"stepNsPerOp"`
-		StepAllocsPerOp        float64 `json:"stepAllocsPerOp"`
-		StepLowLoadNsPerOp     float64 `json:"stepLowLoadNsPerOp"`
-		StepLowLoadAllocsPerOp float64 `json:"stepLowLoadAllocsPerOp"`
-		// Step16x16NsPerOp is the large-radix kernel number: one step of
-		// a 16x16 mesh under sub-saturation uniform load (0.08
-		// flits/node/cycle; see BenchmarkKernelStep16x16). Zero in
-		// snapshots that predate the cell.
-		Step16x16NsPerOp     float64 `json:"kernelStep16x16NsPerOp"`
-		Step16x16AllocsPerOp float64 `json:"kernelStep16x16AllocsPerOp"`
-		// Shards and the sharded-step fields measure the same 16x16 cell
-		// through the sharded two-phase tick at Shards row bands.
-		// Bit-identical results to the serial cell by construction
-		// (TestShardedEqualsSerial); the interesting quantities are the
-		// ns/op ratio against Step16x16NsPerOp on a multi-core host and
-		// the allocs/op, which the parallel arena must keep at zero.
-		Shards                      int     `json:"shards,omitempty"`
-		Step16x16ShardedNsPerOp     float64 `json:"kernelStep16x16ShardedNsPerOp"`
-		Step16x16ShardedAllocsPerOp float64 `json:"kernelStep16x16ShardedAllocsPerOp"`
-		// The 32x32 pair is the same serial/sharded cell at 1024 nodes
-		// and 0.04 flits/node/cycle (the bigger mesh's bisection limit
-		// halves again; see BenchmarkKernelStep32x32). Zero in smoke
-		// runs, which skip the cell for CI speed.
-		Step32x32NsPerOp            float64 `json:"kernelStep32x32NsPerOp,omitempty"`
-		Step32x32AllocsPerOp        float64 `json:"kernelStep32x32AllocsPerOp,omitempty"`
-		Step32x32ShardedNsPerOp     float64 `json:"kernelStep32x32ShardedNsPerOp,omitempty"`
-		Step32x32ShardedAllocsPerOp float64 `json:"kernelStep32x32ShardedAllocsPerOp,omitempty"`
-		// The 64x64 pair is the kilonode record: 4096 nodes at 0.02
-		// flits/node/cycle, the regime the slab-resident router state
-		// targets (see BenchmarkKernelStep64x64). Full runs only, like
-		// the 32x32 pair.
-		Step64x64NsPerOp            float64 `json:"kernelStep64x64NsPerOp,omitempty"`
-		Step64x64AllocsPerOp        float64 `json:"kernelStep64x64AllocsPerOp,omitempty"`
-		Step64x64ShardedNsPerOp     float64 `json:"kernelStep64x64ShardedNsPerOp,omitempty"`
-		Step64x64ShardedAllocsPerOp float64 `json:"kernelStep64x64ShardedAllocsPerOp,omitempty"`
-		// SteadyAllocsPerOp is the worst (max) of the steady-state
-		// allocs/op measurements above — the single number the smoke
-		// gate compares. With pooling on this is 0 by construction.
-		SteadyAllocsPerOp float64 `json:"steadyAllocsPerOp"`
-	} `json:"kernel"`
-
-	// The per-cell TotalAllocBytes fields record the heap bytes
-	// allocated during the fastest repetition of each wall-time cell
-	// (runtime.MemStats.TotalAlloc delta; the minimum over -runs, like
-	// the wall times). With pooling these are dominated by one-time
-	// network construction; steady-state growth shows up here first.
-	Cells struct {
-		LowLoadWallSeconds         float64 `json:"lowLoadWallSeconds"`
-		LowLoadCellWallSecs        float64 `json:"lowLoadCellWallSeconds"`
-		SaturationWallSeconds      float64 `json:"saturationWallSeconds"`
-		LowLoadTotalAllocBytes     uint64  `json:"lowLoadTotalAllocBytes"`
-		LowLoadCellTotalAllocBytes uint64  `json:"lowLoadCellTotalAllocBytes"`
-		SaturationTotalAllocBytes  uint64  `json:"saturationTotalAllocBytes"`
-	} `json:"cells"`
+	Schema     string  `json:"schema"`
+	Label      string  `json:"label,omitempty"`
+	GoVersion  string  `json:"goVersion"`
+	CPU        string  `json:"cpu,omitempty"`
+	NumCPU     int     `json:"numCPU,omitempty"`
+	GOMAXPROCS int     `json:"gomaxprocs,omitempty"`
+	Benchmarks results `json:"benchmarks"`
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchjson: ")
-	var (
-		out      = flag.String("o", "", "output path (default: next free BENCH_<n>.json in the current directory)")
-		runs     = flag.Int("runs", 5, "repetitions per wall-time cell; the minimum is recorded")
-		label    = flag.String("label", "", "free-text label recorded in the snapshot")
-		smoke    = flag.Bool("smoke", false, "reduced measurement compared warn-only against -baseline; writes no file")
-		baseline = flag.String("baseline", "", "baseline snapshot for -smoke (default: the highest-numbered BENCH_*.json)")
-	)
+	out := flag.String("o", nextBenchPath(), "output path")
+	label := flag.String("label", "", "free-text label recorded in the snapshot")
+	base := flag.String("base", "", "instead of recording, gate the working tree against this git revision")
 	flag.Parse()
-
-	if *smoke {
-		if err := runSmoke(*baseline); err != nil {
-			log.Fatal(err)
-		}
-		return
+	if flag.NArg() > 0 {
+		log.Fatalf("unexpected argument %q", flag.Arg(0))
 	}
-
-	snap := measure(*runs, *label, false)
-	path := *out
-	if path == "" {
-		path = nextBenchPath(".")
+	var err error
+	if *base != "" {
+		err = gate(*base)
+	} else {
+		err = record(*out, *label)
 	}
-	buf, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("wrote %s\n", path)
 }
 
-// measure runs the benchmark suite. In smoke mode the wall cells drop to
-// the single low-load cell and fewer repetitions, so CI stays fast.
-func measure(runs int, label string, smoke bool) Snapshot {
-	var s Snapshot
-	s.Schema = snapshotSchema
-	s.Label = label
-	s.GoVersion = runtime.Version()
-	s.Cores = runtime.NumCPU()
-	s.MaxProcs = runtime.GOMAXPROCS(0)
-	s.Runs = runs
-
-	// Kernel cells are recorded as the fastest of three repetitions —
-	// the same minimum statistic the wall cells use — because on a
-	// shared host a single auto-scaled run swings ±10%, which is wider
-	// than the serial/sharded ratios the snapshot exists to track.
-	// Smoke runs keep one repetition: their thresholds absorb the noise.
-	reps := 3
-	if smoke {
-		reps = 1
+// record runs the recorded benchmarks and writes them as a snapshot.
+func record(path, label string) error {
+	s := Snapshot{
+		Schema: snapshotSchema, Label: label, GoVersion: runtime.Version(),
+		NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
-	r := benchMin(reps, func(b *testing.B) { benchStep(b, 0.3, 3, 1000, 0) })
-	s.Kernel.StepNsPerOp = float64(r.NsPerOp())
-	s.Kernel.StepAllocsPerOp = float64(r.AllocsPerOp())
-	r = benchMin(reps, func(b *testing.B) { benchStep(b, 0.02, 3, 1000, 0) })
-	s.Kernel.StepLowLoadNsPerOp = float64(r.NsPerOp())
-	s.Kernel.StepLowLoadAllocsPerOp = float64(r.AllocsPerOp())
-	// Large-radix cell: 16x16 under sub-saturation uniform load (0.3
-	// would sit past the bisection limit of the bigger mesh, where queues
-	// and allocations grow without bound; see BenchmarkKernelStep16x16).
-	r = benchMin(reps, func(b *testing.B) { benchStep(b, 0.08, 16, 5000, 0) })
-	s.Kernel.Step16x16NsPerOp = float64(r.NsPerOp())
-	s.Kernel.Step16x16AllocsPerOp = float64(r.AllocsPerOp())
-	// The same cell through the sharded tick, eight two-row bands
-	// (see BenchmarkKernelStep16x16Sharded).
-	s.Kernel.Shards = 8
-	r = benchMin(reps, func(b *testing.B) { benchStep(b, 0.08, 16, 5000, s.Kernel.Shards) })
-	s.Kernel.Step16x16ShardedNsPerOp = float64(r.NsPerOp())
-	s.Kernel.Step16x16ShardedAllocsPerOp = float64(r.AllocsPerOp())
-	// The 32x32 and 64x64 pairs are full-run records only: the cells
-	// need long warmups (the meshes take thousands of cycles to fill)
-	// and smoke runs gate on the cheaper 16x16 pair instead.
-	if !smoke {
-		r = benchMin(reps, func(b *testing.B) { benchStep(b, 0.04, 32, 8000, 0) })
-		s.Kernel.Step32x32NsPerOp = float64(r.NsPerOp())
-		s.Kernel.Step32x32AllocsPerOp = float64(r.AllocsPerOp())
-		r = benchMin(reps, func(b *testing.B) { benchStep(b, 0.04, 32, 8000, s.Kernel.Shards) })
-		s.Kernel.Step32x32ShardedNsPerOp = float64(r.NsPerOp())
-		s.Kernel.Step32x32ShardedAllocsPerOp = float64(r.AllocsPerOp())
-		r = benchMin(reps, func(b *testing.B) { benchStep(b, 0.02, 64, 16000, 0) })
-		s.Kernel.Step64x64NsPerOp = float64(r.NsPerOp())
-		s.Kernel.Step64x64AllocsPerOp = float64(r.AllocsPerOp())
-		r = benchMin(reps, func(b *testing.B) { benchStep(b, 0.02, 64, 16000, s.Kernel.Shards) })
-		s.Kernel.Step64x64ShardedNsPerOp = float64(r.NsPerOp())
-		s.Kernel.Step64x64ShardedAllocsPerOp = float64(r.AllocsPerOp())
-	}
-	s.Kernel.SteadyAllocsPerOp = s.Kernel.StepAllocsPerOp
-	for _, a := range []float64{
-		s.Kernel.StepLowLoadAllocsPerOp,
-		s.Kernel.Step16x16AllocsPerOp, s.Kernel.Step16x16ShardedAllocsPerOp,
-		s.Kernel.Step32x32AllocsPerOp, s.Kernel.Step32x32ShardedAllocsPerOp,
-		s.Kernel.Step64x64AllocsPerOp, s.Kernel.Step64x64ShardedAllocsPerOp,
-	} {
-		if a > s.Kernel.SteadyAllocsPerOp {
-			s.Kernel.SteadyAllocsPerOp = a
-		}
-	}
-
-	opt := experiments.Quick()
-	opt.Parallelism = 1 // wall times must not depend on machine width
-	s.Cells.LowLoadCellWallSecs, s.Cells.LowLoadCellTotalAllocBytes = minWall(runs, func() {
-		mustClosedLoop(cmp.LowLoad()[:1], opt)
-	})
-	if !smoke {
-		s.Cells.LowLoadWallSeconds, s.Cells.LowLoadTotalAllocBytes = minWall(runs, func() {
-			mustClosedLoop(cmp.LowLoad(), opt)
-		})
-		s.Cells.SaturationWallSeconds, s.Cells.SaturationTotalAllocBytes = minWall(runs, func() {
-			mustClosedLoop(cmp.HighLoad()[:1], opt)
-		})
-	}
-	return s
-}
-
-// benchMin runs f through testing.Benchmark reps times and returns the
-// repetition with the fastest ns/op — on a shared host the fastest
-// repetition is the one least perturbed by neighbors, the same reason
-// the wall cells record their minimum. Allocs come from that same
-// repetition; steady-state allocs are deterministic, so the choice
-// cannot hide an allocation.
-func benchMin(reps int, f func(b *testing.B)) testing.BenchmarkResult {
-	var best testing.BenchmarkResult
-	for i := 0; i < reps; i++ {
-		r := testing.Benchmark(f)
-		if i == 0 || r.NsPerOp() < best.NsPerOp() {
-			best = r
-		}
-	}
-	return best
-}
-
-// benchStep is the cmd-side mirror of BenchmarkKernelStep /
-// BenchmarkKernelStep16x16 in bench_test.go (test files cannot be
-// imported from a command).
-func benchStep(b *testing.B, rate float64, side, warmup, shards int) {
-	net := network.New(network.Config{
-		Kind: network.AFC, Seed: 1, MeterEnergy: true,
-		System: config.DefaultWithMesh(topology.NewMesh(side, side)),
-		Shards: shards,
-	})
-	defer net.Close()
-	gen := traffic.NewGenerator(net, traffic.Config{
-		Pattern: traffic.Uniform{Mesh: net.Mesh()},
-		Rate:    rate,
-	}, net.RandStream)
-	net.AddTicker(gen)
-	net.Run(uint64(warmup))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Step()
-	}
-}
-
-func mustClosedLoop(benches []cmp.Params, opt experiments.Options) {
-	if _, err := experiments.ClosedLoop(benches, experiments.Fig2Kinds, opt); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// minWall runs f n times and returns the fastest wall time in seconds
-// plus the heap bytes allocated (TotalAlloc delta) during that fastest
-// repetition — the least noisy statistic for each.
-func minWall(n int, f func()) (float64, uint64) {
-	best := time.Duration(0)
-	var bestAlloc uint64
-	var ms runtime.MemStats
-	for i := 0; i < n; i++ {
-		runtime.ReadMemStats(&ms)
-		before := ms.TotalAlloc
-		start := time.Now()
-		f()
-		d := time.Since(start)
-		runtime.ReadMemStats(&ms)
-		if best == 0 || d < best {
-			best = d
-			bestAlloc = ms.TotalAlloc - before
-		}
-	}
-	return best.Seconds(), bestAlloc
-}
-
-// snapshotSchema is the one schema benchjson writes and reads. A
-// snapshot of any other schema is rejected loudly instead of silently
-// zero-filling the metrics this binary does not know about.
-const snapshotSchema = "afcnet-bench/v5"
-
-// parseSnapshot decodes a recorded BENCH_<n>.json.
-func parseSnapshot(buf []byte) (Snapshot, error) {
-	var s Snapshot
-	if err := json.Unmarshal(buf, &s); err != nil {
-		return Snapshot{}, err
-	}
-	if s.Schema != snapshotSchema {
-		return Snapshot{}, fmt.Errorf("unknown schema %q", s.Schema)
-	}
-	return s, nil
-}
-
-var benchName = regexp.MustCompile(`^BENCH_(\d+)\.json$`)
-
-// nextBenchPath returns BENCH_<n>.json for the smallest n above every
-// existing snapshot in dir.
-func nextBenchPath(dir string) string {
-	next := 0
-	for _, p := range benchFiles(dir) {
-		n, _ := strconv.Atoi(benchName.FindStringSubmatch(filepath.Base(p))[1])
-		if n >= next {
-			next = n + 1
-		}
-	}
-	return filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", next))
-}
-
-// benchFiles lists the BENCH_<n>.json snapshots in dir, ordered by n.
-func benchFiles(dir string) []string {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	var out []string
-	for _, e := range ents {
-		if benchName.MatchString(e.Name()) {
-			out = append(out, filepath.Join(dir, e.Name()))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, _ := strconv.Atoi(benchName.FindStringSubmatch(filepath.Base(out[i]))[1])
-		b, _ := strconv.Atoi(benchName.FindStringSubmatch(filepath.Base(out[j]))[1])
-		return a < b
-	})
-	return out
-}
-
-// runSmoke measures the reduced suite and prints a benchstat-style
-// comparison against the baseline snapshot. Wall-clock metrics are
-// warn-only; allocation metrics fail the run (non-zero exit) when they
-// regress, because the steady state is zero-allocation by construction
-// and any growth is a pooling leak, not measurement noise. The
-// moderate-load kernel step ns/op also fails past 1.15x the baseline —
-// it is the repo's headline perf number, and the generous ratio absorbs
-// shared-machine noise. Metrics a baseline lacks (zero) are skipped.
-func runSmoke(baselinePath string) error {
-	if baselinePath == "" {
-		files := benchFiles(".")
-		if len(files) == 0 {
-			fmt.Println("bench-smoke: no BENCH_*.json baseline recorded yet; measuring only")
-		} else {
-			baselinePath = files[len(files)-1]
-		}
-	}
-	cur := measure(2, "", true)
-
-	if baselinePath == "" {
-		fmt.Printf("kernel step: %.0f ns/op (%.0f allocs); low load: %.0f ns/op; low-load cell: %.3fs\n",
-			cur.Kernel.StepNsPerOp, cur.Kernel.StepAllocsPerOp,
-			cur.Kernel.StepLowLoadNsPerOp, cur.Cells.LowLoadCellWallSecs)
-		return nil
-	}
-	buf, err := os.ReadFile(baselinePath)
+	// Each prefix names benchmarks of one package only: KernelStep the
+	// root package's, Tick internal/core's.
+	out, err := run("", "go", "test", "-run", "^$", "-bench", "^Benchmark(KernelStep|Tick)", "-benchmem", ".", "./internal/core")
 	if err != nil {
 		return err
 	}
-	base, err := parseSnapshot(buf)
+	os.Stderr.Write(out)
+	if s.Benchmarks, s.CPU, err = parseBench(out); err != nil {
+		return err
+	}
+	buf, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
-		return fmt.Errorf("%s: %v", baselinePath, err)
+		return err
 	}
-	fmt.Printf("bench-smoke vs %s (wall warn-only; allocs and step ns/op failing)\n", baselinePath)
-	warned, failed := false, false
-	// Wall-clock numbers swing far more than ns/op on shared machines,
-	// so each metric carries its own threshold. A baseline of 0 means
-	// the baseline's measurement predates the metric; skip it rather
-	// than divide by zero — except for allocation
-	// metrics, where 0 is the contract: any current value above the
-	// threshold regresses even against a zero baseline.
-	deltaPct := func(baseV, curV float64) float64 {
-		if baseV == 0 {
-			if curV == 0 {
-				return 0
-			}
-			return 100
-		}
-		return (curV - baseV) / baseV * 100
+	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+		return err
 	}
-	compare := func(name string, baseV, curV, threshold float64) {
-		if baseV == 0 {
-			return
-		}
-		delta := deltaPct(baseV, curV)
-		mark := ""
-		if delta > threshold {
-			mark = "  <-- WARN: exceeds +" + strconv.FormatFloat(threshold, 'f', -1, 64) + "% threshold"
-			warned = true
-		}
-		fmt.Printf("  %-24s %12.1f -> %12.1f  (%+.1f%%)%s\n", name, baseV, curV, delta, mark)
-	}
-	// compareAlloc is the failing variant: exceeding the threshold sets
-	// failed, which becomes a non-zero exit. Comparisons against a
-	// pre-pooling baseline (recorded with allocating flits) would
-	// trivially pass, so the gate also enforces the absolute contract
-	// when measuring the pooled configuration: see the gate below.
-	compareAlloc := func(name string, baseV, curV, threshold float64) {
-		delta := deltaPct(baseV, curV)
-		mark := ""
-		if curV > baseV && delta > threshold {
-			mark = "  <-- FAIL: allocation regression beyond +" + strconv.FormatFloat(threshold, 'f', -1, 64) + "%"
-			failed = true
-		}
-		fmt.Printf("  %-24s %12.1f -> %12.1f  (%+.1f%%)%s\n", name, baseV, curV, delta, mark)
-	}
-	// compareFail promotes a metric from warn to FAIL past its threshold:
-	// the moderate-load step ns/op is the repo's headline number, gated
-	// at 1.15x the recorded baseline.
-	compareFail := func(name string, baseV, curV, threshold float64) {
-		if baseV == 0 {
-			return // the baseline predates the metric
-		}
-		delta := deltaPct(baseV, curV)
-		mark := ""
-		if delta > threshold {
-			mark = "  <-- FAIL: exceeds +" + strconv.FormatFloat(threshold, 'f', -1, 64) + "% threshold"
-			failed = true
-		}
-		fmt.Printf("  %-24s %12.1f -> %12.1f  (%+.1f%%)%s\n", name, baseV, curV, delta, mark)
-	}
-	compareFail("step ns/op", base.Kernel.StepNsPerOp, cur.Kernel.StepNsPerOp, 15)
-	compare("step lowload ns/op", base.Kernel.StepLowLoadNsPerOp, cur.Kernel.StepLowLoadNsPerOp, 25)
-	compare("step 16x16 ns/op", base.Kernel.Step16x16NsPerOp, cur.Kernel.Step16x16NsPerOp, 25)
-	compare("step 16x16 sharded ns/op", base.Kernel.Step16x16ShardedNsPerOp, cur.Kernel.Step16x16ShardedNsPerOp, 25)
-	// The 32x32 and 64x64 pairs only exist in full runs; a smoke run
-	// (curV == 0) has nothing to compare against the baseline's record.
-	if cur.Kernel.Step32x32NsPerOp > 0 {
-		compare("step 32x32 ns/op", base.Kernel.Step32x32NsPerOp, cur.Kernel.Step32x32NsPerOp, 25)
-		compare("step 32x32 sharded ns/op", base.Kernel.Step32x32ShardedNsPerOp, cur.Kernel.Step32x32ShardedNsPerOp, 25)
-	}
-	if cur.Kernel.Step64x64NsPerOp > 0 {
-		compare("step 64x64 ns/op", base.Kernel.Step64x64NsPerOp, cur.Kernel.Step64x64NsPerOp, 25)
-		compare("step 64x64 sharded ns/op", base.Kernel.Step64x64ShardedNsPerOp, cur.Kernel.Step64x64ShardedNsPerOp, 25)
-	}
-	compare("lowload cell wall ms", base.Cells.LowLoadCellWallSecs*1000, cur.Cells.LowLoadCellWallSecs*1000, 50)
-	compareAlloc("step allocs/op", base.Kernel.StepAllocsPerOp, cur.Kernel.StepAllocsPerOp, 0)
-	compareAlloc("steady allocs/op", base.Kernel.SteadyAllocsPerOp, cur.Kernel.SteadyAllocsPerOp, 0)
-	compareAlloc("lowload cell alloc KB", float64(base.Cells.LowLoadCellTotalAllocBytes)/1024,
-		float64(cur.Cells.LowLoadCellTotalAllocBytes)/1024, 10)
-	// Absolute gate: the pooled kernel steady state allocates nothing.
-	// This holds regardless of what the baseline recorded. The sharded
-	// cell is included via SteadyAllocsPerOp: the parallel arena must
-	// not allocate either.
-	if cur.Kernel.SteadyAllocsPerOp > 0 {
-		fmt.Printf("  steady allocs/op is %.1f (want 0)  <-- FAIL\n", cur.Kernel.SteadyAllocsPerOp)
-		failed = true
-	}
-	// Sharded ratio gates. Two claims are enforced, on two different
-	// measurements:
-	//
-	// Live, only when the host is wide enough (NumCPU >= shards): the
-	// 16x16 sharded cell measured this run must show a >= 1.5x speedup
-	// over serial — the two-phase barrier must pay for itself, and the
-	// 1.5x margin is wide enough that shared-machine noise cannot fake
-	// a failure. On narrower hosts the live ratio is printed for
-	// information only: a live single-core overhead gate proved flaky
-	// (a back-to-back auto-scaled pair swings ±10% on a busy host,
-	// wider than the overhead being judged).
-	//
-	// Recorded, from the baseline snapshot: the checked-in pairs must
-	// stay within a per-pair single-core overhead bound, judged with
-	// the core count recorded alongside them — deterministic, since
-	// both numbers are in the file. With inline dispatch the sharded
-	// tick is the serial work in a different order plus a fixed
-	// per-cycle tail (staged boundary commits, journal replay, band
-	// dispatch); the bound is per pair because the tail is fixed while
-	// the useful work scales with the band: at 32x32 it amortizes to
-	// parity within host noise (1.05x), while at 16x16 the
-	// slab-resident serial sweep is fast enough that the same tail is a
-	// real ~7% of the cycle
-	// (1.15x). A snapshot recorded beyond its bound fails every smoke
-	// run until the structural tail is fixed and it is re-recorded.
-	if cur.Kernel.Shards > 0 && cur.Kernel.Step16x16NsPerOp > 0 && cur.Kernel.Step16x16ShardedNsPerOp > 0 {
-		speedup := cur.Kernel.Step16x16NsPerOp / cur.Kernel.Step16x16ShardedNsPerOp
-		if runtime.NumCPU() >= cur.Kernel.Shards {
-			if speedup < 1.5 {
-				fmt.Printf("  sharded 16x16 live speedup %.2fx on %d CPUs (want >= 1.5x)  <-- FAIL\n", speedup, runtime.NumCPU())
-				failed = true
-			} else {
-				fmt.Printf("  sharded 16x16 live speedup %.2fx on %d CPUs (gate: >= 1.5x)\n", speedup, runtime.NumCPU())
-			}
-		} else {
-			fmt.Printf("  sharded 16x16 live ratio %.3fx on %d CPUs (informational; overhead judged on the recorded baseline)\n",
-				cur.Kernel.Step16x16ShardedNsPerOp/cur.Kernel.Step16x16NsPerOp, runtime.NumCPU())
-		}
-	}
-	judgeRecorded := func(label string, serial, sharded float64, shards, cores int, overheadMax float64) {
-		if serial == 0 || sharded == 0 || shards == 0 {
-			return
-		}
-		speedup := serial / sharded
-		overhead := sharded / serial
-		switch {
-		case cores >= shards:
-			if speedup < 1.5 {
-				fmt.Printf("  sharded %s recorded speedup %.2fx on %d CPUs (want >= 1.5x)  <-- FAIL\n", label, speedup, cores)
-				failed = true
-			} else {
-				fmt.Printf("  sharded %s recorded speedup %.2fx on %d CPUs (gate: >= 1.5x)\n", label, speedup, cores)
-			}
-		case cores == 1:
-			if overhead > overheadMax {
-				fmt.Printf("  sharded %s recorded overhead %.3fx on 1 CPU (want <= %.2fx)  <-- FAIL\n", label, overhead, overheadMax)
-				failed = true
-			} else {
-				fmt.Printf("  sharded %s recorded overhead %.3fx on 1 CPU (gate: <= %.2fx)\n", label, overhead, overheadMax)
-			}
-		default:
-			fmt.Printf("  sharded %s recorded speedup %.2fx on %d CPUs (speedup gate needs >= %d CPUs, overhead gate needs 1; recorded only)\n",
-				label, speedup, cores, shards)
-		}
-	}
-	judgeRecorded("16x16", base.Kernel.Step16x16NsPerOp, base.Kernel.Step16x16ShardedNsPerOp, base.Kernel.Shards, base.Cores, 1.15)
-	judgeRecorded("32x32", base.Kernel.Step32x32NsPerOp, base.Kernel.Step32x32ShardedNsPerOp, base.Kernel.Shards, base.Cores, 1.05)
-	if failed {
-		return fmt.Errorf("bench-smoke regression (see above)")
-	}
-	if warned {
-		fmt.Println("bench-smoke: wall-clock regression warnings above (warn-only; not failing the build)")
-	} else {
-		fmt.Println("bench-smoke: within thresholds")
-	}
+	fmt.Printf("wrote %s\n", path)
 	return nil
+}
+
+// run runs a command in dir and returns its output, also with any error.
+func run(dir string, args ...string) ([]byte, error) {
+	cmd := exec.Command(args[0], args[1:]...)
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		return nil, fmt.Errorf("%s: %v\n%s", strings.Join(args, " "), err, out)
+	}
+	return out, nil
+}
+
+var procSuffix = regexp.MustCompile(`-\d+$`)
+
+// parseBench reads `go test -bench` output: each benchmark line's
+// value/unit pairs keyed by name without the -N suffix, and the cpu:
+// line. Other lines (goos:, pkg:, PASS, ok) are skipped.
+func parseBench(out []byte) (results, string, error) {
+	res, cpu := results{}, ""
+	for _, line := range strings.Split(string(out), "\n") {
+		if c, ok := strings.CutPrefix(line, "cpu: "); ok {
+			cpu = strings.TrimSpace(c)
+			continue
+		}
+		f := strings.Fields(line)
+		if len(f) == 0 || !strings.HasPrefix(f[0], "Benchmark") {
+			continue
+		}
+		bad := fmt.Errorf("malformed benchmark line %q", line)
+		if len(f) < 4 || len(f)%2 != 0 || strings.Trim(f[1], "0123456789") != "" {
+			return nil, "", bad
+		}
+		m := map[string]float64{}
+		for i := 2; i < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				return nil, "", bad
+			}
+			m[f[i+1]] = v
+		}
+		res[procSuffix.ReplaceAllString(f[0], "")] = m
+	}
+	if len(res) == 0 {
+		return nil, "", errors.New("no benchmark results")
+	}
+	return res, cpu, nil
+}
+
+// nextBenchPath returns the first BENCH_<n>.json that stat fails on; an
+// error other than "does not exist" then surfaces when the write fails.
+func nextBenchPath() string {
+	for n := 0; ; n++ {
+		p := fmt.Sprintf("BENCH_%d.json", n)
+		if _, err := os.Stat(p); err != nil {
+			return p
+		}
+	}
+}
+
+// gate runs the paired gate of the package comment against rev.
+func gate(rev string) error {
+	tmp, err := os.MkdirTemp("", "benchjson-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(tmp)
+	tar, dirs := filepath.Join(tmp, "base.tar"), [2]string{filepath.Join(tmp, "base"), "."}
+	bins := [2]string{filepath.Join(tmp, "base.test"), filepath.Join(tmp, "tree.test")}
+	// -trimpath lets the two builds share the build cache.
+	for _, c := range [][]string{
+		{"", "git", "archive", "--prefix=base/", "-o", tar, rev},
+		{"", "tar", "-xf", tar, "-C", tmp},
+		{dirs[0], "go", "test", "-c", "-trimpath", "-o", bins[0], "."},
+		{dirs[1], "go", "test", "-c", "-trimpath", "-o", bins[1], "."},
+	} {
+		if _, err := run(c[0], c[1:]...); err != nil {
+			return err
+		}
+	}
+	// bench runs names in one side's binary from its package directory.
+	bench := func(side int, benchtime string, cpu int, names ...string) (results, error) {
+		out, err := run(dirs[side], bins[side], "-test.run", "^$", "-test.bench", "^("+strings.Join(names, "|")+")$",
+			"-test.benchmem", "-test.benchtime", benchtime, "-test.cpu", strconv.Itoa(cpu), "-test.timeout", "10m")
+		if err != nil {
+			return nil, err
+		}
+		res, _, err := parseBench(out)
+		for _, n := range names {
+			if err == nil && res[n] == nil {
+				err = fmt.Errorf("%s printed no result", n)
+			}
+		}
+		return res, err
+	}
+	failed := false
+	report := func(bad bool, why, format string, args ...any) {
+		m := "ok"
+		if bad {
+			failed, m = true, "FAIL: "+why
+		}
+		fmt.Printf(format+"  %s\n", append(args, m)...)
+	}
+
+	procs := runtime.GOMAXPROCS(0)
+	fmt.Printf("benchjson: the working tree against %s, %d alternating rounds at GOMAXPROCS=%d\n", rev, rounds, procs)
+	runs := make([]cellRuns, len(gated))
+	for r := 0; r < rounds; r++ {
+		for c, g := range gated {
+			for k := 0; k < 2; k++ { // back to back, to see the same host
+				side := (r + k) % 2 // the base runs first in even rounds
+				res, err := bench(side, g.benchtime, procs, g.name)
+				if err != nil {
+					return err
+				}
+				runs[c].ns[side] = append(runs[c].ns[side], res[g.name]["ns/op"])
+				runs[c].allocs[side] = append(runs[c].allocs[side], res[g.name]["allocs/op"])
+			}
+		}
+	}
+	for c, g := range gated {
+		rc := runs[c]
+		wins, v := rc.verdict()
+		report(v != "", v, "%-24s ns/op median [Q1, Q3]: base %s, tree %s, tree faster in %d/%d; allocs/op %g -> %g",
+			g.name, spread(rc.ns[0]), spread(rc.ns[1]), wins, rounds, quantile(rc.allocs[0], 0.5), quantile(rc.allocs[1], 0.5))
+	}
+
+	const fig2a = "BenchmarkFig2aLowLoadPerformance"
+	var heap [2]map[string]float64
+	for side := range bins {
+		res, err := bench(side, "1x", 1, fig2a)
+		if err != nil {
+			return err
+		}
+		heap[side] = res[fig2a]
+	}
+	b, t := heap[0], heap[1]
+	report(t["B/op"] > heapSlack*b["B/op"], fmt.Sprintf("B/op above %gx the base", heapSlack),
+		"%s at 1 CPU: %.0f -> %.0f B/op (%+.1f%%), %.0f -> %.0f allocs/op",
+		fig2a, b["B/op"], t["B/op"], 100*(t["B/op"]/b["B/op"]-1), b["allocs/op"], t["allocs/op"])
+
+	if procs < 2 {
+		fmt.Printf("BenchmarkKernelStep32x32Sharded check skipped: GOMAXPROCS=%d, needs 2\n", procs)
+	} else {
+		res, err := bench(1, "200x", procs, "BenchmarkKernelStep32x32", "BenchmarkKernelStep32x32Sharded")
+		if err != nil {
+			return err
+		}
+		serial, sharded := res["BenchmarkKernelStep32x32"]["ns/op"], res["BenchmarkKernelStep32x32Sharded"]["ns/op"]
+		report(sharded >= serial, "the sharded tick is not faster than serial",
+			"BenchmarkKernelStep32x32Sharded / BenchmarkKernelStep32x32 (tree): %.0f / %.0f ns/op = %.2f", sharded, serial, sharded/serial)
+	}
+	if failed {
+		return errors.New("regression (see above)")
+	}
+	fmt.Println("benchjson: pass")
+	return nil
+}
+
+// cellRuns is one gated cell's per-round results, [0] the base's, [1] the tree's.
+type cellRuns struct{ ns, allocs [2][]float64 }
+
+// verdict counts the rounds the tree won (a tie is neither a win nor a
+// loss), and says why it regressed on the cell, or "" if it did not.
+func (c cellRuns) verdict() (wins int, why string) {
+	losses := 0
+	for r := range c.ns[0] {
+		if c.ns[1][r] < c.ns[0][r] {
+			wins++
+		} else if c.ns[1][r] > c.ns[0][r] {
+			losses++
+		}
+	}
+	switch {
+	case losses >= minLosses && quantile(c.ns[1], 0.5) > quantile(c.ns[0], 0.75):
+		why = fmt.Sprintf("slower in %d of %d rounds, median above the base's upper quartile", losses, len(c.ns[0]))
+	case quantile(c.allocs[1], 0.5) > quantile(c.allocs[0], 0.5):
+		why = "allocs/op rose"
+	}
+	return wins, why
+}
+
+// spread formats a sample's median and quartiles.
+func spread(xs []float64) string {
+	return fmt.Sprintf("%.0f [%.0f, %.0f]", quantile(xs, 0.5), quantile(xs, 0.25), quantile(xs, 0.75))
+}
+
+// quantile returns the q-quantile of xs, interpolating linearly between
+// the two nearest ranks.
+func quantile(xs []float64, q float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	pos := q * float64(len(s)-1)
+	i := int(pos)
+	if i+1 >= len(s) {
+		return s[len(s)-1]
+	}
+	return s[i] + (pos-float64(i))*(s[i+1]-s[i])
 }

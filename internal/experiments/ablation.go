@@ -38,11 +38,11 @@ func AblationLazyVCA(opt Options) ([]LazyVCARow, error) {
 	outs, err := runner.Map(len(benches)*ns, opt.pool(), func(i int) (lazyOut, error) {
 		p := benches[i/ns]
 		seed := opt.Seeds[i%ns]
-		base, baseNet, err := runCell(p, network.Backpressured, seed, opt)
+		base, baseNet, err := runCell(p, metered(network.Backpressured, seed), opt)
 		if err != nil {
 			return lazyOut{}, err
 		}
-		ab, abNet, err := runCell(p, network.AFCAlwaysBuffered, seed, opt)
+		ab, abNet, err := runCell(p, metered(network.AFCAlwaysBuffered, seed), opt)
 		if err != nil {
 			return lazyOut{}, err
 		}
@@ -107,65 +107,53 @@ type ThresholdRow struct {
 func AblationThresholds(scales []float64, opt Options) ([]ThresholdRow, error) {
 	low, _ := cmp.ByName("water")
 	high, _ := cmp.ByName("apache")
-	// One scaled system per scale, shared read-only by that scale's cells.
-	systems := make([]config.System, len(scales))
-	for i, sc := range scales {
-		sys := config.Default()
+	// Each cell runs one workload on one network; for every seed, water
+	// then apache. The backpressured baselines come first and once: they
+	// do not depend on the scale. Then AFC at each scale's thresholds,
+	// one scaled system per scale shared read-only by its cells.
+	type cell struct {
+		p   cmp.Params
+		cfg network.Config
+	}
+	var cells []cell
+	addPairs := func(cfg network.Config) {
+		for _, seed := range opt.Seeds {
+			cfg.Seed = seed
+			cells = append(cells, cell{low, cfg}, cell{high, cfg})
+		}
+	}
+	addPairs(metered(network.Backpressured, 0))
+	for _, sc := range scales {
+		cfg := metered(network.AFC, 0)
+		cfg.System = config.Default()
 		th := map[topology.Position]config.Thresholds{}
-		for pos, t := range sys.AFC.ThresholdsByPosition {
+		for pos, t := range cfg.System.AFC.ThresholdsByPosition {
 			th[pos] = config.Thresholds{High: t.High * sc, Low: t.Low * sc}
 		}
-		sys.AFC.ThresholdsByPosition = th
-		systems[i] = sys
+		cfg.System.AFC.ThresholdsByPosition = th
+		addPairs(cfg)
 	}
-	type thOut struct{ le, bl, hp, bh float64 }
-	ns := len(opt.Seeds)
-	outs, err := runner.Map(len(scales)*ns, opt.pool(), func(i int) (thOut, error) {
-		sc := scales[i/ns]
-		sys := systems[i/ns]
-		seed := opt.Seeds[i%ns]
-		var o thOut
-
-		// low load
-		_, baseNet, err := runCell(low, network.Backpressured, seed, opt)
+	type thOut struct{ tx, energy, buffered float64 }
+	outs, err := runner.Map(len(cells), opt.pool(), func(i int) (thOut, error) {
+		res, net, err := runCell(cells[i].p, cells[i].cfg, opt)
 		if err != nil {
-			return o, err
+			return thOut{}, err
 		}
-		net := opt.newNetwork(network.Config{System: sys, Kind: network.AFC, Seed: seed, MeterEnergy: true})
-		s := cmp.NewSystem(net, low, net.RandStream)
-		if _, ok := s.Measure(opt.WarmupTx, opt.MeasureTx, opt.CycleLimit); !ok {
-			return o, fmt.Errorf("threshold ablation: %s timed out at scale %g", low.Name, sc)
-		}
-		o.le = net.TotalEnergy().Total() / baseNet.TotalEnergy().Total()
-		o.bl = net.ModeStats().BufferedFraction()
-
-		// high load
-		baseRes2, _, err := runCell(high, network.Backpressured, seed, opt)
-		if err != nil {
-			return o, err
-		}
-		net2 := opt.newNetwork(network.Config{System: sys, Kind: network.AFC, Seed: seed, MeterEnergy: true})
-		s2 := cmp.NewSystem(net2, high, net2.RandStream)
-		res2, ok := s2.Measure(opt.WarmupTx, opt.MeasureTx, opt.CycleLimit)
-		if !ok {
-			return o, fmt.Errorf("threshold ablation: %s timed out at scale %g", high.Name, sc)
-		}
-		o.hp = res2.TransactionsPerCycle / baseRes2.TransactionsPerCycle
-		o.bh = net2.ModeStats().BufferedFraction()
-		return o, nil
+		return thOut{res.TransactionsPerCycle, net.TotalEnergy().Total(), net.ModeStats().BufferedFraction()}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	ns := len(opt.Seeds)
 	var out []ThresholdRow
 	for sci, sc := range scales {
 		var le, hp, bl, bh stats.Running
 		for si := 0; si < ns; si++ {
-			o := outs[sci*ns+si]
-			le.Add(o.le)
-			bl.Add(o.bl)
-			hp.Add(o.hp)
-			bh.Add(o.bh)
+			base, afc := outs[2*si:], outs[2*ns*(sci+1)+2*si:]
+			le.Add(afc[0].energy / base[0].energy)
+			bl.Add(afc[0].buffered)
+			hp.Add(afc[1].tx / base[1].tx)
+			bh.Add(afc[1].buffered)
 		}
 		out = append(out, ThresholdRow{
 			Scale:            sc,
@@ -209,17 +197,13 @@ func AblationEjectWidth(widths []int, opt Options) ([]EjectRow, error) {
 		seed := opt.Seeds[i%ns]
 		sys := config.Default()
 		sys.EjectWidth = w
-		baseNet := opt.newNetwork(network.Config{System: sys, Kind: network.Backpressured, Seed: seed, MeterEnergy: false})
-		bs := cmp.NewSystem(baseNet, high, baseNet.RandStream)
-		baseRes, ok := bs.Measure(opt.WarmupTx, opt.MeasureTx, opt.CycleLimit)
-		if !ok {
-			return 0, fmt.Errorf("eject ablation: baseline timed out at width %d", w)
+		baseRes, _, err := runCell(high, network.Config{System: sys, Kind: network.Backpressured, Seed: seed}, opt)
+		if err != nil {
+			return 0, err
 		}
-		net := opt.newNetwork(network.Config{System: sys, Kind: network.Bless, Seed: seed, MeterEnergy: false})
-		s := cmp.NewSystem(net, high, net.RandStream)
-		res, ok := s.Measure(opt.WarmupTx, opt.MeasureTx, opt.CycleLimit)
-		if !ok {
-			return 0, fmt.Errorf("eject ablation: bless timed out at width %d", w)
+		res, _, err := runCell(high, network.Config{System: sys, Kind: network.Bless, Seed: seed}, opt)
+		if err != nil {
+			return 0, err
 		}
 		return res.TransactionsPerCycle / baseRes.TransactionsPerCycle, nil
 	})
@@ -284,11 +268,9 @@ func AblationBaselineSizing(opt Options) ([]BaselineConfigRow, error) {
 		sys := config.Default()
 		sys.Baseline.VCsPerVN = v.vcs
 		sys.Baseline.BufDepth = v.depth
-		net := opt.newNetwork(network.Config{System: sys, Kind: network.Backpressured, Seed: seed, MeterEnergy: true})
-		s := cmp.NewSystem(net, high, net.RandStream)
-		res, ok := s.Measure(opt.WarmupTx, opt.MeasureTx, opt.CycleLimit)
-		if !ok {
-			return sizeOut{}, fmt.Errorf("baseline sizing: %s timed out", v.label)
+		res, net, err := runCell(high, network.Config{System: sys, Kind: network.Backpressured, Seed: seed, MeterEnergy: true}, opt)
+		if err != nil {
+			return sizeOut{}, err
 		}
 		return sizeOut{perf: res.TransactionsPerCycle, energy: net.TotalEnergy().Total()}, nil
 	})
@@ -355,19 +337,17 @@ func AblationPipeline(opt Options) ([]PipelineRow, error) {
 		name := names[i/ns]
 		seed := opt.Seeds[i%ns]
 		p, _ := cmp.ByName(name)
-		ideal, _, err := runCell(p, network.Backpressured, seed, opt)
+		ideal, _, err := runCell(p, metered(network.Backpressured, seed), opt)
 		if err != nil {
 			return pipeOut{}, err
 		}
 		sys := config.Default()
 		sys.Baseline.RealisticVCA = true
-		net := opt.newNetwork(network.Config{System: sys, Kind: network.Backpressured, Seed: seed, MeterEnergy: false})
-		s := cmp.NewSystem(net, p, net.RandStream)
-		realistic, ok := s.Measure(opt.WarmupTx, opt.MeasureTx, opt.CycleLimit)
-		if !ok {
-			return pipeOut{}, fmt.Errorf("pipeline ablation: %s timed out", name)
+		realistic, _, err := runCell(p, network.Config{System: sys, Kind: network.Backpressured, Seed: seed}, opt)
+		if err != nil {
+			return pipeOut{}, err
 		}
-		afc, _, err := runCell(p, network.AFC, seed, opt)
+		afc, _, err := runCell(p, metered(network.AFC, seed), opt)
 		if err != nil {
 			return pipeOut{}, err
 		}

@@ -151,10 +151,16 @@ func (w *workerState) acquire(cfg network.Config) *workerEnt {
 	return e
 }
 
-// runCell runs one (bench, kind, seed) closed-loop measurement on this
-// worker, reusing its network and CMP substrate when possible.
-func (w *workerState) runCell(p cmp.Params, kind network.Kind, seed int64) (cmp.RunResult, *network.Network, error) {
-	e := w.acquire(network.Config{Kind: kind, Seed: seed, MeterEnergy: true})
+// metered is the configuration of a standard closed-loop cell: kind at
+// seed on the options' machine, with energy metered.
+func metered(kind network.Kind, seed int64) network.Config {
+	return network.Config{Kind: kind, Seed: seed, MeterEnergy: true}
+}
+
+// runCell runs one closed-loop measurement of p on a network for cfg on
+// this worker, reusing its network and CMP substrate when possible.
+func (w *workerState) runCell(p cmp.Params, cfg network.Config) (cmp.RunResult, *network.Network, error) {
+	e := w.acquire(cfg)
 	if e.sys == nil {
 		e.sys = cmp.NewSystem(e.net, p, e.net.RandStream)
 	} else {
@@ -163,7 +169,7 @@ func (w *workerState) runCell(p cmp.Params, kind network.Kind, seed int64) (cmp.
 	res, ok := e.sys.Measure(w.opt.WarmupTx, w.opt.MeasureTx, w.opt.CycleLimit)
 	if !ok {
 		return res, e.net, fmt.Errorf("experiments: %s on %s exceeded %d cycles",
-			p.Name, kind, w.opt.CycleLimit)
+			p.Name, cfg.Kind, w.opt.CycleLimit)
 	}
 	return res, e.net, nil
 }
@@ -240,10 +246,10 @@ type Measurement struct {
 	EscapeEvents     float64
 }
 
-// runCell runs one (bench, kind, seed) closed-loop measurement on a
-// fresh network (the no-reuse path the ablations use).
-func runCell(p cmp.Params, kind network.Kind, seed int64, opt Options) (cmp.RunResult, *network.Network, error) {
-	return opt.oneShot().runCell(p, kind, seed)
+// runCell runs one closed-loop measurement of p on a fresh network for
+// cfg (the no-reuse path the ablations use).
+func runCell(p cmp.Params, cfg network.Config, opt Options) (cmp.RunResult, *network.Network, error) {
+	return opt.oneShot().runCell(p, cfg)
 }
 
 // closedOut is the state a closed-loop cell hands back to the merge step:
@@ -256,7 +262,7 @@ type closedOut struct {
 }
 
 func (w *workerState) runClosedCell(p cmp.Params, kind network.Kind, seed int64) (closedOut, error) {
-	res, net, err := w.runCell(p, kind, seed)
+	res, net, err := w.runCell(p, metered(kind, seed))
 	if err != nil {
 		return closedOut{}, err
 	}
@@ -445,7 +451,7 @@ func Table3(opt Options) ([]Table3Row, error) {
 	ro := opt.pool()
 	ws := opt.workerStates(ro.Workers(len(benches) * ns))
 	rates, err := runner.MapWorkers(len(benches)*ns, ro, func(worker, i int) (float64, error) {
-		res, _, err := ws[worker].runCell(benches[i/ns], network.Backpressured, opt.Seeds[i%ns])
+		res, _, err := ws[worker].runCell(benches[i/ns], metered(network.Backpressured, opt.Seeds[i%ns]))
 		if err != nil {
 			return 0, err
 		}

@@ -181,9 +181,6 @@ func (p *Pipe[T]) SetStaged(b *StagedBucket) {
 	p.bucket = b
 }
 
-// Staged reports whether the pipe is in staged-send mode.
-func (p *Pipe[T]) Staged() bool { return p.staged }
-
 // CommitStaged applies the send parked in the given parity slot, if
 // any. Called by the receiving shard's worker at the head of its
 // parallel pass — owner-side commit: the committer is the only shard
