@@ -70,6 +70,14 @@ type Checker struct {
 	scratchC []link.Credit
 	vcFlits  []int
 	vcCreds  []int
+
+	// The conservation scan's per-scan state, and its flit visitor bound
+	// once in New: a closure over locals would escape through flitHolder
+	// and allocate on every scan.
+	scanNow        uint64
+	scanAgeChecked bool
+	scanInNet      int
+	countFlit      func(*flit.Flit)
 }
 
 // edgeState is the checker's view of one directed link bundle, including
@@ -115,6 +123,7 @@ func New(net *network.Network, cfg Config) *Checker {
 		cfg.Interval = 1
 	}
 	c := &Checker{net: net, cfg: cfg, kind: net.Config().Kind}
+	c.countFlit = c.visitFlit
 	sys := net.Config().System
 	c.afcCap = sys.AFC.VCsPerVN
 	c.vcDepth = sys.Baseline.BufDepth
@@ -222,39 +231,44 @@ type flitHolder interface {
 // age of every in-network flit (the livelock oracle).
 func (c *Checker) checkConservationAndAges(now uint64) {
 	var injected, ejected uint64
-	inNet := 0
+	c.scanNow = now
+	c.scanInNet = 0
 	// With dead links or routers in play, flits stranded behind them are
 	// expected to age without bound — the age oracle would misreport the
 	// intended fault as livelock. Conservation still holds (stranded
 	// flits stay enumerable), so only the age check is suspended.
-	ageChecked := !c.net.FaultsActive()
-	countFlit := func(f *flit.Flit) {
-		inNet++
-		if age := now - f.InjectedAt; ageChecked && age > c.cfg.MaxFlitAge {
-			c.fail(now, "age bound: flit pkt=%#x seq=%d src=%d dst=%d injected at %d is %d cycles old (bound %d) — livelock or leak",
-				f.PacketID, f.Seq, f.Src, f.Dst, f.InjectedAt, age, c.cfg.MaxFlitAge)
-		}
-		if err := flit.CheckHandle(f); err != nil {
-			c.fail(now, "arena lifecycle: %v", err)
-		}
-	}
+	c.scanAgeChecked = !c.net.FaultsActive()
 	for node := 0; node < c.net.Nodes(); node++ {
 		nif := c.net.NI(topology.NodeID(node))
 		injected += nif.TotalInjectedFlits()
 		ejected += nif.TotalEjectedFlits()
-		c.net.Router(topology.NodeID(node)).(flitHolder).ForEachFlit(countFlit)
+		c.net.Router(topology.NodeID(node)).(flitHolder).ForEachFlit(c.countFlit)
 	}
 	for ei := range c.edges {
 		e := &c.edges[ei]
 		c.scratchF = c.net.Wires(e.from).Ports[e.dir].Out.AppendInFlight(c.scratchF[:0])
 		for _, f := range c.scratchF {
-			countFlit(f)
+			c.visitFlit(f)
 		}
 	}
 	dropped := c.net.TotalDropped()
-	if injected != ejected+uint64(inNet)+dropped {
+	if injected != ejected+uint64(c.scanInNet)+dropped {
 		c.fail(now, "flit conservation: injected %d != ejected %d + in-network %d + dropped %d",
-			injected, ejected, inNet, dropped)
+			injected, ejected, c.scanInNet, dropped)
+	}
+}
+
+// visitFlit counts one in-network flit for the conservation scan and
+// checks its age and arena handle.
+func (c *Checker) visitFlit(f *flit.Flit) {
+	c.scanInNet++
+	now := c.scanNow
+	if age := now - f.InjectedAt; c.scanAgeChecked && age > c.cfg.MaxFlitAge {
+		c.fail(now, "age bound: flit pkt=%#x seq=%d src=%d dst=%d injected at %d is %d cycles old (bound %d) — livelock or leak",
+			f.PacketID, f.Seq, f.Src, f.Dst, f.InjectedAt, age, c.cfg.MaxFlitAge)
+	}
+	if err := flit.CheckHandle(f); err != nil {
+		c.fail(now, "arena lifecycle: %v", err)
 	}
 }
 

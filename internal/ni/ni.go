@@ -1,7 +1,7 @@
-// Package ni implements the network interface at each node: packetization
-// of messages into flits, per-virtual-network injection queues, and
-// MSHR-style reassembly of (possibly out-of-order) flits back into
-// packets.
+// Package ni implements the network interface at each node: per-virtual-
+// network injection queues, packetization of messages into flits as they
+// reach the head of their queue, and MSHR-style reassembly of (possibly
+// out-of-order) flits back into packets.
 //
 // Reassembly is receive-side buffering: per the paper it is provisioned by
 // MSHRs, is required for backpressured and backpressureless networks
@@ -11,6 +11,7 @@ package ni
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"afcnet/internal/flit"
@@ -71,6 +72,56 @@ func (p *pending) mark(seq int) bool {
 	return true
 }
 
+// queuedPacket is a packet waiting in a source queue. It stays this
+// compact description until Peek reaches it, so a backlog past
+// saturation holds no flits; the source node and the virtual network are
+// those of the NI and the queue that hold it.
+type queuedPacket struct {
+	id        uint64
+	createdAt uint64
+	payload   uint64
+	dst       topology.NodeID
+	length    int32
+	epoch     int32 // transmission epoch, stamped as each flit's Retransmits
+}
+
+// packetRing is one virtual network's FIFO of queued packets. Its
+// power-of-two buffer doubles when full and keeps its storage across
+// Reset.
+type packetRing struct {
+	buf  []queuedPacket
+	head int // index of the oldest packet
+	n    int // packets queued
+}
+
+func (r *packetRing) push(p queuedPacket) {
+	if r.n == len(r.buf) {
+		buf := make([]queuedPacket, max(2*len(r.buf), 2))
+		k := copy(buf, r.buf[r.head:])
+		copy(buf[k:], r.buf[:r.head])
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
+	r.n++
+}
+
+func (r *packetRing) pop() queuedPacket {
+	p := r.buf[r.head]
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return p
+}
+
+// retention is the source-side state of a packet retained for
+// retransmission (drop-based variant): its description with the current
+// epoch, its virtual network, and whether that epoch's copy still has
+// flits awaiting injection.
+type retention struct {
+	pkt      queuedPacket
+	vn       flit.VN
+	awaiting bool
+}
+
 // NI is the network interface of one node. It implements
 // router.LocalSource and router.LocalSink.
 //
@@ -82,14 +133,18 @@ type NI struct {
 	node topology.NodeID
 
 	queuedFlits int // total across all VN queues, maintained O(1)
-	queues      [flit.NumVNs][]*flit.Flit
+	// head holds each VN's packetized front packet: the flits Pop has not
+	// taken yet. backlog holds the packets behind it, not yet packetized.
+	head    [flit.NumVNs][]*flit.Flit
+	backlog [flit.NumVNs]packetRing
 
 	// arena supplies recycled flit blocks for packetization.
 	arena *flit.Arena
 	// ashard, on sharded networks, is the allocation magazine of the
 	// shard this NI's node belongs to; packetize and recycle go through
 	// it (lock-free shard-local fast path) instead of the serial arena
-	// entry points. Nil on serial networks.
+	// entry points. Nil on serial networks. Packetization runs in Peek,
+	// so on sharded networks it runs on the router's own shard.
 	ashard *flit.ArenaShard
 
 	nextPkt uint64
@@ -119,10 +174,8 @@ type NI struct {
 	// the set of already-delivered packet IDs (so stray duplicate flits
 	// from retransmitted copies are discarded instead of re-delivered)
 	retain    bool
-	retained  map[uint64]flit.Packet
+	retained  map[uint64]retention
 	completed map[uint64]struct{}
-	epoch     map[uint64]int // current transmission epoch per retained packet
-	queued    map[uint64]int // flits of the packet still awaiting injection
 
 	// Stats
 	injectedFlits    uint64
@@ -168,10 +221,8 @@ func (s *Slab) New(node topology.NodeID) *NI {
 	s.next++
 	n.node = node
 	n.reassembly = make(map[uint64]pending)
-	n.retained = make(map[uint64]flit.Packet)
+	n.retained = make(map[uint64]retention)
 	n.completed = make(map[uint64]struct{})
-	n.epoch = make(map[uint64]int)
-	n.queued = make(map[uint64]int)
 	return n
 }
 
@@ -195,13 +246,31 @@ func (n *NI) SetArena(a *flit.Arena) { n.arena = a }
 // when building a sharded tick; nil keeps the serial arena paths.
 func (n *NI) SetArenaShard(s *flit.ArenaShard) { n.ashard = s }
 
-// packetize expands p through the shard magazine when one is attached,
-// through the serial arena otherwise.
-func (n *NI) packetize(p flit.Packet) []*flit.Flit {
-	if n.ashard != nil {
-		return n.ashard.Packetize(p)
+// packetize expands queued packet q of virtual network vn into flits,
+// through the shard magazine when one is attached, through the serial
+// arena otherwise, and stamps each flit with q's transmission epoch.
+func (n *NI) packetize(vn flit.VN, q queuedPacket) []*flit.Flit {
+	p := flit.Packet{
+		ID:        q.id,
+		Src:       n.node,
+		Dst:       q.dst,
+		VN:        vn,
+		Len:       int(q.length),
+		CreatedAt: q.createdAt,
+		Payload:   q.payload,
 	}
-	return n.arena.Packetize(p)
+	var fs []*flit.Flit
+	if n.ashard != nil {
+		fs = n.ashard.Packetize(p)
+	} else {
+		fs = n.arena.Packetize(p)
+	}
+	if q.epoch != 0 {
+		for _, f := range fs {
+			f.Retransmits = int(q.epoch)
+		}
+	}
+	return fs
 }
 
 // SetHandler registers the delivered-packet callback.
@@ -243,35 +312,41 @@ func (n *NI) InvokeCreateHook(p flit.Packet) {
 // source NI when the destination ACKs delivery).
 func (n *NI) ClearRetained(packetID uint64) {
 	delete(n.retained, packetID)
-	delete(n.epoch, packetID)
-	delete(n.queued, packetID)
 }
 
 // SetRetain controls whether packets are retained until delivery for
 // retransmission (used by the drop-based backpressureless variant).
 func (n *NI) SetRetain(retain bool) { n.retain = retain }
 
-// SendPacket packetizes and enqueues a packet for injection, returning its
-// ID. length is the flit count; vn selects the virtual network.
+// SendPacket enqueues a packet for injection, returning its ID. length is
+// the flit count; vn selects the virtual network. The packet is
+// packetized when Peek reaches it.
 func (n *NI) SendPacket(now uint64, dst topology.NodeID, vn flit.VN, length int, payload uint64) uint64 {
-	if length < 1 {
-		panic(fmt.Sprintf("ni: packet length must be >= 1, got %d", length))
+	if length < 1 || length > math.MaxInt32 {
+		panic(fmt.Sprintf("ni: packet length must be in [1, %d], got %d", math.MaxInt32, length))
 	}
 	if dst == n.node {
 		panic("ni: self-addressed packet")
 	}
 	n.nextPkt++
-	p := flit.Packet{
-		ID:        uint64(n.node)<<40 | n.nextPkt,
-		Src:       n.node,
-		Dst:       dst,
-		VN:        vn,
-		Len:       length,
-		CreatedAt: now,
-		Payload:   payload,
+	q := queuedPacket{
+		id:        uint64(n.node)<<40 | n.nextPkt,
+		createdAt: now,
+		payload:   payload,
+		dst:       dst,
+		length:    int32(length),
 	}
 	n.createdPackets++
 	if n.createHook != nil {
+		p := flit.Packet{
+			ID:        q.id,
+			Src:       n.node,
+			Dst:       dst,
+			VN:        vn,
+			Len:       length,
+			CreatedAt: now,
+			Payload:   payload,
+		}
 		if n.createDeferOn != nil && *n.createDeferOn {
 			n.createDefer(p)
 		} else {
@@ -279,18 +354,15 @@ func (n *NI) SendPacket(now uint64, dst topology.NodeID, vn flit.VN, length int,
 		}
 	}
 	if n.retain {
-		n.retained[p.ID] = p
-		n.epoch[p.ID] = 0
-		n.queued[p.ID] = p.Len
+		n.retained[q.id] = retention{pkt: q, vn: vn, awaiting: true}
 	}
-	n.enqueue(p)
-	return p.ID
+	n.enqueue(vn, q)
+	return q.id
 }
 
-func (n *NI) enqueue(p flit.Packet) {
-	fs := n.packetize(p)
-	n.queues[p.VN] = append(n.queues[p.VN], fs...)
-	n.queuedFlits += len(fs)
+func (n *NI) enqueue(vn flit.VN, q queuedPacket) {
+	n.backlog[vn].push(q)
+	n.queuedFlits += int(q.length)
 }
 
 // RetransmitStatus reports the outcome of a Retransmit call.
@@ -315,22 +387,17 @@ const (
 // Retransmitted flits keep the original creation time, so total latency
 // reflects the drop penalty.
 func (n *NI) Retransmit(now uint64, packetID uint64) RetransmitStatus {
-	p, ok := n.retained[packetID]
+	r, ok := n.retained[packetID]
 	if !ok {
 		return RetransmitDone
 	}
-	if n.queued[packetID] > 0 {
+	if r.awaiting {
 		return RetransmitDeferred
 	}
-	n.epoch[packetID]++
-	e := n.epoch[packetID]
-	fs := n.packetize(p)
-	for _, f := range fs {
-		f.Retransmits = e
-	}
-	n.queued[packetID] = p.Len
-	n.queues[p.VN] = append(n.queues[p.VN], fs...)
-	n.queuedFlits += len(fs)
+	r.pkt.epoch++
+	r.awaiting = true
+	n.retained[packetID] = r
+	n.enqueue(r.vn, r.pkt)
 	return Retransmitted
 }
 
@@ -338,36 +405,48 @@ func (n *NI) Retransmit(now uint64, packetID uint64) RetransmitStatus {
 // -1 once it has been delivered. NACKs carrying an older epoch are stale
 // (they refer to flits of a superseded copy) and must be ignored.
 func (n *NI) Epoch(packetID uint64) int {
-	if _, ok := n.retained[packetID]; !ok {
+	r, ok := n.retained[packetID]
+	if !ok {
 		return -1
 	}
-	return n.epoch[packetID]
+	return int(r.pkt.epoch)
 }
 
-// Peek implements router.LocalSource.
+// Peek implements router.LocalSource. The first Peek to reach a queued
+// packet packetizes it.
 func (n *NI) Peek(vn flit.VN) *flit.Flit {
-	q := n.queues[vn]
-	if len(q) == 0 {
+	if h := n.head[vn]; len(h) > 0 {
+		return h[0]
+	}
+	return n.nextHead(vn)
+}
+
+// nextHead packetizes the oldest backlogged packet of vn into its head,
+// returning the head flit, or nil when vn's queue is empty.
+func (n *NI) nextHead(vn flit.VN) *flit.Flit {
+	q := &n.backlog[vn]
+	if q.n == 0 {
 		return nil
 	}
-	return q[0]
+	h := n.packetize(vn, q.pop())
+	n.head[vn] = h
+	return h[0]
 }
 
 // Pop implements router.LocalSource. The popped flit is stamped with its
 // injection cycle; callers must only pop flits they immediately inject.
 func (n *NI) Pop(vn flit.VN) *flit.Flit {
-	q := n.queues[vn]
-	if len(q) == 0 {
+	f := n.Peek(vn)
+	if f == nil {
 		return nil
 	}
-	f := q[0]
-	// Slide instead of re-slicing so the backing array is reused.
-	copy(q, q[1:])
-	n.queues[vn] = q[:len(q)-1]
+	n.head[vn] = n.head[vn][1:]
 	n.queuedFlits--
-	if n.retain {
-		if c := n.queued[f.PacketID]; c > 0 {
-			n.queued[f.PacketID] = c - 1
+	if n.retain && f.Tail() {
+		// The copy's last flit is out: a NACK may now retransmit it.
+		if r, ok := n.retained[f.PacketID]; ok {
+			r.awaiting = false
+			n.retained[f.PacketID] = r
 		}
 	}
 	n.injectedFlits++
@@ -435,11 +514,8 @@ func (n *NI) deliver(now uint64, f *flit.Flit) {
 	}
 	n.totalCompleted += uint64(p.length)
 	delete(n.reassembly, pid)
-	delete(n.retained, pid)
 	if n.retain {
 		n.completed[pid] = struct{}{}
-		delete(n.epoch, pid)
-		delete(n.queued, pid)
 	}
 	n.deliveredPackets++
 	d := Delivered{
@@ -591,14 +667,16 @@ func (n *NI) ResetStats() {
 }
 
 // Reset rewinds the NI to its freshly constructed state, keeping the
-// queue backing arrays and map storage. The retain flag and ack hook are
-// network-owned configuration and survive; the user handler and create
-// hook are cleared — whoever reattaches the traffic layer registers them
-// again, exactly as on a fresh build.
+// queue rings and map storage. The flits of a packetized head packet are
+// dropped, not recycled: the network reclaims its whole arena first. The
+// retain flag and ack hook are network-owned configuration and survive;
+// the user handler and create hook are cleared — whoever reattaches the
+// traffic layer registers them again, exactly as on a fresh build.
 func (n *NI) Reset() {
 	n.nextPkt = 0
-	for vn := range n.queues {
-		n.queues[vn] = n.queues[vn][:0]
+	for vn := range n.backlog {
+		n.head[vn] = nil
+		n.backlog[vn].head, n.backlog[vn].n = 0, 0
 	}
 	n.queuedFlits = 0
 	clear(n.reassembly)
@@ -607,8 +685,6 @@ func (n *NI) Reset() {
 	n.deliveredHook = nil
 	clear(n.retained)
 	clear(n.completed)
-	clear(n.epoch)
-	clear(n.queued)
 	n.ResetStats()
 	n.totalInjected = 0
 	n.totalEjected = 0

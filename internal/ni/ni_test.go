@@ -215,3 +215,154 @@ func TestDeflectionHistogram(t *testing.T) {
 		t.Errorf("deflection histogram max = %d, want 7", dst.Deflections().Max())
 	}
 }
+
+// TestBacklogHoldsNoFlits pins packetization at injection: queued
+// packets are descriptors until Peek reaches them, so a source backlog
+// past saturation holds at most one packet's flits per virtual network.
+func TestBacklogHoldsNoFlits(t *testing.T) {
+	a := flit.NewArena()
+	n := NewSlab(1).New(0)
+	n.SetArena(a)
+	const packets = 1000
+	for i := 0; i < packets; i++ {
+		n.SendPacket(uint64(i), 1, flit.VNData, flit.DataPacketFlits, uint64(i))
+		n.SendPacket(uint64(i), 2, flit.VNReq, flit.ControlPacketFlits, uint64(i))
+	}
+	if got, want := n.QueueLen(), packets*(flit.DataPacketFlits+flit.ControlPacketFlits); got != want {
+		t.Fatalf("queue len = %d flits, want %d", got, want)
+	}
+	if live := a.Live(); live != 0 {
+		t.Fatalf("backlog of %d packets holds %d arena flits before the first Peek, want 0", 2*packets, live)
+	}
+	for vn := flit.VN(0); vn < flit.NumVNs; vn++ {
+		n.Peek(vn)
+	}
+	const bound = flit.DataPacketFlits + flit.ControlPacketFlits
+	if live := a.Live(); live > bound {
+		t.Fatalf("after Peek the backlog holds %d arena flits, want at most %d", live, bound)
+	}
+	for i := 0; i < packets*flit.DataPacketFlits; i++ {
+		f := n.Pop(flit.VNData)
+		if want := uint64(i / flit.DataPacketFlits); f.Payload != want || f.Seq != i%flit.DataPacketFlits {
+			t.Fatalf("pop %d: packet payload %d seq %d, want payload %d seq %d", i, f.Payload, f.Seq, want, i%flit.DataPacketFlits)
+		}
+		flit.Recycle(f)
+		if live := a.Live(); live > bound {
+			t.Fatalf("pop %d: %d arena flits live, want at most %d", i, live, bound)
+		}
+	}
+	if n.Peek(flit.VNData) != nil || n.QueueLen() != packets {
+		t.Fatalf("after draining VNData: head %v, %d flits queued", n.Peek(flit.VNData), n.QueueLen())
+	}
+}
+
+// TestRetransmitInterleavesInOrder: new packets and retransmitted copies
+// share one queue per virtual network and pop in the order they were
+// enqueued, each flit carrying its copy's epoch; a copy whose tail has
+// not popped defers the next retransmission.
+func TestRetransmitInterleavesInOrder(t *testing.T) {
+	n := New(1)
+	n.SetRetain(true)
+	// pop takes flits seq from..to-1 of packet id and checks each one's
+	// place and epoch.
+	pop := func(id uint64, from, to, epoch int) {
+		t.Helper()
+		for seq := from; seq < to; seq++ {
+			f := n.Pop(flit.VNData)
+			if f == nil || f.PacketID != id || f.Seq != seq || f.Retransmits != epoch {
+				t.Fatalf("popped %v, want packet %#x seq %d epoch %d", f, id, seq, epoch)
+			}
+		}
+	}
+	a := n.SendPacket(0, 0, flit.VNData, 3, 0)
+	pop(a, 0, 3, 0)
+	b := n.SendPacket(1, 0, flit.VNData, 2, 0)
+	if st := n.Retransmit(2, a); st != Retransmitted {
+		t.Fatalf("retransmit a = %v", st)
+	}
+	c := n.SendPacket(3, 0, flit.VNData, 1, 0)
+	if st := n.Retransmit(4, a); st != RetransmitDeferred {
+		t.Fatalf("retransmit a while its copy is queued = %v, want deferred", st)
+	}
+	pop(b, 0, 2, 0)
+	if st := n.Retransmit(5, b); st != Retransmitted {
+		t.Fatalf("retransmit b = %v", st)
+	}
+	pop(a, 0, 2, 1)
+	if st := n.Retransmit(6, a); st != RetransmitDeferred {
+		t.Fatalf("retransmit a before its tail popped = %v, want deferred", st)
+	}
+	pop(a, 2, 3, 1)
+	if st := n.Retransmit(7, a); st != Retransmitted {
+		t.Fatalf("retransmit a after its tail popped = %v", st)
+	}
+	pop(c, 0, 1, 0)
+	pop(b, 0, 2, 1)
+	pop(a, 0, 3, 2)
+	if n.Epoch(a) != 2 || n.Epoch(b) != 1 || n.Epoch(c) != 0 {
+		t.Errorf("epochs a %d b %d c %d, want 2 1 0", n.Epoch(a), n.Epoch(b), n.Epoch(c))
+	}
+	if n.QueueLen() != 0 || n.Peek(flit.VNData) != nil {
+		t.Errorf("queue not empty: %d flits", n.QueueLen())
+	}
+}
+
+// TestResetMidPacket: Reset after a partly popped head packet leaves
+// every queue empty, and the NI then behaves as freshly built.
+func TestResetMidPacket(t *testing.T) {
+	n := New(0)
+	n.SendPacket(0, 1, flit.VNData, flit.DataPacketFlits, 0)
+	n.SendPacket(0, 2, flit.VNData, flit.DataPacketFlits, 0)
+	n.SendPacket(0, 3, flit.VNReq, 1, 0)
+	for i := 0; i < 3; i++ {
+		n.Pop(flit.VNData)
+	}
+	n.Reset()
+	if n.QueueLen() != 0 || n.QueuedFlits() != 0 {
+		t.Fatalf("queue len %d after Reset", n.QueueLen())
+	}
+	for vn := flit.VN(0); vn < flit.NumVNs; vn++ {
+		if f := n.Peek(vn); f != nil {
+			t.Fatalf("%v: Peek = %v after Reset", vn, f)
+		}
+		if f := n.Pop(vn); f != nil {
+			t.Fatalf("%v: Pop = %v after Reset", vn, f)
+		}
+	}
+	id := n.SendPacket(5, 1, flit.VNData, 2, 9)
+	if id != 1 {
+		t.Errorf("first packet after Reset has ID %#x, want 1", id)
+	}
+	for seq := 0; seq < 2; seq++ {
+		if f := n.Pop(flit.VNData); f == nil || f.PacketID != id || f.Seq != seq || f.CreatedAt != 5 {
+			t.Fatalf("pop %d after Reset = %v", seq, f)
+		}
+	}
+	if n.Pop(flit.VNData) != nil {
+		t.Error("queue not empty after popping the one packet")
+	}
+}
+
+// BenchmarkNIPop pops through a standing backlog of data packets the way
+// a router injects from a saturated source: each op peeks and pops one
+// flit and recycles it, and each popped tail enqueues a replacement
+// packet. The steady state allocates nothing (make bench-layers).
+func BenchmarkNIPop(b *testing.B) {
+	const backlog = 64
+	n := New(0)
+	for i := 0; i < backlog; i++ {
+		n.SendPacket(0, 1, flit.VNData, flit.DataPacketFlits, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n.Peek(flit.VNData) == nil {
+			b.Fatal("backlog ran dry")
+		}
+		f := n.Pop(flit.VNData)
+		if f.Tail() {
+			n.SendPacket(uint64(i), 1, flit.VNData, flit.DataPacketFlits, 0)
+		}
+		flit.Recycle(f)
+	}
+}

@@ -49,7 +49,9 @@ type LocalSink interface {
 // backpressureless routers, which is the only backpressure they exert).
 type LocalSource interface {
 	// Peek returns the next flit to inject on vn without removing it, or
-	// nil if the vn queue is empty.
+	// nil if the vn queue is empty. Peek may packetize: a source can keep
+	// a queued packet whole until Peek first reaches it. Repeated Peeks
+	// return the same flit until Pop removes it.
 	Peek(vn flit.VN) *flit.Flit
 	// Pop removes and returns the next flit on vn, or nil.
 	Pop(vn flit.VN) *flit.Flit
