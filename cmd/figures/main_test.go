@@ -1,12 +1,52 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/quick-all.txt from the current code")
+
+// quickAllPath is the recorded stdout of `figures -quick -fig all`.
+const quickAllPath = "testdata/quick-all.txt"
+
+// TestQuickAllOutput: `figures -quick -fig all` prints the recorded
+// testdata/quick-all.txt byte for byte. The file is plain text, so an
+// intended change to a figure shows up as a readable diff; -update
+// rewrites it from the current code.
+func TestQuickAllOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole evaluation at -quick lengths")
+	}
+	var buf bytes.Buffer
+	if err := run(flag.NewFlagSet("figures", flag.ContinueOnError), []string{"-quick", "-fig", "all"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(quickAllPath, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(quickAllPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("stdout differs from %s at line %d:\n got: %q\nwant: %q", quickAllPath, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("stdout has %d lines, %s has %d", len(gl), quickAllPath, len(wl))
+	}
+}
 
 // TestBadInputHasNoSideEffects: every input figures checks is checked
 // before the run starts, so a bad one fails and leaves no profile or
