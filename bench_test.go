@@ -1,17 +1,17 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (DESIGN.md maps experiment IDs to these benches; recorded
-// results live in EXPERIMENTS.md). Each bench runs the same harness as
-// cmd/figures at reduced length and reports the headline numbers as
-// custom metrics, so `go test -bench=.` reproduces the paper's shape in
-// one command:
+// Benchmarks of the simulation kernel and of the paper's evaluation.
+// The kernel-step cells (BenchmarkKernelStep*) measure one network's
+// cycle; make bench-json records them and make bench-smoke gates them.
+// BenchmarkArtifact/<name> runs what `figures -quick -fig <name>` runs,
+// one sub-benchmark per artifact of internal/experiments' registry
+// (DESIGN.md maps experiment IDs to the names; recorded results live in
+// EXPERIMENTS.md):
 //
-//	go test -bench=Fig2c -benchmem .
+//	go test -run '^$' -bench 'Artifact/2c' .
 package afcnet_test
 
 import (
 	"runtime"
 	"sort"
-	"strings"
 	"testing"
 
 	"afcnet/internal/check"
@@ -248,7 +248,8 @@ func BenchmarkKernelStepChecked(b *testing.B) {
 
 // BenchmarkFig2aLowLoadPerformance regenerates Figure 2(a): normalized
 // performance of the low-load (SPLASH-2) benchmarks. Paper shape: flow
-// control has no meaningful performance impact at low load.
+// control has no meaningful performance impact at low load. make
+// bench-smoke's heap check runs it, so its name and its work stay.
 func BenchmarkFig2aLowLoadPerformance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ms, err := experiments.ClosedLoop(cmp.LowLoad(), experiments.Fig2Kinds, quick())
@@ -261,198 +262,18 @@ func BenchmarkFig2aLowLoadPerformance(b *testing.B) {
 	}
 }
 
-// BenchmarkFig2bLowLoadEnergy regenerates Figure 2(b): normalized energy
-// at low load. Paper shape: backpressureless lowest; backpressured 42%
-// above it; ideal-bypass 32% above it; AFC within ~9% of backpressureless.
-func BenchmarkFig2bLowLoadEnergy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ms, err := experiments.ClosedLoop(cmp.LowLoad(), experiments.Fig2EnergyKinds, quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportKind(b, ms, "energy", func(m experiments.Measurement) float64 { return m.Energy })
-		}
-	}
-}
-
-// BenchmarkFig2cHighLoadPerformance regenerates Figure 2(c): normalized
-// performance at high load. Paper shape: backpressureless degrades ~19%;
-// AFC within ~2% of backpressured.
-func BenchmarkFig2cHighLoadPerformance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ms, err := experiments.ClosedLoop(cmp.HighLoad(), experiments.Fig2Kinds, quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportKind(b, ms, "perf", func(m experiments.Measurement) float64 { return m.Perf })
-		}
-	}
-}
-
-// BenchmarkFig2dHighLoadEnergy regenerates Figure 2(d): normalized energy
-// at high load. Paper shape: backpressureless ~35% above backpressured;
-// AFC within ~2-3%.
-func BenchmarkFig2dHighLoadEnergy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ms, err := experiments.ClosedLoop(cmp.HighLoad(), experiments.Fig2Kinds, quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportKind(b, ms, "energy", func(m experiments.Measurement) float64 { return m.Energy })
-		}
-	}
-}
-
-// BenchmarkFig3aEnergyBreakdownLow regenerates Figure 3(a): buffer/link/
-// rest energy partition at low load.
-func BenchmarkFig3aEnergyBreakdownLow(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ms, err := experiments.ClosedLoop(cmp.LowLoad(), experiments.Fig2Kinds, quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportKind(b, ms, "bufferE", func(m experiments.Measurement) float64 { return m.BufferE })
-			reportKind(b, ms, "linkE", func(m experiments.Measurement) float64 { return m.LinkE })
-		}
-	}
-}
-
-// BenchmarkFig3bEnergyBreakdownHigh regenerates Figure 3(b).
-func BenchmarkFig3bEnergyBreakdownHigh(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ms, err := experiments.ClosedLoop(cmp.HighLoad(), experiments.Fig2Kinds, quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportKind(b, ms, "bufferE", func(m experiments.Measurement) float64 { return m.BufferE })
-			reportKind(b, ms, "linkE", func(m experiments.Measurement) float64 { return m.LinkE })
-		}
-	}
-}
-
-// BenchmarkModeDutyCycle regenerates the Section V-A duty-cycle numbers
-// (water/barnes ~0% backpressured; apache/specjbb ~100%).
-func BenchmarkModeDutyCycle(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ms, err := experiments.ClosedLoop(cmp.AllBenchmarks(), []network.Kind{network.AFC}, quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			for _, m := range ms {
-				b.ReportMetric(m.BufferedFraction, "bufmode/"+m.Bench)
-			}
-		}
-	}
-}
-
-// BenchmarkTable3InjectionRates regenerates the Table III calibration
-// (achieved flits/node/cycle per workload on the baseline network).
-func BenchmarkTable3InjectionRates(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table3(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			for _, r := range rows {
-				b.ReportMetric(r.Measured, "inj/"+r.Bench)
-			}
-		}
-	}
-}
-
-// BenchmarkFig4LatencyThroughput regenerates the open-loop
-// latency-throughput comparison ("Other results": similar low-load
-// latencies; AFC and backpressured reach near-identical saturation
-// throughput; backpressureless saturates earlier).
-func BenchmarkFig4LatencyThroughput(b *testing.B) {
-	rates := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7}
-	kinds := []network.Kind{network.Backpressured, network.Bless, network.BlessDrop, network.AFC}
-	for i := 0; i < b.N; i++ {
-		pts := experiments.LatencySweep(kinds, rates, quick())
-		if i == b.N-1 {
-			for k, v := range experiments.SaturationThroughput(pts) {
-				b.ReportMetric(v, "satThroughput/"+k.String())
-			}
-		}
-	}
-}
-
-// BenchmarkFig5SpatialVariation regenerates the Section V-B consolidation
-// experiment (AFC is the best energy configuration under spatial load
-// variation; paper: backpressured +9%, backpressureless +30%).
-func BenchmarkFig5SpatialVariation(b *testing.B) {
-	kinds := []network.Kind{network.Backpressured, network.Bless, network.AFC}
-	for i := 0; i < b.N; i++ {
-		rs := experiments.Quadrant(kinds, 0.9, 0.1, quick())
-		if i == b.N-1 {
-			var afc float64
-			for _, r := range rs {
-				if r.Kind == network.AFC {
-					afc = r.Energy
+// BenchmarkArtifact runs each artifact of the evaluation's registry
+// alone, with figures' parameters at Quick() lengths. `figures -quick
+// -fig <name>` prints the rows it computes.
+func BenchmarkArtifact(b *testing.B) {
+	for _, name := range experiments.Artifacts() {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := experiments.Evaluate(quick(), name); err != nil {
+					b.Fatal(err)
 				}
 			}
-			for _, r := range rs {
-				b.ReportMetric(r.Energy/afc, "energyOverAFC/"+r.Kind.String())
-				b.ReportMetric(r.HotLatency, "hotLatency/"+r.Kind.String())
-			}
-		}
-	}
-}
-
-// BenchmarkGossipHotspot regenerates the gossip-induced mode-switch
-// demonstration (Section V-A: required for correctness; exercised by an
-// open-loop hotspot).
-func BenchmarkGossipHotspot(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.GossipHotspot(int64(i)+1, quick())
-		if !r.Drained || r.Delivered != r.Created {
-			b.Fatalf("hotspot run lost packets: %+v", r)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(float64(r.GossipSwitches), "gossipSwitches")
-			b.ReportMetric(float64(r.EscapeEvents), "escapeEvents")
-		}
-	}
-}
-
-// BenchmarkAblationLazyVCA regenerates ablation A1: lazy VC allocation
-// halves buffering while matching baseline performance.
-func BenchmarkAblationLazyVCA(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationLazyVCA(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			for _, r := range rows {
-				b.ReportMetric(r.PerfRatio, "perfRatio/"+r.Bench)
-				b.ReportMetric(r.BufferEnergyCut, "bufferCut/"+r.Bench)
-			}
-		}
-	}
-}
-
-// BenchmarkAblationThresholds regenerates ablation A2: sensitivity of
-// AFC's robustness to the contention-threshold setting.
-func BenchmarkAblationThresholds(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationThresholds([]float64{0.5, 1.0, 2.0}, quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			for _, r := range rows {
-				b.ReportMetric(r.HighLoadPerf, "apachePerf/scale")
-				b.ReportMetric(r.LowLoadEnergy, "waterEnergy/scale")
-			}
-		}
+		})
 	}
 }
 
@@ -468,80 +289,6 @@ func BenchmarkAblationDropVsDeflect(b *testing.B) {
 			sat := experiments.SaturationThroughput(pts)
 			b.ReportMetric(sat[network.Bless], "satThroughput/deflect")
 			b.ReportMetric(sat[network.BlessDrop], "satThroughput/drop")
-		}
-	}
-}
-
-// BenchmarkAblationEjectWidth regenerates ablation A4: the ejection-path
-// width governs how much the deflection router loses at high load.
-func BenchmarkAblationEjectWidth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationEjectWidth([]int{1, 2}, quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			for _, r := range rows {
-				b.ReportMetric(r.BlessPerf, "blessPerf/width")
-			}
-		}
-	}
-}
-
-// BenchmarkAblationBaselineSizing regenerates ablation A5: the paper's
-// baseline buffer configuration is energy-optimized — doubling VCs or
-// buffer depth buys no performance but costs energy.
-func BenchmarkAblationBaselineSizing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationBaselineSizing(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			for j, r := range rows {
-				if j == 0 {
-					continue
-				}
-				b.ReportMetric(r.Perf, "perfVsPaperCfg")
-				b.ReportMetric(r.Energy, "energyVsPaperCfg")
-			}
-		}
-	}
-}
-
-// BenchmarkAblationPipeline regenerates ablation A6: the cost of a
-// realistic (non-speculative, 3-stage) backpressured pipeline versus the
-// paper's charitable 2-stage baseline, and AFC against both.
-func BenchmarkAblationPipeline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationPipeline(quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			for _, r := range rows {
-				b.ReportMetric(r.RealisticPerf, "realisticPerf/"+r.Bench)
-				b.ReportMetric(r.AFCvsRealistic, "afcVsRealistic/"+r.Bench)
-			}
-		}
-	}
-}
-
-// BenchmarkAblationContentionMetric regenerates ablation A7: the paper's
-// local-contention-threshold metric localizes forward switches to the hot
-// region, while the rejected cumulative-misroute metric fires diffusely
-// (Section III-B's argument for local measures of contention).
-func BenchmarkAblationContentionMetric(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.AblationContentionMetric(quick())
-		if i == b.N-1 {
-			for _, r := range rows {
-				name := "nearFrac/thresholds"
-				if strings.Contains(r.Policy, "rejected") {
-					name = "nearFrac/misroutes"
-				}
-				b.ReportMetric(r.NearFraction, name)
-			}
 		}
 	}
 }

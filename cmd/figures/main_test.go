@@ -49,21 +49,28 @@ func TestQuickAllOutput(t *testing.T) {
 }
 
 // TestBadInputHasNoSideEffects: every input figures checks is checked
-// before the run starts, so a bad one fails and leaves no profile or
-// manifest behind.
+// before the run starts, so a bad one fails and leaves no profile,
+// manifest, JSON file or SVG directory behind. -json, -svg and
+// -scenario do not excuse a -fig that names no artifact.
 func TestBadInputHasNoSideEffects(t *testing.T) {
 	in := t.TempDir()
 	badJSON := filepath.Join(in, "bad.json")
-	if err := os.WriteFile(badJSON, []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
+	spec := filepath.Join(in, "spec.json")
+	for path, body := range map[string]string{badJSON: "{", spec: `{"duration": 100, "rate": 0.1}`} {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	cases := []struct {
 		name string
-		args []string
+		args func(dir string) []string
 	}{
-		{"artifact", []string{"-fig", "bogus"}},
-		{"missing scenario", []string{"-scenario", filepath.Join(in, "missing.json")}},
-		{"malformed scenario", []string{"-fig", "gossip", "-scenario", badJSON}},
+		{"artifact", func(string) []string { return []string{"-fig", "bogus"} }},
+		{"artifact with -svg", func(dir string) []string { return []string{"-fig", "bogus", "-svg", filepath.Join(dir, "svg")} }},
+		{"artifact with -json", func(dir string) []string { return []string{"-fig", "bogus", "-json", filepath.Join(dir, "out.json")} }},
+		{"artifact with -scenario", func(string) []string { return []string{"-fig", "bogus", "-scenario", spec} }},
+		{"missing scenario", func(string) []string { return []string{"-scenario", filepath.Join(in, "missing.json")} }},
+		{"malformed scenario", func(string) []string { return []string{"-fig", "gossip", "-scenario", badJSON} }},
 	}
 	for _, c := range cases {
 		dir := t.TempDir()
@@ -72,7 +79,7 @@ func TestBadInputHasNoSideEffects(t *testing.T) {
 			"-cpuprofile", filepath.Join(dir, "cpu.pprof"),
 			"-memprofile", filepath.Join(dir, "mem.pprof"),
 			"-manifest", filepath.Join(dir, "run.json"),
-		}, c.args...)
+		}, c.args(dir)...)
 		if err := run(flag.NewFlagSet("figures", flag.ContinueOnError), args, io.Discard); err == nil {
 			t.Errorf("%s: %q succeeded, want an error", c.name, args)
 		}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"text/tabwriter"
 
 	"afcnet/internal/cmp"
 	"afcnet/internal/config"
@@ -75,15 +74,10 @@ func AblationLazyVCA(opt Options) ([]LazyVCARow, error) {
 
 // WriteLazyVCA renders the A1 ablation.
 func WriteLazyVCA(w io.Writer, rows []LazyVCARow) {
-	fmt.Fprintln(w, "Ablation A1: lazy VC allocation (AFC always-backpressured, half the buffers, vs. baseline)")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "bench\tperf ratio\tbuffer-energy cut\tbuffer slots ratio")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%.3f\t%.1f%%\t%.2f\n",
-			r.Bench, r.PerfRatio, 100*r.BufferEnergyCut, r.BufferSlotsRatio)
-	}
-	tw.Flush()
-	fmt.Fprintln(w)
+	writeTable(w, "Ablation A1: lazy VC allocation (AFC always-backpressured, half the buffers, vs. baseline)",
+		"bench\tperf ratio\tbuffer-energy cut\tbuffer slots ratio", rows, func(r LazyVCARow) string {
+			return fmt.Sprintf("%s\t%.3f\t%.1f%%\t%.2f", r.Bench, r.PerfRatio, 100*r.BufferEnergyCut, r.BufferSlotsRatio)
+		})
 }
 
 // ThresholdRow is one point of the contention-threshold sensitivity sweep
@@ -168,16 +162,11 @@ func AblationThresholds(scales []float64, opt Options) ([]ThresholdRow, error) {
 
 // WriteThresholds renders the A2 ablation.
 func WriteThresholds(w io.Writer, rows []ThresholdRow) {
-	fmt.Fprintln(w, "Ablation A2: contention-threshold sensitivity (scale x paper thresholds)")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "scale\twater energy/BP\tapache perf/BP\tbuffered% (water)\tbuffered% (apache)")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%.2f\t%.3f\t%.3f\t%.1f%%\t%.1f%%\n",
-			r.Scale, r.LowLoadEnergy, r.HighLoadPerf,
-			100*r.BufferedFracLow, 100*r.BufferedFracHigh)
-	}
-	tw.Flush()
-	fmt.Fprintln(w)
+	writeTable(w, "Ablation A2: contention-threshold sensitivity (scale x paper thresholds)",
+		"scale\twater energy/BP\tapache perf/BP\tbuffered% (water)\tbuffered% (apache)", rows, func(r ThresholdRow) string {
+			return fmt.Sprintf("%.2f\t%.3f\t%.3f\t%.1f%%\t%.1f%%",
+				r.Scale, r.LowLoadEnergy, r.HighLoadPerf, 100*r.BufferedFracLow, 100*r.BufferedFracHigh)
+		})
 }
 
 // EjectRow is one point of the ejection-width ablation (A4): the width of
@@ -223,14 +212,10 @@ func AblationEjectWidth(widths []int, opt Options) ([]EjectRow, error) {
 
 // WriteEjectWidth renders the A4 ablation.
 func WriteEjectWidth(w io.Writer, rows []EjectRow) {
-	fmt.Fprintln(w, "Ablation A4: ejection width vs. backpressureless high-load degradation (apache)")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "eject width\tbless perf / backpressured")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%.3f\n", r.Width, r.BlessPerf)
-	}
-	tw.Flush()
-	fmt.Fprintln(w)
+	writeTable(w, "Ablation A4: ejection width vs. backpressureless high-load degradation (apache)",
+		"eject width\tbless perf / backpressured", rows, func(r EjectRow) string {
+			return fmt.Sprintf("%d\t%.3f", r.Width, r.BlessPerf)
+		})
 }
 
 // BaselineConfigRow is one point of the baseline-sizing ablation (A5):
@@ -302,14 +287,10 @@ func AblationBaselineSizing(opt Options) ([]BaselineConfigRow, error) {
 
 // WriteBaselineSizing renders the A5 ablation.
 func WriteBaselineSizing(w io.Writer, rows []BaselineConfigRow) {
-	fmt.Fprintln(w, "Ablation A5: baseline buffer sizing on apache (paper: configuration is energy-optimized)")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "config\tslots/port\tperf\tenergy")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%.3f\t%.3f\n", r.Label, r.SlotsPort, r.Perf, r.Energy)
-	}
-	tw.Flush()
-	fmt.Fprintln(w)
+	writeTable(w, "Ablation A5: baseline buffer sizing on apache (paper: configuration is energy-optimized)",
+		"config\tslots/port\tperf\tenergy", rows, func(r BaselineConfigRow) string {
+			return fmt.Sprintf("%s\t%d\t%.3f\t%.3f", r.Label, r.SlotsPort, r.Perf, r.Energy)
+		})
 }
 
 // PipelineRow is one point of the router-pipeline ablation (A6): the
@@ -381,15 +362,10 @@ func AblationPipeline(opt Options) ([]PipelineRow, error) {
 
 // WritePipeline renders the A6 ablation.
 func WritePipeline(w io.Writer, rows []PipelineRow) {
-	fmt.Fprintln(w, "Ablation A6: ideal (0-cycle VCA) vs. realistic (3-stage) backpressured pipeline")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "bench\trealistic/ideal\tAFC/ideal\tAFC/realistic")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%.3f\t%.3f\t%.3f\n",
-			r.Bench, r.RealisticPerf, r.AFCvsIdeal, r.AFCvsRealistic)
-	}
-	tw.Flush()
-	fmt.Fprintln(w)
+	writeTable(w, "Ablation A6: ideal (0-cycle VCA) vs. realistic (3-stage) backpressured pipeline",
+		"bench\trealistic/ideal\tAFC/ideal\tAFC/realistic", rows, func(r PipelineRow) string {
+			return fmt.Sprintf("%s\t%.3f\t%.3f\t%.3f", r.Bench, r.RealisticPerf, r.AFCvsIdeal, r.AFCvsRealistic)
+		})
 }
 
 // ContentionMetricRow compares where forward switches happen under the
@@ -424,10 +400,10 @@ func AblationContentionMetric(opt Options) []ContentionMetricRow {
 	outs, err := runner.Map(len(policies)*ns, opt.pool(), func(i int) (metricOut, error) {
 		misroute := policies[i/ns].threshold
 		seed := opt.Seeds[i%ns]
-		net := opt.newNetwork(network.Config{
+		net := opt.newWorkerState().acquire(network.Config{
 			System: sys, Kind: network.AFC, Seed: seed,
 			MisrouteThreshold: misroute,
-		})
+		}).net
 		gen := traffic.NewGenerator(net, traffic.Config{
 			Pattern: traffic.Hotspot{Mesh: mesh, Hot: hot, Frac: 0.5},
 			Rate:    0.22,
@@ -469,12 +445,8 @@ func AblationContentionMetric(opt Options) []ContentionMetricRow {
 
 // WriteContentionMetric renders the A7 ablation.
 func WriteContentionMetric(w io.Writer, rows []ContentionMetricRow) {
-	fmt.Fprintln(w, "Ablation A7: where forward switches fire under an 8x8 hotspot (within 2 hops = correct region)")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "policy\tswitches\tnear-hotspot fraction")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%.0f%%\n", r.Policy, r.Switches, 100*r.NearFraction)
-	}
-	tw.Flush()
-	fmt.Fprintln(w)
+	writeTable(w, "Ablation A7: where forward switches fire under an 8x8 hotspot (within 2 hops = correct region)",
+		"policy\tswitches\tnear-hotspot fraction", rows, func(r ContentionMetricRow) string {
+			return fmt.Sprintf("%s\t%d\t%.0f%%", r.Policy, r.Switches, 100*r.NearFraction)
+		})
 }

@@ -30,7 +30,7 @@ type activeSetSnap struct {
 // network built from opt (so opt.System and opt.Shards pick the mesh and
 // the tick) and snapshots it with runSnap.
 func activeSetCell(kind network.Kind, seed int64, rate float64, opt Options) activeSetSnap {
-	net := opt.newNetwork(network.Config{Kind: kind, Seed: seed, MeterEnergy: true})
+	net := opt.newWorkerState().acquire(network.Config{Kind: kind, Seed: seed, MeterEnergy: true}).net
 	defer net.Close()
 	gen := traffic.NewGenerator(net, traffic.Config{Rate: rate}, net.RandStream)
 	net.AddTicker(gen)

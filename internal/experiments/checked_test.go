@@ -24,12 +24,10 @@ type checkedResults struct {
 	metric []ContentionMetricRow
 }
 
-// runAllChecked runs a reduced pass of every experiment harness with
-// Options.Check enabled. Any invariant violation panics inside its cell
-// and surfaces here as an error.
-func runAllChecked(t *testing.T, parallelism int) checkedResults {
-	t.Helper()
-	opt := Options{
+// checkedOpt is one seed of every harness at reduced lengths, with
+// Options.Check enabled.
+func checkedOpt(parallelism int) Options {
+	return Options{
 		Seeds:           []int64{1},
 		WarmupTx:        100,
 		MeasureTx:       300,
@@ -39,6 +37,14 @@ func runAllChecked(t *testing.T, parallelism int) checkedResults {
 		Parallelism:     parallelism,
 		Check:           true,
 	}
+}
+
+// runAllChecked runs a reduced pass of every experiment harness with
+// Options.Check enabled. Any invariant violation panics inside its cell
+// and surfaces here as an error.
+func runAllChecked(t *testing.T, parallelism int) checkedResults {
+	t.Helper()
+	opt := checkedOpt(parallelism)
 	var r checkedResults
 	var err error
 	low, _ := cmp.ByName("water")

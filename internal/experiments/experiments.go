@@ -1,12 +1,18 @@
-// Package experiments implements the paper's evaluation: one harness per
-// table/figure (see DESIGN.md's per-experiment index). cmd/figures and the
-// repository's benchmarks both call into this package, so the printed
-// rows and the bench-regenerated rows are the same code path.
+// Package experiments implements the paper's evaluation (see DESIGN.md's
+// per-experiment index). Its registry (registry.go) lists every table
+// and figure once: its name, the closed-loop measurements it reads or
+// the harness call it makes, and its text renderer. An evaluation
+// (Evaluate, Selection.Run) runs the closed-loop cells of all its
+// artifacts as one batch, each cell once, and returns one Results that
+// the text, WriteJSON and WriteSVGs all render from. cmd/figures and the
+// repository's BenchmarkArtifact both evaluate through the registry, so
+// the printed rows and the benchmarked rows are the same code path.
 package experiments
 
 import (
 	"fmt"
 	"io"
+	"slices"
 	"text/tabwriter"
 
 	"afcnet/internal/check"
@@ -89,15 +95,6 @@ func (o Options) attach(net *network.Network) {
 	o.Obs.ObserveBarrier(net)
 }
 
-// newNetwork builds one cell's network with the options' attachments.
-// Each cell owns its attachments, so observed runs parallelize exactly
-// like plain ones.
-func (o Options) newNetwork(cfg network.Config) *network.Network {
-	net := network.New(o.netConfig(cfg))
-	o.attach(net)
-	return net
-}
-
 // workerEnt is one worker's reusable simulation stack for one network
 // kind: the network plus whichever traffic layer the harness attached.
 // Consecutive cells of the same kind on the same worker rewind and reuse
@@ -119,20 +116,31 @@ type workerState struct {
 	rates []float64 // per-node offered-rate scratch (Quadrant)
 }
 
-// workerStates returns one fresh workerState per pool worker.
-func (o Options) workerStates(workers int) []*workerState {
-	ws := make([]*workerState, workers)
-	for i := range ws {
-		ws[i] = &workerState{opt: o, ents: make(map[network.Kind]*workerEnt)}
-	}
-	return ws
+// newWorkerState returns a workerState with no networks yet.
+func (o Options) newWorkerState() *workerState {
+	return &workerState{opt: o, ents: make(map[network.Kind]*workerEnt)}
 }
 
-// oneShot returns a workerState that will never see a second cell of the
-// same kind — the harnesses that mix per-cell configurations (ablations)
-// use it to share the cell code without the reuse path.
-func (o Options) oneShot() *workerState {
-	return &workerState{opt: o, ents: make(map[network.Kind]*workerEnt)}
+// mapCells runs cell(w, i) for every i in [0, n) on the options' pool,
+// where w is the state of the worker that runs cell i.
+func mapCells[T any](n int, opt Options, cell func(w *workerState, i int) (T, error)) ([]T, error) {
+	ro := opt.pool()
+	ws := make([]*workerState, ro.Workers(n))
+	for i := range ws {
+		ws[i] = opt.newWorkerState()
+	}
+	return runner.MapWorkers(n, ro, func(worker, i int) (T, error) { return cell(ws[worker], i) })
+}
+
+// generator returns the entry's traffic generator set to tcfg: built on
+// first use, reattached after. The caller adds it to the tickers.
+func (e *workerEnt) generator(tcfg traffic.Config) *traffic.Generator {
+	if e.gen == nil {
+		e.gen = traffic.NewGenerator(e.net, tcfg, e.net.RandStream)
+	} else {
+		e.gen.Reattach(tcfg)
+	}
+	return e.gen
 }
 
 // acquire returns a ready network for cfg: the worker's previous network
@@ -247,9 +255,10 @@ type Measurement struct {
 }
 
 // runCell runs one closed-loop measurement of p on a fresh network for
-// cfg (the no-reuse path the ablations use).
+// cfg: the no-reuse path of the ablations, whose cells mix
+// configurations.
 func runCell(p cmp.Params, cfg network.Config, opt Options) (cmp.RunResult, *network.Network, error) {
-	return opt.oneShot().runCell(p, cfg)
+	return opt.newWorkerState().runCell(p, cfg)
 }
 
 // closedOut is the state a closed-loop cell hands back to the merge step:
@@ -261,14 +270,6 @@ type closedOut struct {
 	mode   network.ModeStats
 }
 
-func (w *workerState) runClosedCell(p cmp.Params, kind network.Kind, seed int64) (closedOut, error) {
-	res, net, err := w.runCell(p, metered(kind, seed))
-	if err != nil {
-		return closedOut{}, err
-	}
-	return closedOut{res: res, energy: net.TotalEnergy(), mode: net.ModeStats()}, nil
-}
-
 // ClosedLoop runs the Figure 2/3 measurement for the given benchmarks and
 // kinds. The backpressured baseline is always run (it is the
 // normalization target) even if absent from kinds. The (bench, kind,
@@ -276,73 +277,101 @@ func (w *workerState) runClosedCell(p cmp.Params, kind network.Kind, seed int64)
 // network and random substreams, and cells are merged in the serial
 // iteration order, so results are identical at any parallelism.
 func ClosedLoop(benches []cmp.Params, kinds []network.Kind, opt Options) ([]Measurement, error) {
-	type cellKey struct {
-		bench, seed int
-		kind        network.Kind
+	rows, err := runClosed([]closedRead{{benches, kinds}}, opt)
+	return rows.view(closedRead{benches, kinds}), err
+}
+
+// closedRead is what a closed-loop artifact reads: one Measurement per
+// benchmark and kind.
+type closedRead struct {
+	benches []cmp.Params
+	kinds   []network.Kind
+}
+
+// benchKind keys one closed-loop Measurement.
+type benchKind struct {
+	bench cmp.Params
+	kind  network.Kind
+}
+
+// closedRows are the Measurements of one closed-loop batch.
+type closedRows map[benchKind]Measurement
+
+// view returns the rows read names, benchmark-major and in its kind
+// order. A row the batch did not measure is absent.
+func (rows closedRows) view(read closedRead) []Measurement {
+	var out []Measurement
+	for _, p := range read.benches {
+		for _, k := range read.kinds {
+			if m, ok := rows[benchKind{p, k}]; ok {
+				out = append(out, m)
+			}
+		}
 	}
-	var cells []cellKey
-	idx := make(map[cellKey]int)
-	add := func(c cellKey) {
-		idx[c] = len(cells)
-		cells = append(cells, c)
-	}
-	for bi := range benches {
-		for si := range opt.Seeds {
-			// One baseline cell per (bench, seed); non-baseline kinds get
-			// their own cells. A Backpressured entry in kinds reuses the
-			// baseline cell (the serial loop re-ran and discarded it).
-			add(cellKey{bi, si, network.Backpressured})
-			for _, k := range kinds {
-				if k != network.Backpressured {
-					add(cellKey{bi, si, k})
+	return out
+}
+
+// runClosed measures what reads name as one runner batch: for each
+// benchmark, one backpressured baseline cell per seed, run even when no
+// read names it, and one cell per seed for each other kind any read
+// names for that benchmark. A Measurement depends only on its own cells
+// and its baseline's, so a row is the same whatever else the batch
+// holds.
+func runClosed(reads []closedRead, opt Options) (closedRows, error) {
+	// The benchmarks in first-read order, each with the union of the
+	// kinds read for it, baseline first.
+	var benches []cmp.Params
+	var kinds [][]network.Kind
+	for _, r := range reads {
+		for _, p := range r.benches {
+			bi := slices.Index(benches, p)
+			if bi < 0 {
+				bi = len(benches)
+				benches = append(benches, p)
+				kinds = append(kinds, []network.Kind{network.Backpressured})
+			}
+			for _, k := range r.kinds {
+				if !slices.Contains(kinds[bi], k) {
+					kinds[bi] = append(kinds[bi], k)
 				}
 			}
 		}
 	}
-	ro := opt.pool()
-	ws := opt.workerStates(ro.Workers(len(cells)))
-	outs, err := runner.MapWorkers(len(cells), ro, func(worker, i int) (closedOut, error) {
+	type cell struct {
+		bench int
+		kind  network.Kind
+		seed  int64
+	}
+	var cells []cell
+	for bi, ks := range kinds {
+		for _, seed := range opt.Seeds {
+			for _, k := range ks {
+				cells = append(cells, cell{bi, k, seed})
+			}
+		}
+	}
+	outs, err := mapCells(len(cells), opt, func(w *workerState, i int) (closedOut, error) {
 		c := cells[i]
-		return ws[worker].runClosedCell(benches[c.bench], c.kind, opt.Seeds[c.seed])
+		res, net, err := w.runCell(benches[c.bench], metered(c.kind, c.seed))
+		return closedOut{res: res, energy: net.TotalEnergy(), mode: net.ModeStats()}, err
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	var out []Measurement
-	for bi, p := range benches {
-		agg := make(map[network.Kind]*cellAgg, len(kinds))
-		for _, k := range kinds {
-			agg[k] = &cellAgg{}
-		}
-		for si := range opt.Seeds {
-			base := outs[idx[cellKey{bi, si, network.Backpressured}]]
-			baseEnergy := base.energy.Total()
-			for _, k := range kinds {
-				co := base
-				if k != network.Backpressured {
-					co = outs[idx[cellKey{bi, si, k}]]
-				}
-				e := co.energy
-				ms := co.mode
-				a := agg[k]
-				a.perf.Add(co.res.TransactionsPerCycle / base.res.TransactionsPerCycle)
-				a.energy.Add(e.Total() / baseEnergy)
-				a.bufferE.Add(e.Buffer() / baseEnergy)
-				a.linkE.Add(e.Link / baseEnergy)
-				a.restE.Add(e.Rest() / baseEnergy)
-				a.tx.Add(co.res.TransactionsPerCycle)
-				a.inj.Add(co.res.InjectionRate)
-				a.lat.Add(co.res.MeanNetLatency)
-				a.bufFrac.Add(ms.BufferedFraction())
-				a.gossip.Add(float64(ms.GossipSwitches))
-				a.escape.Add(float64(ms.EscapeEvents))
+	rows := make(closedRows)
+	for bi, ks := range kinds {
+		aggs := make([]cellAgg, len(ks))
+		for range opt.Seeds {
+			for ki := range ks {
+				aggs[ki].add(outs[ki], outs[0])
 			}
+			outs = outs[len(ks):]
 		}
-		for _, k := range kinds {
-			a := agg[k]
-			out = append(out, Measurement{
-				Bench: p.Name, Kind: k,
+		for ki, k := range ks {
+			a := &aggs[ki]
+			rows[benchKind{benches[bi], k}] = Measurement{
+				Bench: benches[bi].Name, Kind: k,
 				Perf: a.perf.Mean(), PerfStd: a.perf.StdDev(),
 				Energy: a.energy.Mean(), EnergyStd: a.energy.StdDev(),
 				BufferE: a.bufferE.Mean(), LinkE: a.linkE.Mean(), RestE: a.restE.Mean(),
@@ -350,89 +379,97 @@ func ClosedLoop(benches []cmp.Params, kinds []network.Kind, opt Options) ([]Meas
 				BufferedFraction: a.bufFrac.Mean(),
 				GossipSwitches:   a.gossip.Mean(),
 				EscapeEvents:     a.escape.Mean(),
-			})
+			}
 		}
 	}
-	return out, nil
+	return rows, nil
 }
 
+// cellAgg accumulates one (bench, kind) row over seeds.
 type cellAgg struct {
 	perf, energy, bufferE, linkE, restE   stats.Running
 	tx, inj, lat, bufFrac, gossip, escape stats.Running
 }
 
+// add adds one seed's cell, normalized to that seed's baseline cell.
+func (a *cellAgg) add(co, base closedOut) {
+	e, ms := co.energy, co.mode
+	baseEnergy := base.energy.Total()
+	a.perf.Add(co.res.TransactionsPerCycle / base.res.TransactionsPerCycle)
+	a.energy.Add(e.Total() / baseEnergy)
+	a.bufferE.Add(e.Buffer() / baseEnergy)
+	a.linkE.Add(e.Link / baseEnergy)
+	a.restE.Add(e.Rest() / baseEnergy)
+	a.tx.Add(co.res.TransactionsPerCycle)
+	a.inj.Add(co.res.InjectionRate)
+	a.lat.Add(co.res.MeanNetLatency)
+	a.bufFrac.Add(ms.BufferedFraction())
+	a.gossip.Add(float64(ms.GossipSwitches))
+	a.escape.Add(float64(ms.EscapeEvents))
+}
+
 // GeoMeans appends per-kind geometric-mean rows (bench "geomean") over
 // the normalized performance and energy of ms.
 func GeoMeans(ms []Measurement) []Measurement {
-	byKind := map[network.Kind][]Measurement{}
-	var order []network.Kind
-	for _, m := range ms {
-		if _, ok := byKind[m.Kind]; !ok {
-			order = append(order, m.Kind)
-		}
-		byKind[m.Kind] = append(byKind[m.Kind], m)
-	}
 	var out []Measurement
-	for _, k := range order {
-		rows := byKind[k]
-		var perfs, energies []float64
-		for _, r := range rows {
-			perfs = append(perfs, r.Perf)
-			energies = append(energies, r.Energy)
+	for _, m := range ms {
+		if slices.ContainsFunc(out, func(g Measurement) bool { return g.Kind == m.Kind }) {
+			continue
 		}
-		out = append(out, Measurement{
-			Bench:  "geomean",
-			Kind:   k,
-			Perf:   stats.GeoMean(perfs),
-			Energy: stats.GeoMean(energies),
-		})
+		var perfs, energies []float64
+		for _, r := range ms {
+			if r.Kind == m.Kind {
+				perfs = append(perfs, r.Perf)
+				energies = append(energies, r.Energy)
+			}
+		}
+		out = append(out, Measurement{Bench: "geomean", Kind: m.Kind, Perf: stats.GeoMean(perfs), Energy: stats.GeoMean(energies)})
 	}
 	return out
+}
+
+// writeTable prints title, then header and one line per row aligned in
+// tab-separated columns, then the footer lines and a blank line.
+func writeTable[T any](w io.Writer, title, header string, rows []T, line func(T) string, footer ...string) {
+	fmt.Fprintln(w, title)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, header)
+	for _, r := range rows {
+		fmt.Fprintln(tw, line(r))
+	}
+	tw.Flush()
+	for _, f := range footer {
+		fmt.Fprintln(w, f)
+	}
+	fmt.Fprintln(w)
 }
 
 // WriteFig2 renders the Figure 2 style table (normalized performance and
 // energy, with variance) to w.
 func WriteFig2(w io.Writer, title string, ms []Measurement) {
-	fmt.Fprintf(w, "%s\n", title)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "bench\tkind\tperf(norm)\t±\tenergy(norm)\t±\tinj rate\tnet lat")
-	for _, m := range ms {
-		fmt.Fprintf(tw, "%s\t%s\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%.1f\n",
-			m.Bench, m.Kind, m.Perf, m.PerfStd, m.Energy, m.EnergyStd,
-			m.InjectionRate, m.NetLatency)
-	}
-	tw.Flush()
-	fmt.Fprintln(w)
+	writeTable(w, title, "bench\tkind\tperf(norm)\t±\tenergy(norm)\t±\tinj rate\tnet lat", ms, func(m Measurement) string {
+		return fmt.Sprintf("%s\t%s\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%.1f",
+			m.Bench, m.Kind, m.Perf, m.PerfStd, m.Energy, m.EnergyStd, m.InjectionRate, m.NetLatency)
+	})
 }
 
 // WriteFig3 renders the Figure 3 style energy breakdown (components
 // normalized to the backpressured total per benchmark).
 func WriteFig3(w io.Writer, title string, ms []Measurement) {
-	fmt.Fprintf(w, "%s\n", title)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "bench\tkind\tbuffer\tlink\trest\ttotal")
-	for _, m := range ms {
-		fmt.Fprintf(tw, "%s\t%s\t%.3f\t%.3f\t%.3f\t%.3f\n",
+	writeTable(w, title, "bench\tkind\tbuffer\tlink\trest\ttotal", ms, func(m Measurement) string {
+		return fmt.Sprintf("%s\t%s\t%.3f\t%.3f\t%.3f\t%.3f",
 			m.Bench, m.Kind, m.BufferE, m.LinkE, m.RestE, m.BufferE+m.LinkE+m.RestE)
-	}
-	tw.Flush()
-	fmt.Fprintln(w)
+	})
 }
 
-// WriteDuty renders the AFC mode duty-cycle report (Section V-A text).
+// WriteDuty renders the AFC mode duty-cycle report (Section V-A text)
+// from the AFC rows of ms.
 func WriteDuty(w io.Writer, ms []Measurement) {
-	fmt.Fprintln(w, "AFC mode duty cycle (fraction of router-cycles in backpressured mode)")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "bench\tbackpressured-mode\tgossip switches\tescape events")
-	for _, m := range ms {
-		if m.Kind != network.AFC {
-			continue
-		}
-		fmt.Fprintf(tw, "%s\t%.1f%%\t%.1f\t%.1f\n",
-			m.Bench, 100*m.BufferedFraction, m.GossipSwitches, m.EscapeEvents)
-	}
-	tw.Flush()
-	fmt.Fprintln(w)
+	afc := slices.DeleteFunc(slices.Clone(ms), func(m Measurement) bool { return m.Kind != network.AFC })
+	writeTable(w, "AFC mode duty cycle (fraction of router-cycles in backpressured mode)",
+		"bench\tbackpressured-mode\tgossip switches\tescape events", afc, func(m Measurement) string {
+			return fmt.Sprintf("%s\t%.1f%%\t%.1f\t%.1f", m.Bench, 100*m.BufferedFraction, m.GossipSwitches, m.EscapeEvents)
+		})
 }
 
 // Table3Row is a paper-vs-measured injection-rate calibration entry.
@@ -444,45 +481,30 @@ type Table3Row struct {
 
 // Table3 measures the achieved injection rate of every workload preset on
 // the backpressured baseline (the configuration the paper's Table III
-// reports).
+// reports): a view of the closed-loop baseline rows.
 func Table3(opt Options) ([]Table3Row, error) {
-	benches := cmp.AllBenchmarks()
-	ns := len(opt.Seeds)
-	ro := opt.pool()
-	ws := opt.workerStates(ro.Workers(len(benches) * ns))
-	rates, err := runner.MapWorkers(len(benches)*ns, ro, func(worker, i int) (float64, error) {
-		res, _, err := ws[worker].runCell(benches[i/ns], metered(network.Backpressured, opt.Seeds[i%ns]))
-		if err != nil {
-			return 0, err
-		}
-		return res.InjectionRate, nil
-	})
-	if err != nil {
-		return nil, err
-	}
+	ms, err := ClosedLoop(ratesRead.benches, ratesRead.kinds, opt)
+	return table3Rows(ms), err
+}
+
+// table3Rows pairs each backpressured row's injection rate with the
+// paper's.
+func table3Rows(ms []Measurement) []Table3Row {
 	var out []Table3Row
-	for bi, p := range benches {
-		var r stats.Running
-		for si := 0; si < ns; si++ {
-			r.Add(rates[bi*ns+si])
-		}
+	for _, m := range ms {
 		out = append(out, Table3Row{
-			Bench:    p.Name,
-			Paper:    cmp.PaperInjectionRates[p.Name],
-			Measured: r.Mean(),
+			Bench:    m.Bench,
+			Paper:    cmp.PaperInjectionRates[m.Bench],
+			Measured: m.InjectionRate,
 		})
 	}
-	return out, nil
+	return out
 }
 
 // WriteTable3 renders the calibration table.
 func WriteTable3(w io.Writer, rows []Table3Row) {
-	fmt.Fprintln(w, "Table III: workload injection rates (flits/node/cycle), paper vs. measured")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "bench\tpaper\tmeasured")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%.2f\t%.3f\n", r.Bench, r.Paper, r.Measured)
-	}
-	tw.Flush()
-	fmt.Fprintln(w)
+	writeTable(w, "Table III: workload injection rates (flits/node/cycle), paper vs. measured",
+		"bench\tpaper\tmeasured", rows, func(r Table3Row) string {
+			return fmt.Sprintf("%s\t%.2f\t%.3f", r.Bench, r.Paper, r.Measured)
+		})
 }

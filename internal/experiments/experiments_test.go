@@ -215,15 +215,11 @@ func TestGeoMeans(t *testing.T) {
 	}
 }
 
-// TestWriteSVGs renders the full SVG figure set into a temp dir (format
-// smoke test over real, quick measurements).
+// TestWriteSVGs renders the full SVG figure set of canned results into
+// a temp dir (format smoke test).
 func TestWriteSVGs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
 	dir := t.TempDir()
-	opt := shapeOpt()
-	if err := WriteSVGs(dir, opt); err != nil {
+	if err := cannedResults().WriteSVGs(dir); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"fig2a.svg", "fig2b.svg", "fig2c.svg", "fig2d.svg", "fig3a.svg", "fig3b.svg", "sweep.svg"} {
@@ -235,19 +231,17 @@ func TestWriteSVGs(t *testing.T) {
 		if !strings.HasPrefix(s, "<svg") || !strings.HasSuffix(s, "</svg>") {
 			t.Errorf("%s is not an SVG document", name)
 		}
+		if name != "sweep.svg" && !strings.Contains(s, "water") && !strings.Contains(s, "apache") {
+			t.Errorf("%s names no benchmark", name)
+		}
 	}
 }
 
 // TestJSONRoundTrip: the exported results bundle is valid JSON with
-// self-describing kind names and survives a decode.
+// self-describing kind names, carries Fig. 2's rows in the figures' kind
+// order and Table III as the backpressured rows, and survives a decode.
 func TestJSONRoundTrip(t *testing.T) {
-	r := Results{
-		LowLoad:  []Measurement{{Bench: "water", Kind: network.AFC, Perf: 1, Energy: 0.78}},
-		Table3:   []Table3Row{{Bench: "water", Paper: 0.09, Measured: 0.094}},
-		Sweep:    []SweepPoint{{Kind: network.Bless, Offered: 0.3, Latency: 20}},
-		Quadrant: []QuadrantResult{{Kind: network.Backpressured, Energy: 5}},
-		Gossip:   GossipResult{GossipSwitches: 3, Drained: true},
-	}
+	r := cannedResults()
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -255,12 +249,26 @@ func TestJSONRoundTrip(t *testing.T) {
 	if !strings.Contains(buf.String(), `"afc"`) {
 		t.Error("kind not serialized by name")
 	}
-	var back Results
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &keys); err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 6 {
+		t.Errorf("JSON has %d keys, want lowLoad, highLoad, table3, sweep, quadrant and gossip", len(keys))
+	}
+	var back resultsJSON
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.LowLoad[0].Kind != network.AFC || back.Sweep[0].Kind != network.Bless {
-		t.Errorf("kinds did not round-trip: %+v", back.LowLoad[0])
+	if len(back.LowLoad) != 15 || back.LowLoad[0].Kind != network.BackpressuredIdealBypass || len(back.HighLoad) != 12 {
+		t.Errorf("Fig. 2 rows: %d low-load starting with %v, %d high-load; want 15 in Fig2EnergyKinds order and 12",
+			len(back.LowLoad), back.LowLoad[0].Kind, len(back.HighLoad))
+	}
+	if len(back.Table3) != 6 || back.Table3[0].Measured != r.closed[benchKind{cmp.LowLoad()[0], network.Backpressured}].InjectionRate {
+		t.Errorf("table3 = %+v; want the six backpressured rows' injection rates", back.Table3)
+	}
+	if back.Sweep[1].Kind != network.Bless || !back.Gossip.Drained {
+		t.Errorf("sweep or gossip did not round-trip: %+v %+v", back.Sweep, back.Gossip)
 	}
 }
 

@@ -304,17 +304,16 @@ func TestGoldenDigests(t *testing.T) {
 	pooled := func(path string, parallelism int, dirty bool) {
 		opt := base
 		opt.Parallelism = parallelism
-		ws := opt.workerStates(opt.pool().Workers(len(cells)))
-		outs, err := runner.MapWorkers(len(cells), opt.pool(), func(worker, i int) (activeSetSnap, error) {
+		outs, err := mapCells(len(cells), opt, func(w *workerState, i int) (activeSetSnap, error) {
 			c := cells[i]
 			if dirty {
-				net, _ := pooledGen(ws[worker], c.kind, c.seed+1000, 0.55)
+				net, _ := pooledGen(w, c.kind, c.seed+1000, 0.55)
 				net.Run(abandonCycles)
 				if net.Drained() {
 					return activeSetSnap{}, fmt.Errorf("%s: abandoned cell holds no flits", c.name())
 				}
 			}
-			return pooledCell(ws[worker], c.kind, c.seed, c.rate), nil
+			return pooledCell(w, c.kind, c.seed, c.rate), nil
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -3,55 +3,53 @@ package experiments
 import (
 	"encoding/json"
 	"io"
-
-	"afcnet/internal/cmp"
-	"afcnet/internal/network"
 )
 
-// Results bundles the full evaluation for machine consumption
-// (cmd/figures -json).
+// Results is one evaluation (Selection.Run, Evaluate): the closed-loop
+// measurements its artifacts read, and the result of each harness call
+// they make. Text, -json and -svg all render from it.
 type Results struct {
-	// LowLoad / HighLoad are the Figure 2/3 measurements.
-	LowLoad  []Measurement `json:"lowLoad"`
-	HighLoad []Measurement `json:"highLoad"`
-	// Table3 is the injection-rate calibration.
-	Table3 []Table3Row `json:"table3"`
-	// Sweep is the open-loop latency-throughput series.
-	Sweep []SweepPoint `json:"sweep"`
-	// Quadrant is the Section V-B consolidation experiment.
+	// closed holds the closed-loop batch's rows; the figures and tables
+	// that read them render views of it.
+	closed closedRows
+
+	Sweep      []SweepPoint
+	Quadrant   []QuadrantResult
+	Gossip     GossipResult
+	LazyVCA    []LazyVCARow
+	Thresholds []ThresholdRow
+	Sizing     []BaselineConfigRow
+	Pipeline   []PipelineRow
+	Metric     []ContentionMetricRow
+	EjectWidth []EjectRow
+}
+
+// JSONArtifacts are the artifacts WriteJSON renders; `figures -json`
+// adds them to its selection.
+var JSONArtifacts = []string{"2a", "2c", "rates", "sweep", "quadrant", "gossip"}
+
+// resultsJSON is the -json document: Fig. 2's low- and high-load rows,
+// Table III, the open-loop sweep, the Section V-B consolidation and the
+// gossip run.
+type resultsJSON struct {
+	LowLoad  []Measurement    `json:"lowLoad"`
+	HighLoad []Measurement    `json:"highLoad"`
+	Table3   []Table3Row      `json:"table3"`
+	Sweep    []SweepPoint     `json:"sweep"`
 	Quadrant []QuadrantResult `json:"quadrant"`
-	// Gossip is the hotspot mode-switch demonstration.
-	Gossip GossipResult `json:"gossip"`
+	Gossip   GossipResult     `json:"gossip"`
 }
 
-// CollectAll runs the complete evaluation once and returns it as a
-// Results bundle.
-func CollectAll(opt Options) (Results, error) {
-	var r Results
-	var err error
-	if r.LowLoad, err = ClosedLoop(cmp.LowLoad(), Fig2EnergyKinds, opt); err != nil {
-		return r, err
-	}
-	if r.HighLoad, err = ClosedLoop(cmp.HighLoad(), Fig2Kinds, opt); err != nil {
-		return r, err
-	}
-	if r.Table3, err = Table3(opt); err != nil {
-		return r, err
-	}
-	rates := []float64{0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65}
-	r.Sweep = LatencySweep([]network.Kind{
-		network.Backpressured, network.Bless, network.BlessDrop, network.AFC,
-	}, rates, opt)
-	r.Quadrant = Quadrant([]network.Kind{
-		network.Backpressured, network.Bless, network.AFC,
-	}, 0.9, 0.1, opt)
-	r.Gossip = GossipHotspot(opt.Seeds[0], opt)
-	return r, nil
-}
-
-// WriteJSON emits the bundle as indented JSON.
-func (r Results) WriteJSON(w io.Writer) error {
+// WriteJSON emits the JSONArtifacts of r as indented JSON.
+func (r *Results) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return enc.Encode(resultsJSON{
+		LowLoad:  r.closed.view(lowEnergyRead),
+		HighLoad: r.closed.view(highRead),
+		Table3:   table3Rows(r.closed.view(ratesRead)),
+		Sweep:    r.Sweep,
+		Quadrant: r.Quadrant,
+		Gossip:   r.Gossip,
+	})
 }

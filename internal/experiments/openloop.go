@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"text/tabwriter"
 
 	"afcnet/internal/config"
 	"afcnet/internal/network"
-	"afcnet/internal/runner"
 	"afcnet/internal/stats"
 	"afcnet/internal/topology"
 	"afcnet/internal/traffic"
@@ -52,24 +50,13 @@ func LatencySweepPattern(kinds []network.Kind, rates []float64,
 	}
 	ns := len(opt.Seeds)
 	nr := len(rates)
-	ro := opt.pool()
-	ws := opt.workerStates(ro.Workers(len(kinds) * nr * ns))
-	outs, err := runner.MapWorkers(len(kinds)*nr*ns, ro, func(worker, i int) (sweepOut, error) {
+	outs, err := mapCells(len(kinds)*nr*ns, opt, func(w *workerState, i int) (sweepOut, error) {
 		k := kinds[i/(nr*ns)]
 		rate := rates[i/ns%nr]
 		seed := opt.Seeds[i%ns]
-		e := ws[worker].acquire(network.Config{Kind: k, Seed: seed, MeterEnergy: false})
+		e := w.acquire(network.Config{Kind: k, Seed: seed, MeterEnergy: false})
 		net := e.net
-		tcfg := traffic.Config{
-			Pattern: mkPattern(net.Mesh()),
-			Rate:    rate,
-		}
-		if e.gen == nil {
-			e.gen = traffic.NewGenerator(net, tcfg, net.RandStream)
-		} else {
-			e.gen.Reattach(tcfg)
-		}
-		net.AddTicker(e.gen)
+		net.AddTicker(e.generator(traffic.Config{Pattern: mkPattern(net.Mesh()), Rate: rate}))
 		net.Run(opt.OpenLoopWarmup)
 		net.ResetStats()
 		net.Run(opt.OpenLoopMeasure)
@@ -125,22 +112,17 @@ func SaturationThroughput(pts []SweepPoint) map[network.Kind]float64 {
 
 // WriteSweep renders the latency-throughput sweep.
 func WriteSweep(w io.Writer, pts []SweepPoint) {
-	fmt.Fprintln(w, "Open-loop uniform-random latency/throughput sweep (3x3 mesh)")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "kind\toffered\tthroughput\tlatency\tsaturated")
-	for _, p := range pts {
-		fmt.Fprintf(tw, "%s\t%.3f\t%.3f\t%.1f\t%v\n",
-			p.Kind, p.Offered, p.Throughput, p.Latency, p.Saturated)
-	}
-	tw.Flush()
+	footer := []string{"saturation throughput (highest unsaturated offered load):"}
 	sat := SaturationThroughput(pts)
-	fmt.Fprintln(w, "saturation throughput (highest unsaturated offered load):")
 	for _, k := range []network.Kind{network.Backpressured, network.Bless, network.BlessDrop, network.AFC} {
 		if v, ok := sat[k]; ok {
-			fmt.Fprintf(w, "  %-28s %.3f flits/node/cycle\n", k, v)
+			footer = append(footer, fmt.Sprintf("  %-28s %.3f flits/node/cycle", k, v))
 		}
 	}
-	fmt.Fprintln(w)
+	writeTable(w, "Open-loop uniform-random latency/throughput sweep (3x3 mesh)",
+		"kind\toffered\tthroughput\tlatency\tsaturated", pts, func(p SweepPoint) string {
+			return fmt.Sprintf("%s\t%.3f\t%.3f\t%.1f\t%v", p.Kind, p.Offered, p.Throughput, p.Latency, p.Saturated)
+		}, footer...)
 }
 
 // QuadrantResult is the Section V-B spatial-variation experiment for one
@@ -170,12 +152,9 @@ func Quadrant(kinds []network.Kind, hotRate, coldRate float64, opt Options) []Qu
 		gossip, escape, delHot, delCold       uint64
 	}
 	ns := len(opt.Seeds)
-	ro := opt.pool()
-	ws := opt.workerStates(ro.Workers(len(kinds) * ns))
-	outs, err := runner.MapWorkers(len(kinds)*ns, ro, func(worker, i int) (quadOut, error) {
+	outs, err := mapCells(len(kinds)*ns, opt, func(w *workerState, i int) (quadOut, error) {
 		k := kinds[i/ns]
 		seed := opt.Seeds[i%ns]
-		w := ws[worker]
 		e := w.acquire(network.Config{System: sys, Kind: k, Seed: seed, MeterEnergy: true})
 		net := e.net
 		if len(w.rates) != net.Nodes() {
@@ -189,16 +168,7 @@ func Quadrant(kinds []network.Kind, hotRate, coldRate float64, opt Options) []Qu
 				rates[n] = coldRate
 			}
 		}
-		tcfg := traffic.Config{
-			Pattern:   traffic.Quadrant{Mesh: mesh},
-			NodeRates: rates,
-		}
-		if e.gen == nil {
-			e.gen = traffic.NewGenerator(net, tcfg, net.RandStream)
-		} else {
-			e.gen.Reattach(tcfg)
-		}
-		net.AddTicker(e.gen)
+		net.AddTicker(e.generator(traffic.Config{Pattern: traffic.Quadrant{Mesh: mesh}, NodeRates: rates}))
 		net.Run(opt.OpenLoopWarmup)
 		net.ResetStats()
 		net.Run(opt.OpenLoopMeasure)
@@ -273,26 +243,21 @@ func Quadrant(kinds []network.Kind, hotRate, coldRate float64, opt Options) []Qu
 // to AFC (the paper reports backpressured and backpressureless as +9% and
 // +30% energy over AFC).
 func WriteQuadrant(w io.Writer, rs []QuadrantResult) {
-	fmt.Fprintln(w, "Section V-B: 8x8 consolidation, hot quadrant @0.9 + three cold @0.1 flits/node/cycle")
 	var afcEnergy float64
 	for _, r := range rs {
 		if r.Kind == network.AFC {
 			afcEnergy = r.Energy
 		}
 	}
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "kind\tenergy/AFC\thot lat\tcold lat\tbuffered%\tgossip\tescape")
-	for _, r := range rs {
-		norm := 0.0
-		if afcEnergy > 0 {
-			norm = r.Energy / afcEnergy
-		}
-		fmt.Fprintf(tw, "%s\t%.3f\t%.1f\t%.1f\t%.1f%%\t%d\t%d\n",
-			r.Kind, norm, r.HotLatency, r.ColdLatency,
-			100*r.BufferedFrac, r.GossipSwitches, r.EscapeEvents)
-	}
-	tw.Flush()
-	fmt.Fprintln(w)
+	writeTable(w, "Section V-B: 8x8 consolidation, hot quadrant @0.9 + three cold @0.1 flits/node/cycle",
+		"kind\tenergy/AFC\thot lat\tcold lat\tbuffered%\tgossip\tescape", rs, func(r QuadrantResult) string {
+			norm := 0.0
+			if afcEnergy > 0 {
+				norm = r.Energy / afcEnergy
+			}
+			return fmt.Sprintf("%s\t%.3f\t%.1f\t%.1f\t%.1f%%\t%d\t%d",
+				r.Kind, norm, r.HotLatency, r.ColdLatency, 100*r.BufferedFrac, r.GossipSwitches, r.EscapeEvents)
+		})
 }
 
 // GossipResult reports the open-loop hotspot experiment that exercises
@@ -312,7 +277,7 @@ type GossipResult struct {
 // routers stay backpressureless, then lets it drain and checks no flit
 // was lost.
 func GossipHotspot(seed int64, opt Options) GossipResult {
-	net := opt.newNetwork(network.Config{Kind: network.AFC, Seed: seed, MeterEnergy: false})
+	net := opt.newWorkerState().acquire(network.Config{Kind: network.AFC, Seed: seed, MeterEnergy: false}).net
 	mesh := net.Mesh()
 	gen := traffic.NewGenerator(net, traffic.Config{
 		Pattern: traffic.Hotspot{Mesh: mesh, Hot: mesh.Node(1, 1), Frac: 0.7},

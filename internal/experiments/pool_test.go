@@ -48,7 +48,7 @@ func TestPoolLeakOracle(t *testing.T) {
 		OpenLoopMeasure: 1200,
 		Check:           true,
 	}
-	ws := opt.workerStates(1)[0]
+	ws := opt.newWorkerState()
 	for k := network.Kind(0); k < network.NumKinds; k++ {
 		for _, seed := range []int64{1, 7} {
 			snap := pooledCell(ws, k, seed, 0.30)
@@ -81,7 +81,7 @@ func TestPoolLeakOracleSharded(t *testing.T) {
 			Shards:          shards,
 			System:          config.DefaultWithMesh(topology.NewMesh(8, 8)),
 		}
-		ws := opt.workerStates(1)[0]
+		ws := opt.newWorkerState()
 		for k := network.Kind(0); k < network.NumKinds; k++ {
 			for _, seed := range []int64{1, 7} {
 				snap := pooledCell(ws, k, seed, 0.30)

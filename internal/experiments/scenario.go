@@ -3,12 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"text/tabwriter"
 
 	"afcnet/internal/network"
-	"afcnet/internal/runner"
 	"afcnet/internal/scenario"
-	"afcnet/internal/traffic"
 )
 
 // ScenarioResult is one (kind, seed) run of a scenario spec: per-phase
@@ -33,24 +30,17 @@ type ScenarioResult struct {
 // from steady state.
 func Scenario(kinds []network.Kind, spec *scenario.Spec, opt Options) ([]ScenarioResult, error) {
 	ns := len(opt.Seeds)
-	ro := opt.pool()
-	ws := opt.workerStates(ro.Workers(len(kinds) * ns))
-	outs, err := runner.MapWorkers(len(kinds)*ns, ro, func(worker, i int) (ScenarioResult, error) {
+	return mapCells(len(kinds)*ns, opt, func(w *workerState, i int) (ScenarioResult, error) {
 		k := kinds[i/ns]
 		seed := opt.Seeds[i%ns]
-		e := ws[worker].acquire(network.Config{Kind: k, Seed: seed, MeterEnergy: false})
+		e := w.acquire(network.Config{Kind: k, Seed: seed, MeterEnergy: false})
 		net := e.net
-		tcfg := spec.TrafficConfig(net.Mesh())
-		if e.gen == nil {
-			e.gen = traffic.NewGenerator(net, tcfg, net.RandStream)
-		} else {
-			e.gen.Reattach(tcfg)
-		}
+		gen := e.generator(spec.TrafficConfig(net.Mesh()))
 		// The engine must tick before the generator so an event at cycle
 		// c changes conditions ahead of cycle c's injections.
-		eng := scenario.NewEngine(net, e.gen, spec)
+		eng := scenario.NewEngine(net, gen, spec)
 		net.AddTicker(eng)
-		net.AddTicker(e.gen)
+		net.AddTicker(gen)
 		net.Run(spec.Duration)
 		return ScenarioResult{
 			Kind:       k,
@@ -62,10 +52,6 @@ func Scenario(kinds []network.Kind, spec *scenario.Spec, opt Options) ([]Scenari
 			Throughput: net.ThroughputFlits(),
 		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return outs, nil
 }
 
 // WriteScenario renders the per-phase scenario report.
@@ -73,18 +59,17 @@ func WriteScenario(w io.Writer, name string, rs []ScenarioResult) {
 	if name == "" {
 		name = "scenario"
 	}
-	fmt.Fprintf(w, "Scenario %q: per-phase packet completion times (cycles)\n", name)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "kind\tseed\tphase\tcycles\tdelivered\tnet p50/p99/p999\ttotal p50/p99/p999")
+	var lines []string
 	for _, r := range rs {
 		for _, p := range r.Phases {
-			fmt.Fprintf(tw, "%s\t%d\t%s\t%d..%d\t%d\t%d/%d/%d\t%d/%d/%d\n",
+			lines = append(lines, fmt.Sprintf("%s\t%d\t%s\t%d..%d\t%d\t%d/%d/%d\t%d/%d/%d",
 				r.Kind, r.Seed, p.Label, p.Start, p.End, p.Delivered,
-				p.NetP50, p.NetP99, p.NetP999, p.TotP50, p.TotP99, p.TotP999)
+				p.NetP50, p.NetP99, p.NetP999, p.TotP50, p.TotP99, p.TotP999))
 		}
-		fmt.Fprintf(tw, "%s\t%d\ttotal\t\t%d of %d\t(dropped %d, %.3f flits/node/cycle)\t\n",
-			r.Kind, r.Seed, r.Delivered, r.Created, r.Dropped, r.Throughput)
+		lines = append(lines, fmt.Sprintf("%s\t%d\ttotal\t\t%d of %d\t(dropped %d, %.3f flits/node/cycle)\t",
+			r.Kind, r.Seed, r.Delivered, r.Created, r.Dropped, r.Throughput))
 	}
-	tw.Flush()
-	fmt.Fprintln(w)
+	writeTable(w, fmt.Sprintf("Scenario %q: per-phase packet completion times (cycles)", name),
+		"kind\tseed\tphase\tcycles\tdelivered\tnet p50/p99/p999\ttotal p50/p99/p999", lines,
+		func(s string) string { return s })
 }

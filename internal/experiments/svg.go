@@ -3,8 +3,8 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"slices"
 
-	"afcnet/internal/cmp"
 	"afcnet/internal/network"
 	"afcnet/internal/viz"
 )
@@ -12,46 +12,28 @@ import (
 // Fig2SVG renders a Figure 2 style grouped bar chart from closed-loop
 // measurements. metric selects performance or energy.
 func Fig2SVG(title, ylabel string, ms []Measurement, energy bool) string {
+	// Groups are benchmarks and series are kinds, in first-row order.
 	var groups []string
-	seen := map[string]bool{}
+	var kinds []network.Kind
 	for _, m := range ms {
-		if !seen[m.Bench] {
-			seen[m.Bench] = true
+		if !slices.Contains(groups, m.Bench) {
 			groups = append(groups, m.Bench)
 		}
-	}
-	gi := map[string]int{}
-	for i, g := range groups {
-		gi[g] = i
-	}
-	var kinds []network.Kind
-	seenK := map[network.Kind]bool{}
-	for _, m := range ms {
-		if !seenK[m.Kind] {
-			seenK[m.Kind] = true
+		if !slices.Contains(kinds, m.Kind) {
 			kinds = append(kinds, m.Kind)
 		}
 	}
-	var series []viz.BarSeries
-	for _, k := range kinds {
-		s := viz.BarSeries{
-			Name: k.String(),
-			Val:  make([]float64, len(groups)),
-			Err:  make([]float64, len(groups)),
+	series := make([]viz.BarSeries, len(kinds))
+	for i, k := range kinds {
+		series[i] = viz.BarSeries{Name: k.String(), Val: make([]float64, len(groups)), Err: make([]float64, len(groups))}
+	}
+	for _, m := range ms {
+		s, g := series[slices.Index(kinds, m.Kind)], slices.Index(groups, m.Bench)
+		if energy {
+			s.Val[g], s.Err[g] = m.Energy, m.EnergyStd
+		} else {
+			s.Val[g], s.Err[g] = m.Perf, m.PerfStd
 		}
-		for _, m := range ms {
-			if m.Kind != k {
-				continue
-			}
-			if energy {
-				s.Val[gi[m.Bench]] = m.Energy
-				s.Err[gi[m.Bench]] = m.EnergyStd
-			} else {
-				s.Val[gi[m.Bench]] = m.Perf
-				s.Err[gi[m.Bench]] = m.PerfStd
-			}
-		}
-		series = append(series, s)
 	}
 	return viz.BarChart{
 		Title:   title,
@@ -103,21 +85,16 @@ func shortKind(k network.Kind) string {
 
 // SweepSVG renders the open-loop latency curves.
 func SweepSVG(pts []SweepPoint) string {
-	byKind := map[network.Kind]*viz.LineSeries{}
-	var order []network.Kind
-	for _, p := range pts {
-		s, ok := byKind[p.Kind]
-		if !ok {
-			s = &viz.LineSeries{Name: p.Kind.String()}
-			byKind[p.Kind] = s
-			order = append(order, p.Kind)
-		}
-		s.X = append(s.X, p.Offered)
-		s.Y = append(s.Y, p.Latency)
-	}
+	// One series per kind, in first-point order.
 	var series []viz.LineSeries
-	for _, k := range order {
-		series = append(series, *byKind[k])
+	for _, p := range pts {
+		i := slices.IndexFunc(series, func(s viz.LineSeries) bool { return s.Name == p.Kind.String() })
+		if i < 0 {
+			i = len(series)
+			series = append(series, viz.LineSeries{Name: p.Kind.String()})
+		}
+		series[i].X = append(series[i].X, p.Offered)
+		series[i].Y = append(series[i].Y, p.Latency)
 	}
 	return viz.LineChart{
 		Title:  "Open-loop latency vs. offered load (uniform random, 3x3)",
@@ -128,26 +105,19 @@ func SweepSVG(pts []SweepPoint) string {
 	}.SVG()
 }
 
-// WriteSVGs renders the main figure set into dir (created if needed):
-// fig2a/b/c/d, fig3a/b and the sweep. It reuses measurements so each
-// closed-loop configuration runs once.
-func WriteSVGs(dir string, opt Options) error {
+// SVGArtifacts are the artifacts WriteSVGs renders; `figures -svg` adds
+// them to its selection.
+var SVGArtifacts = []string{"2a", "2c", "3a", "3b", "sweep"}
+
+// WriteSVGs renders the main figure set of r into dir (created if
+// needed): fig2a/b/c/d, fig3a/b and the sweep. Figure 3(a)'s chart
+// stacks Figure 2(a)'s rows, the ideal-bypass bound included.
+func (r *Results) WriteSVGs(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	lows, err := ClosedLoop(cmp.LowLoad(), Fig2EnergyKinds, opt)
-	if err != nil {
-		return err
-	}
-	highs, err := ClosedLoop(cmp.HighLoad(), Fig2Kinds, opt)
-	if err != nil {
-		return err
-	}
-	rates := []float64{0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65}
-	pts := LatencySweep([]network.Kind{
-		network.Backpressured, network.Bless, network.BlessDrop, network.AFC,
-	}, rates, opt)
-
+	lows := r.closed.view(lowEnergyRead)
+	highs := r.closed.view(highRead)
 	files := map[string]string{
 		"fig2a.svg": Fig2SVG("Figure 2(a): performance, low load", "performance (normalized)", lows, false),
 		"fig2b.svg": Fig2SVG("Figure 2(b): network energy, low load", "energy (normalized)", lows, true),
@@ -155,7 +125,7 @@ func WriteSVGs(dir string, opt Options) error {
 		"fig2d.svg": Fig2SVG("Figure 2(d): network energy, high load", "energy (normalized)", highs, true),
 		"fig3a.svg": Fig3SVG("Figure 3(a): energy breakdown, low load", lows),
 		"fig3b.svg": Fig3SVG("Figure 3(b): energy breakdown, high load", highs),
-		"sweep.svg": SweepSVG(pts),
+		"sweep.svg": SweepSVG(r.Sweep),
 	}
 	for name, svg := range files {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(svg), 0o644); err != nil {
