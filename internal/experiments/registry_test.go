@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"math/bits"
 	"slices"
 	"strings"
 	"testing"
@@ -73,21 +74,13 @@ func TestRegistry(t *testing.T) {
 		t.Error(`Select("bogus") succeeded`)
 	}
 	all, _ := Select("all")
-	if want := len(registry) - 2; bitCount(all.print) != want || all.compute != all.print {
+	if want := len(registry) - 2; bits.OnesCount64(all.print) != want || all.compute != all.print {
 		t.Errorf(`Select("all") = %+v; want the %d entries that are not part of another's block`, all, want)
 	}
 	with := Selection{}.With(JSONArtifacts...).With(SVGArtifacts...)
-	if with.print != 0 || bitCount(with.compute) != 8 {
+	if with.print != 0 || bits.OnesCount64(with.compute) != 8 {
 		t.Errorf("-json and -svg select %+v; want 8 entries computed, none printed", with)
 	}
-}
-
-func bitCount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }
 
 // TestRegistryRendersCanned renders every entry from canned results:
