@@ -4,7 +4,8 @@
 // panics cannot see — global flit conservation, credit ledgers
 // reconciled against actual downstream buffer state, a flit-age bound
 // (the livelock oracle for deflection routing), AFC mode-transition
-// legality, and reassembly integrity at every NI.
+// legality, reassembly integrity at every NI, and each router's inbox
+// tally reconciled against its inbound pipes.
 //
 // The checker is pure observation: it never mutates network state, so a
 // checked run produces bit-for-bit the same results as an unchecked
@@ -38,9 +39,9 @@ type Config struct {
 	// DefaultMaxFlitAge.
 	MaxFlitAge uint64
 	// Interval is the period of the heavyweight scans (conservation,
-	// ledger reconciliation, reassembly); 0 checks every cycle. The
-	// cheap per-cycle AFC mode and shadow-ledger checks always run
-	// every cycle regardless.
+	// ledger reconciliation, reassembly, inbox tallies); 0 checks every
+	// cycle. The cheap per-cycle AFC mode and shadow-ledger checks
+	// always run every cycle regardless.
 	Interval uint64
 	// FailFast panics on the first violation with the full message;
 	// otherwise violations accumulate and are reported by Err.
@@ -211,6 +212,7 @@ func (c *Checker) Tick(now uint64) {
 	}
 	c.checkConservationAndAges(now)
 	c.checkReassembly(now)
+	c.checkInboxes(now)
 	switch c.kind {
 	case network.Backpressured, network.BackpressuredIdealBypass:
 		c.checkVCLedgers(now)
@@ -277,6 +279,21 @@ func (c *Checker) checkReassembly(now uint64) {
 	for node := 0; node < c.net.Nodes(); node++ {
 		if err := c.net.NI(topology.NodeID(node)).CheckReassembly(); err != nil {
 			c.fail(now, "reassembly at node %d: %v", node, err)
+		}
+	}
+}
+
+// checkInboxes reconciles every node's inbox tally against its inbound
+// pipes: each column must equal the summed InFlight of its class. The
+// tally alone decides whether a router skips a receive scan and whether
+// the kernel may skip the router, so a tally that drifts from the pipes
+// would lose arrivals or stall a router without any other symptom.
+func (c *Checker) checkInboxes(now uint64) {
+	for node := topology.NodeID(0); node < topology.NodeID(c.net.Nodes()); node++ {
+		w := c.net.Wires(node)
+		if got, want := c.net.Inbox(node), w.InFlight(); got != want {
+			c.fail(now, "inbox tally: node %d holds %v (data, credit, ctrl), its inbound pipes carry %v",
+				node, got, want)
 		}
 	}
 }

@@ -123,6 +123,40 @@ func TestCheckerCatchesPrematureRecycle(t *testing.T) {
 	}
 }
 
+// TestCheckerDetectsDetachedTally verifies the inbox reconciliation: on
+// a backpressured network, where credits flow back every cycle a flit
+// moves, a credit pipe that stops feeding its receiver's tally mid-run
+// must be reported at that node. The pipe is detached while it carries
+// a credit, so the stale tally stays above zero and the router keeps
+// polling its credit pipes: the run itself goes on unharmed.
+func TestCheckerDetectsDetachedTally(t *testing.T) {
+	net := network.New(network.Config{Kind: network.Backpressured, Seed: 3})
+	c := check.AttachWith(net, check.Config{})
+	gen := traffic.NewGenerator(net, traffic.Config{Rate: 0.3}, net.RandStream)
+	net.AddTicker(gen)
+	net.Run(500)
+	if err := c.Err(); err != nil {
+		t.Fatalf("violations before the tally was detached: %v", err)
+	}
+	const node = 4 // the center of the default 3x3 mesh
+	pipe := net.Wires(node).Ports[topology.East].CreditIn
+	for i := 0; pipe.InFlight() == 0; i++ {
+		if i == 1000 {
+			t.Fatal("no credit in flight toward node 4 from the east in 1000 cycles")
+		}
+		net.Step()
+	}
+	pipe.SetTally(nil)
+	net.Run(500)
+	err := c.Err()
+	if err == nil {
+		t.Fatal("checker accepted a credit pipe that stopped feeding its node's tally")
+	}
+	if !strings.Contains(err.Error(), "inbox tally: node 4 ") {
+		t.Fatalf("expected an inbox tally violation at node 4, got: %v", err)
+	}
+}
+
 // TestAttachRequiresCycleZero: the shadow ledgers assume observation
 // from the first cycle, so late attachment must be refused loudly.
 func TestAttachRequiresCycleZero(t *testing.T) {

@@ -20,10 +20,14 @@ import (
 // outputs run credit-starved, the input buffers stay full and most
 // buffered flits are ineligible in any given cycle — the congested
 // regime a backpressured router exists for. Flits circulate through a
-// fixed pool, so the rig itself allocates nothing per cycle.
+// fixed pool, so the rig itself allocates nothing per cycle. The router
+// is built the way the network builds it — through its slab, with the
+// mesh's shared route tables and an inbox tallied over the rig's pipes —
+// so the receive skips it times are the ones production runs.
 type benchRig struct {
 	r     *Router
 	wires router.Wires
+	inbox [3]int32
 	node  topology.NodeID
 	now   uint64
 	free  []*flit.Flit
@@ -64,8 +68,9 @@ func newBenchRig(cfg config.AFC, opts Options) *benchRig {
 			g.up[d] = cfg.VCsPerVN
 		}
 	}
-	g.r = New(mesh, benchNode, cfg, testLinkLat, 1, rand.New(rand.NewSource(7)),
-		g.wires, g, g, nil, opts)
+	g.wires.Tally(&g.inbox)
+	g.r = NewSlab(1, cfg, testLinkLat).New(mesh.NewTables(), benchNode, cfg, testLinkLat, 1, rand.New(rand.NewSource(7)),
+		g.wires, &g.inbox, g, g, nil, opts)
 	return g
 }
 

@@ -105,7 +105,7 @@ func (r *Router) blessInject(now uint64, taken *[topology.NumDirs]bool) {
 	start := r.injArb.Next()
 	// Empty NI: every armInjection would peek nil, zero its register and
 	// decline, so zeroing them all and returning is bit-for-bit identical.
-	if r.srcCount != nil && r.srcCount.QueuedFlits() == 0 {
+	if r.src.QueuedFlits() == 0 {
 		r.injArmedAt = [flit.NumVNs]uint64{}
 		return
 	}

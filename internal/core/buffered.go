@@ -179,7 +179,7 @@ func (r *Router) sendBuffered(now uint64, in, out topology.Dir) {
 // every router kind).
 func (r *Router) bufferedInject(now uint64) {
 	// Empty NI: every peek below would return nil.
-	if r.srcCount != nil && r.srcCount.QueuedFlits() == 0 {
+	if r.src.QueuedFlits() == 0 {
 		return
 	}
 	for vn := flit.VN(0); vn < flit.NumVNs; vn++ {

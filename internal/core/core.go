@@ -142,18 +142,17 @@ type Router struct {
 	// misrouteThreshold selects the rejected cumulative-misroute switch
 	// policy when positive (see Options.MisrouteThreshold).
 	misrouteThreshold int
-	// inbox, when non-nil, is this router's slot of the network's
-	// per-node aggregate in-flight slab (link.Pipe.SetTally), split by
-	// pipe class: [0] data, [1] credit, [2] ctrl. One cache line then
-	// replaces Quiescent's twelve-pipe pointer chase, and each receive
-	// scan skips outright when its own class shows nothing in flight;
-	// nil (standalone construction) falls back to the pipe scans.
+	// inbox is this router's slot of the network's per-node aggregate
+	// in-flight slab, split by pipe class (see router.Wires.Tally):
+	// [0] data, [1] credit, [2] ctrl. One cache line replaces
+	// Quiescent's twelve-pipe pointer chase, and each receive scan
+	// skips outright when its own class shows nothing in flight.
 	inbox   *[3]int32
 	monitor stats.IntensityMonitor
 	latches []latched
 	meter   *energy.Meter
-	// srcCount is src when it can report its queue total in O(1).
-	srcCount   router.QueuedCounter
+	// src is the node's NI; Quiescent reads its O(1) queue total.
+	src        router.LocalSource
 	injArb     router.RoundRobin
 	injArmedAt [flit.NumVNs]uint64
 	modeCycles [numModes]uint64
@@ -202,17 +201,15 @@ type Router struct {
 	deadOut [topology.NumDirs]bool
 
 	// dor is node's precomputed DOR next-hop table, indexed by
-	// destination. With slab construction it is a view into the
-	// network's shared topology.Tables — one O(N²) table per mesh, not
-	// per router.
+	// destination: a view into the network's shared topology.Tables —
+	// one O(N²) table per mesh, not per router.
 	dor []topology.Dir
 	// nbr lists the directions with a wired neighbor (data, credit and
 	// control pipes all exist exactly there), so the per-cycle receive
 	// loops skip the empty ports of edge and corner routers. Shared
-	// storage under slab construction, like dor.
+	// storage, like dor.
 	nbr   []topology.Dir
 	wires router.Wires
-	src   router.LocalSource
 	sink  router.LocalSink
 	defl  router.Deflector
 	// scratch for bless dispatch
@@ -221,7 +218,6 @@ type Router struct {
 
 	// --- cold config/fault/stats tail ---
 
-	mesh       topology.Mesh
 	node       topology.NodeID
 	cfg        config.AFC
 	linkLat    int
@@ -262,12 +258,6 @@ type Options struct {
 	// network region, because a deflected flit trips the threshold only
 	// after it has left the hot region — is demonstrated by ablation A7.
 	MisrouteThreshold int
-	// Tables, when non-nil, provides the shared per-mesh route tables
-	// and neighbor lists: the router's dor/nbr slices and its
-	// deflector's full route table become views into the shared backing
-	// instead of private O(N) / O(N²) copies. Nil (standalone
-	// construction) builds private tables from the mesh.
-	Tables *topology.Tables
 }
 
 // Slab is a contiguous bank of AFC routers: the Router structs occupy
@@ -311,36 +301,30 @@ func NewSlab(count int, cfg config.AFC, linkLatency int) *Slab {
 	return s
 }
 
-// New returns a standalone AFC router at node (a slab of one). rng
-// drives deflection arbitration.
-func New(mesh topology.Mesh, node topology.NodeID, cfg config.AFC, linkLatency, ejectWidth int,
-	rng *rand.Rand, wires router.Wires, src router.LocalSource, sink router.LocalSink,
-	meter *energy.Meter, opts Options) *Router {
-	return NewSlab(1, cfg, linkLatency).New(mesh, node, cfg, linkLatency, ejectWidth,
-		rng, wires, src, sink, meter, opts)
-}
-
 // New carves the next router from the slab and initializes it at node.
-// It panics when the slab is exhausted. rng drives deflection
-// arbitration.
-func (s *Slab) New(mesh topology.Mesh, node topology.NodeID, cfg config.AFC, linkLatency, ejectWidth int,
-	rng *rand.Rand, wires router.Wires, src router.LocalSource, sink router.LocalSink,
+// It panics when the slab is exhausted. tables is the network's shared
+// route tables; the router's dor and nbr slices and its deflector's
+// route table are views into it. inbox is the node's in-flight tally,
+// which wires' inbound pipes feed (router.Wires.Tally). rng drives
+// deflection arbitration.
+func (s *Slab) New(tables *topology.Tables, node topology.NodeID, cfg config.AFC, linkLatency, ejectWidth int,
+	rng *rand.Rand, wires router.Wires, inbox *[3]int32, src router.LocalSource, sink router.LocalSink,
 	meter *energy.Meter, opts Options) *Router {
 
 	if s.next >= len(s.routers) {
 		panic("core: router slab exhausted")
 	}
 	r := &s.routers[s.next]
-	r.mesh = mesh
 	r.node = node
 	r.wires = wires
+	r.inbox = inbox
 	r.src = src
 	r.sink = sink
 	r.meter = meter
 	r.cfg = cfg
 	r.linkLat = linkLatency
 	r.ejectWidth = ejectWidth
-	r.th = cfg.ThresholdsByPosition[mesh.Position(node)]
+	r.th = cfg.ThresholdsByPosition[tables.Mesh().Position(node)]
 	r.alwaysBuffered = opts.AlwaysBuffered
 	r.misrouteThreshold = opts.MisrouteThreshold
 	r.monitor.Init(cfg.EWMAWeight)
@@ -348,16 +332,12 @@ func (s *Slab) New(mesh topology.Mesh, node topology.NodeID, cfg config.AFC, lin
 	r.vnMask = s.vnMask
 	r.totalSlots = s.totalSlots
 
-	var routes topology.RouteTable
-	if opts.Tables != nil {
-		routes = opts.Tables.Routes(node)
-	} else {
-		routes = mesh.Routes(node)
-	}
 	// The deflector shares the same table — before the shared-tables
 	// layout each AFC router built two private O(N²) copies.
-	r.defl.Init(mesh, node, opts.Policy, rng, routes)
+	routes := tables.Routes(node)
+	r.defl.Init(node, opts.Policy, rng, routes)
 	r.dor = routes.DOR
+	r.nbr = tables.Neighbors(node)
 
 	base := s.next * topology.NumPorts
 	for p := 0; p < topology.NumPorts; p++ {
@@ -369,16 +349,6 @@ func (s *Slab) New(mesh topology.Mesh, node topology.NodeID, cfg config.AFC, lin
 		r.outArb[p].Init(topology.NumPorts)
 	}
 	r.injArb.Init(flit.NumVNs)
-	r.srcCount, _ = src.(router.QueuedCounter)
-	if opts.Tables != nil {
-		r.nbr = opts.Tables.Neighbors(node)
-	} else {
-		for d := topology.Dir(0); d < topology.NumDirs; d++ {
-			if pl := &wires.Ports[d]; pl.In != nil || pl.CreditIn != nil || pl.CtrlIn != nil {
-				r.nbr = append(r.nbr, d)
-			}
-		}
-	}
 
 	if opts.AlwaysBuffered {
 		r.mode = ModeBuffered
@@ -398,12 +368,6 @@ func (s *Slab) New(mesh topology.Mesh, node topology.NodeID, cfg config.AFC, lin
 	s.next++
 	return r
 }
-
-// SetInbox attaches the router's slot of the network's per-node
-// aggregate in-flight slab (see link.Pipe.SetTally); Quiescent then
-// reads one int32 instead of scanning every inbound pipe. Build-time
-// wiring, kept across Reset.
-func (r *Router) SetInbox(t *[3]int32) { r.inbox = t }
 
 // DORTable exposes the router's per-destination DOR table and
 // NeighborDirs its wired-direction list (aliasing tests assert they
@@ -598,35 +562,12 @@ func (r *Router) Quiescent(now uint64) bool {
 		}
 	}
 	// The inbox tallies mirror the summed InFlight of every inbound
-	// pipe at all times (see link.Pipe.SetTally), so one cache line of
-	// loads decides exactly what the pipe scan would.
-	if r.inbox != nil {
-		if r.inbox[0]|r.inbox[1]|r.inbox[2] != 0 {
-			return false
-		}
-	} else {
-		for _, d := range r.nbr {
-			pl := &r.wires.Ports[d]
-			if pl.In != nil && pl.In.InFlight() != 0 {
-				return false
-			}
-			if pl.CreditIn != nil && pl.CreditIn.InFlight() != 0 {
-				return false
-			}
-			if pl.CtrlIn != nil && pl.CtrlIn.InFlight() != 0 {
-				return false
-			}
-		}
+	// pipe at all times (see router.Wires.Tally), so one cache line of
+	// loads decides exactly what a pipe scan would.
+	if r.inbox[0]|r.inbox[1]|r.inbox[2] != 0 {
+		return false
 	}
-	if r.srcCount != nil {
-		return r.srcCount.QueuedFlits() == 0
-	}
-	for vn := flit.VN(0); vn < flit.NumVNs; vn++ {
-		if r.src.Peek(vn) != nil {
-			return false
-		}
-	}
-	return true
+	return r.src.QueuedFlits() == 0
 }
 
 // FastForward applies k skipped idle cycles (sim.Quiescer): static
@@ -724,7 +665,7 @@ func (r *Router) receiveCtrl(now uint64) {
 	// outright. In bless-mode steady state no ctrl traffic exists at
 	// all, so this turns the per-cycle ctrl poll into one load.
 	// (Nonzero does not imply an arrival now — the scan still polls.)
-	if r.inbox != nil && r.inbox[2] == 0 {
+	if r.inbox[2] == 0 {
 		return
 	}
 	for _, d := range r.nbr {
@@ -760,7 +701,7 @@ func (r *Router) receiveCtrl(now uint64) {
 
 // receiveCredits applies credit backflow from tracked neighbors.
 func (r *Router) receiveCredits(now uint64) {
-	if r.inbox != nil && r.inbox[1] == 0 {
+	if r.inbox[1] == 0 {
 		return // see receiveCtrl: no credits in flight toward this node
 	}
 	for _, d := range r.nbr {
@@ -802,7 +743,7 @@ func (r *Router) usableOut(f *flit.Flit, d topology.Dir) bool {
 // credit accounting arrive at or after bufferedFrom (see the package
 // comment), so buffering them can never overflow.
 func (r *Router) receive(now uint64) {
-	if r.inbox != nil && r.inbox[0] == 0 {
+	if r.inbox[0] == 0 {
 		return // see receiveCtrl: no flits in flight toward this node
 	}
 	buffered := r.mode == ModeBuffered ||

@@ -31,6 +31,14 @@ func (f *fakeNI) Pop(vn flit.VN) *flit.Flit {
 	return fl
 }
 
+func (f *fakeNI) QueuedFlits() int {
+	n := 0
+	for _, q := range f.queues {
+		n += len(q)
+	}
+	return n
+}
+
 func (f *fakeNI) Deliver(_ uint64, fl *flit.Flit) { f.delivered = append(f.delivered, fl) }
 
 const testLinkLat = 2 // L; data links are L+1
@@ -40,6 +48,7 @@ type harness struct {
 	ni    *fakeNI
 	now   uint64
 	wires router.Wires
+	inbox [3]int32
 	mesh  topology.Mesh
 	node  topology.NodeID
 
@@ -76,9 +85,10 @@ func newHarness(t *testing.T, node topology.NodeID, opts Options) *harness {
 			CtrlIn:    link.NewCtrl(testLinkLat),
 		}
 	}
+	h.wires.Tally(&h.inbox)
 	cfg := config.Default()
-	h.r = New(mesh, node, cfg.AFC, cfg.LinkLatency, cfg.EjectWidth,
-		rand.New(rand.NewSource(13)), h.wires, h.ni, h.ni, nil, opts)
+	h.r = NewSlab(1, cfg.AFC, cfg.LinkLatency).New(mesh.NewTables(), node, cfg.AFC, cfg.LinkLatency, cfg.EjectWidth,
+		rand.New(rand.NewSource(13)), h.wires, &h.inbox, h.ni, h.ni, nil, opts)
 	return h
 }
 

@@ -52,14 +52,14 @@ type Router struct {
 	// flits stay parked and countable.
 	dead    bool
 	latches []latched
-	// inbox, when non-nil, is this router's slot of the network's
-	// per-node aggregate in-flight slab (link.Pipe.SetTally): one load
-	// replaces Quiescent's pipe scan. Nil falls back to the scan.
+	// inbox is this router's slot of the network's per-node aggregate
+	// in-flight slab (see router.Wires.Tally): one load replaces
+	// Quiescent's pipe scan.
 	inbox *[3]int32
 	meter *energy.Meter
-	// srcCount is src when it can report its queue total in O(1).
-	srcCount router.QueuedCounter
-	injArb   router.RoundRobin
+	// src is the node's NI; Quiescent reads its O(1) queue total.
+	src    router.LocalSource
+	injArb router.RoundRobin
 
 	// injArmedAt models the per-VN injection-stage registers: a flit at
 	// the head of a VN's NI queue becomes eligible for port assignment
@@ -72,9 +72,8 @@ type Router struct {
 	defl  router.Deflector
 	flits []*flit.Flit // scratch, parallel prefix of latches
 	// nbr lists the directions with a wired inbound data pipe, so the
-	// per-cycle receive and quiescence loops skip the empty ports of edge
-	// and corner routers. A view into the network's shared
-	// topology.Tables under slab construction.
+	// per-cycle receive loop skips the empty ports of edge and corner
+	// routers. A view into the network's shared topology.Tables.
 	nbr []topology.Dir
 
 	// blockedOut marks output ports whose data link is fault-blocked
@@ -89,12 +88,10 @@ type Router struct {
 	parked int
 
 	wires router.Wires
-	src   router.LocalSource
 	sink  router.LocalSink
 
 	// --- cold config/stats tail ---
 
-	mesh       topology.Mesh
 	node       topology.NodeID
 	ejectWidth int
 
@@ -117,55 +114,32 @@ func NewSlab(count int) *Slab {
 	return &Slab{routers: make([]Router, count)}
 }
 
-// New returns a standalone deflection router at node (a slab of one).
-// rng drives the randomized arbitration policy.
-func New(mesh topology.Mesh, node topology.NodeID, policy router.DeflectPolicy,
-	ejectWidth int, rng *rand.Rand, wires router.Wires, src router.LocalSource,
-	sink router.LocalSink, meter *energy.Meter) *Router {
-	return NewSlab(1).New(mesh, node, policy, ejectWidth, rng, wires, src, sink, meter, nil)
-}
-
 // New carves the next router from the slab and initializes it at node.
-// tables, when non-nil, provides the shared route tables and neighbor
-// lists; nil builds private copies from the mesh.
-func (s *Slab) New(mesh topology.Mesh, node topology.NodeID, policy router.DeflectPolicy,
-	ejectWidth int, rng *rand.Rand, wires router.Wires, src router.LocalSource,
-	sink router.LocalSink, meter *energy.Meter, tables *topology.Tables) *Router {
+// tables is the network's shared route tables (the router's nbr slice
+// and its deflector's route table are views into it) and inbox the
+// node's in-flight tally, which wires' inbound pipes feed
+// (router.Wires.Tally). rng drives the randomized arbitration policy.
+func (s *Slab) New(tables *topology.Tables, node topology.NodeID, policy router.DeflectPolicy,
+	ejectWidth int, rng *rand.Rand, wires router.Wires, inbox *[3]int32, src router.LocalSource,
+	sink router.LocalSink, meter *energy.Meter) *Router {
 
 	if s.next >= len(s.routers) {
 		panic("deflect: router slab exhausted")
 	}
 	r := &s.routers[s.next]
-	r.mesh = mesh
 	r.node = node
 	r.wires = wires
+	r.inbox = inbox
 	r.src = src
 	r.sink = sink
 	r.meter = meter
 	r.ejectWidth = ejectWidth
 	r.injArb.Init(flit.NumVNs)
-	var routes topology.RouteTable
-	if tables != nil {
-		routes = tables.Routes(node)
-		r.nbr = tables.Neighbors(node)
-	} else {
-		routes = mesh.Routes(node)
-		for d := topology.Dir(0); d < topology.NumDirs; d++ {
-			if wires.Ports[d].In != nil {
-				r.nbr = append(r.nbr, d)
-			}
-		}
-	}
-	r.defl.Init(mesh, node, policy, rng, routes)
-	r.srcCount, _ = src.(router.QueuedCounter)
+	r.nbr = tables.Neighbors(node)
+	r.defl.Init(node, policy, rng, tables.Routes(node))
 	s.next++
 	return r
 }
-
-// SetInbox attaches the router's slot of the network's per-node
-// aggregate in-flight slab (see link.Pipe.SetTally). Build-time wiring,
-// kept across Reset.
-func (r *Router) SetInbox(t *[3]int32) { r.inbox = t }
 
 // DORTable exposes the deflector's per-destination DOR table and
 // NeighborDirs the wired-direction list (aliasing tests assert they
@@ -337,7 +311,7 @@ func (r *Router) inject(now uint64, taken *[topology.NumDirs]bool) {
 	start := r.injArb.Next()
 	// Empty NI: every armInjection would peek nil, zero its register and
 	// decline, so zeroing them all and returning is bit-for-bit identical.
-	if r.srcCount != nil && r.srcCount.QueuedFlits() == 0 {
+	if r.src.QueuedFlits() == 0 {
 		r.injArmedAt = [flit.NumVNs]uint64{}
 		return
 	}
@@ -385,7 +359,7 @@ func (r *Router) inject(now uint64, taken *[topology.NumDirs]bool) {
 func (r *Router) receive(now uint64) {
 	// inbox is the aggregate in-flight count toward this node: zero
 	// means every Recv below would miss, so skip the scan outright.
-	if r.inbox != nil && r.inbox[0] == 0 {
+	if r.inbox[0] == 0 {
 		return
 	}
 	for _, d := range r.nbr {
@@ -418,30 +392,13 @@ func (r *Router) Quiescent(now uint64) bool {
 	if len(r.latches) != 0 {
 		return false
 	}
-	if r.inbox != nil {
-		// One aggregate load (maintained by the inbound pipes' tally
-		// hooks) replaces the per-direction InFlight scan. Deflection
-		// networks carry no credit/control traffic, so the aggregate
-		// equals the data-pipe sum exactly.
-		if r.inbox[0] != 0 {
-			return false
-		}
-	} else {
-		for _, d := range r.nbr {
-			if r.wires.Ports[d].In.InFlight() != 0 {
-				return false
-			}
-		}
+	// One load of the data column (maintained by the inbound pipes'
+	// tally hooks) replaces a per-direction InFlight scan; deflection
+	// routers read no credit or control pipe.
+	if r.inbox[0] != 0 {
+		return false
 	}
-	if r.srcCount != nil {
-		return r.srcCount.QueuedFlits() == 0
-	}
-	for vn := flit.VN(0); vn < flit.NumVNs; vn++ {
-		if r.src.Peek(vn) != nil {
-			return false
-		}
-	}
-	return true
+	return r.src.QueuedFlits() == 0
 }
 
 // FastForward applies k skipped idle cycles (sim.Quiescer). Each idle

@@ -30,6 +30,14 @@ func (f *fakeNI) Pop(vn flit.VN) *flit.Flit {
 	return fl
 }
 
+func (f *fakeNI) QueuedFlits() int {
+	n := 0
+	for _, q := range f.queues {
+		n += len(q)
+	}
+	return n
+}
+
 func (f *fakeNI) Deliver(_ uint64, fl *flit.Flit) { f.delivered = append(f.delivered, fl) }
 
 const testLinkLat = 2
@@ -41,6 +49,7 @@ type harness struct {
 	ni    *fakeNI
 	now   uint64
 	wires router.Wires
+	inbox [3]int32
 }
 
 func newHarness(t *testing.T, node topology.NodeID) *harness {
@@ -60,8 +69,9 @@ func newHarness(t *testing.T, node topology.NodeID) *harness {
 			CtrlIn:    link.NewCtrl(testLinkLat),
 		}
 	}
-	h.r = New(mesh, node, router.PolicyRandom, 1, rand.New(rand.NewSource(9)),
-		h.wires, h.ni, h.ni, nil)
+	h.wires.Tally(&h.inbox)
+	h.r = NewSlab(1).New(mesh.NewTables(), node, router.PolicyRandom, 1, rand.New(rand.NewSource(9)),
+		h.wires, &h.inbox, h.ni, h.ni, nil)
 	return h
 }
 

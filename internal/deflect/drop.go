@@ -30,12 +30,12 @@ type DropRouter struct {
 	// Router.SetDead.
 	dead    bool
 	latches []latched
-	// inbox, when non-nil, replaces Quiescent's pipe scan with one
-	// aggregate load (see Router.inbox).
+	// inbox replaces Quiescent's pipe scan with one aggregate load
+	// (see Router.inbox).
 	inbox *[3]int32
 	meter *energy.Meter
-	// srcCount is src when it can report its queue total in O(1).
-	srcCount   router.QueuedCounter
+	// src is the node's NI; Quiescent reads its O(1) queue total.
+	src        router.LocalSource
 	injArb     router.RoundRobin
 	injArmedAt [flit.NumVNs]uint64
 
@@ -49,8 +49,7 @@ type DropRouter struct {
 
 	order []int
 	// routes is node's precomputed route table — a view into the
-	// network's shared topology.Tables under slab construction, a
-	// private copy otherwise.
+	// network's shared topology.Tables.
 	routes topology.RouteTable
 	// nbr lists the directions with a wired inbound data pipe (see
 	// Router.nbr).
@@ -63,13 +62,11 @@ type DropRouter struct {
 	blockedOut [topology.NumDirs]bool
 
 	wires router.Wires
-	src   router.LocalSource
 	sink  router.LocalSink
 	nack  Nacker
 
 	// --- cold config/stats tail ---
 
-	mesh       topology.Mesh
 	node       topology.NodeID
 	ejectWidth int
 
@@ -91,28 +88,19 @@ func NewDropSlab(count int) *DropSlab {
 	return &DropSlab{routers: make([]DropRouter, count)}
 }
 
-// NewDrop returns a standalone drop-based backpressureless router at
-// node (a slab of one).
-func NewDrop(mesh topology.Mesh, node topology.NodeID, ejectWidth int, rng *rand.Rand,
-	wires router.Wires, src router.LocalSource, sink router.LocalSink,
+// New carves the next router from the slab and initializes it at node;
+// tables and inbox are as for Slab.New.
+func (s *DropSlab) New(tables *topology.Tables, node topology.NodeID, ejectWidth int, rng *rand.Rand,
+	wires router.Wires, inbox *[3]int32, src router.LocalSource, sink router.LocalSink,
 	meter *energy.Meter, nack Nacker) *DropRouter {
-	return NewDropSlab(1).New(mesh, node, ejectWidth, rng, wires, src, sink, meter, nack, nil)
-}
-
-// New carves the next router from the slab and initializes it at node.
-// tables, when non-nil, provides the shared route tables and neighbor
-// lists; nil builds private copies from the mesh.
-func (s *DropSlab) New(mesh topology.Mesh, node topology.NodeID, ejectWidth int, rng *rand.Rand,
-	wires router.Wires, src router.LocalSource, sink router.LocalSink,
-	meter *energy.Meter, nack Nacker, tables *topology.Tables) *DropRouter {
 
 	if s.next >= len(s.routers) {
 		panic("deflect: drop-router slab exhausted")
 	}
 	r := &s.routers[s.next]
-	r.mesh = mesh
 	r.node = node
 	r.wires = wires
+	r.inbox = inbox
 	r.src = src
 	r.sink = sink
 	r.meter = meter
@@ -120,25 +108,11 @@ func (s *DropSlab) New(mesh topology.Mesh, node topology.NodeID, ejectWidth int,
 	r.rng = rng
 	r.ejectWidth = ejectWidth
 	r.injArb.Init(flit.NumVNs)
-	if tables != nil {
-		r.routes = tables.Routes(node)
-		r.nbr = tables.Neighbors(node)
-	} else {
-		r.routes = mesh.Routes(node)
-		for d := topology.Dir(0); d < topology.NumDirs; d++ {
-			if wires.Ports[d].In != nil {
-				r.nbr = append(r.nbr, d)
-			}
-		}
-	}
-	r.srcCount, _ = src.(router.QueuedCounter)
+	r.routes = tables.Routes(node)
+	r.nbr = tables.Neighbors(node)
 	s.next++
 	return r
 }
-
-// SetInbox attaches the router's slot of the network's per-node
-// aggregate in-flight slab (see link.Pipe.SetTally).
-func (r *DropRouter) SetInbox(t *[3]int32) { r.inbox = t }
 
 // DORTable exposes the per-destination DOR table and NeighborDirs the
 // wired-direction list (aliasing tests assert they share the network's
@@ -208,26 +182,10 @@ func (r *DropRouter) Quiescent(now uint64) bool {
 	if len(r.latches) != 0 {
 		return false
 	}
-	if r.inbox != nil {
-		if r.inbox[0] != 0 {
-			return false
-		}
-	} else {
-		for _, d := range r.nbr {
-			if r.wires.Ports[d].In.InFlight() != 0 {
-				return false
-			}
-		}
+	if r.inbox[0] != 0 {
+		return false
 	}
-	if r.srcCount != nil {
-		return r.srcCount.QueuedFlits() == 0
-	}
-	for vn := flit.VN(0); vn < flit.NumVNs; vn++ {
-		if r.src.Peek(vn) != nil {
-			return false
-		}
-	}
-	return true
+	return r.src.QueuedFlits() == 0
 }
 
 // FastForward applies k skipped idle cycles (sim.Quiescer); see
@@ -354,7 +312,7 @@ func (r *DropRouter) inject(now uint64, taken *[topology.NumDirs]bool) {
 	start := r.injArb.Next()
 	// Empty NI: every armInjection would peek nil, zero its register and
 	// decline, so zeroing them all and returning is bit-for-bit identical.
-	if r.srcCount != nil && r.srcCount.QueuedFlits() == 0 {
+	if r.src.QueuedFlits() == 0 {
 		r.injArmedAt = [flit.NumVNs]uint64{}
 		return
 	}
@@ -380,7 +338,7 @@ func (r *DropRouter) inject(now uint64, taken *[topology.NumDirs]bool) {
 func (r *DropRouter) receive(now uint64) {
 	// See Router.receive: zero aggregate in-flight means every Recv
 	// below would miss.
-	if r.inbox != nil && r.inbox[0] == 0 {
+	if r.inbox[0] == 0 {
 		return
 	}
 	for _, d := range r.nbr {

@@ -22,6 +22,7 @@ type dropHarness struct {
 	nack  *recordingNacker
 	now   uint64
 	wires router.Wires
+	inbox [3]int32
 }
 
 func newDropHarness(t *testing.T, node topology.NodeID) *dropHarness {
@@ -37,7 +38,9 @@ func newDropHarness(t *testing.T, node topology.NodeID) *dropHarness {
 			In:  link.NewData(testLinkLat + 1),
 		}
 	}
-	h.r = NewDrop(mesh, node, 1, rand.New(rand.NewSource(3)), h.wires, h.ni, h.ni, nil, h.nack)
+	h.wires.Tally(&h.inbox)
+	h.r = NewDropSlab(1).New(mesh.NewTables(), node, 1, rand.New(rand.NewSource(3)), h.wires, &h.inbox,
+		h.ni, h.ni, nil, h.nack)
 	return h
 }
 

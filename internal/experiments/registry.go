@@ -121,12 +121,12 @@ func Artifacts() []string {
 type Selection struct{ compute, print uint64 }
 
 // Select returns the artifacts `figures -fig name` prints: the entry
-// named name (in any case), or every entry for "all", where 2b and 2d
-// print inside 2a's and 2c's blocks.
+// named name, or every entry for "all", where 2b and 2d print inside
+// 2a's and 2c's blocks. Both match in any case.
 func Select(name string) (Selection, error) {
 	var s Selection
 	for i, a := range registry {
-		if name == "all" && a.partOf == "" || strings.EqualFold(name, a.name) {
+		if strings.EqualFold(name, "all") && a.partOf == "" || strings.EqualFold(name, a.name) {
 			s.compute |= 1 << i
 		}
 	}

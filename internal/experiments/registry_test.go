@@ -77,6 +77,9 @@ func TestRegistry(t *testing.T) {
 	if want := len(registry) - 2; bits.OnesCount64(all.print) != want || all.compute != all.print {
 		t.Errorf(`Select("all") = %+v; want the %d entries that are not part of another's block`, all, want)
 	}
+	if upper, err := Select("ALL"); err != nil || upper != all {
+		t.Errorf(`Select("ALL") = %+v, %v; want %+v, as Select("all")`, upper, err, all)
+	}
 	with := Selection{}.With(JSONArtifacts...).With(SVGArtifacts...)
 	if with.print != 0 || bits.OnesCount64(with.compute) != 8 {
 		t.Errorf("-json and -svg select %+v; want 8 entries computed, none printed", with)

@@ -130,7 +130,7 @@ type Network struct {
 	tables *topology.Tables
 	// inbox is the per-node aggregate in-flight slab: inbox[v] mirrors
 	// the summed InFlight of every pipe inbound to v's router
-	// (link.Pipe.SetTally), split by pipe class — [0] data, [1] credit,
+	// (router.Wires.Tally), split by pipe class — [0] data, [1] credit,
 	// [2] ctrl — so the quiescence probe reads one cache line and each
 	// receive scan skips outright when its class is idle (in bless-mode
 	// steady state the credit and ctrl counters stay zero). Node-ordered,
@@ -265,13 +265,6 @@ func (n *Network) build() {
 			wires[nb].Ports[op].CreditOut = credit
 			wires[nb].Ports[op].CtrlIn = ctrl
 
-			// Each pipe tallies into its receiver's inbox slot, in its
-			// class column: data and ctrl flow node -> nb, credit flows
-			// back.
-			data.SetTally(&n.inbox[nb][0])
-			ctrl.SetTally(&n.inbox[nb][2])
-			credit.SetTally(&n.inbox[node][1])
-
 			n.stagePipes(node, nb, data, credit, ctrl)
 		}
 	}
@@ -318,10 +311,10 @@ func (n *Network) build() {
 			meter = n.newMeter()
 		}
 		n.meters[node] = meter
-		n.routers[node] = n.newRouter(node, wires[node], meter)
-		if ib, ok := n.routers[node].(interface{ SetInbox(*[3]int32) }); ok {
-			ib.SetInbox(&n.inbox[node])
-		}
+		// Each inbound pipe tallies into the node's inbox slot, in its
+		// class column.
+		wires[node].Tally(&n.inbox[node])
+		n.routers[node] = n.newRouter(node, wires[node], &n.inbox[node], meter)
 	}
 	// One bank entry + housekeeping + a handful of AddTicker clients
 	// (generator or CMP, probe, checker, observer).
@@ -346,14 +339,14 @@ func (n *Network) newMeter() *energy.Meter {
 	return energy.NewMeter(n.cfg.Energy, k.FlitWidthBits(), slots, topology.NumPorts, dynBuf)
 }
 
-func (n *Network) newRouter(node topology.NodeID, w router.Wires, meter *energy.Meter) router.Router {
+func (n *Network) newRouter(node topology.NodeID, w router.Wires, inbox *[3]int32, meter *energy.Meter) router.Router {
 	sys := n.cfg.System
 	nif := n.nis[node]
 	switch n.cfg.Kind {
 	case Backpressured, BackpressuredIdealBypass:
-		return n.vcSlab.New(n.mesh, node, sys.Baseline, sys.EjectWidth, w, nif, nif, meter, n.tables)
+		return n.vcSlab.New(n.tables, node, sys.Baseline, sys.EjectWidth, w, inbox, nif, nif, meter)
 	case Bless:
-		return n.deflSlab.New(n.mesh, node, n.cfg.Policy, sys.EjectWidth, n.source.Stream(), w, nif, nif, meter, n.tables)
+		return n.deflSlab.New(n.tables, node, n.cfg.Policy, sys.EjectWidth, n.source.Stream(), w, inbox, nif, nif, meter)
 	case BlessDrop:
 		nif.SetRetain(true)
 		// ACK the source on delivery so it stops retransmitting; the
@@ -368,19 +361,19 @@ func (n *Network) newRouter(node topology.NodeID, w router.Wires, meter *energy.
 			}
 			n.nis[d.Src].ClearRetained(d.ID)
 		})
-		dr := n.dropSlab.New(n.mesh, node, sys.EjectWidth, n.source.Stream(), w, nif, nif, meter,
-			&nodeNacker{net: n, node: node}, n.tables)
+		dr := n.dropSlab.New(n.tables, node, sys.EjectWidth, n.source.Stream(), w, inbox, nif, nif, meter,
+			&nodeNacker{net: n, node: node})
 		if n.shards > 1 {
 			// Drop retirement recycles through the shard's arena magazine.
 			dr.SetArenaShard(n.arena.Shard(n.shardOf[node]))
 		}
 		return dr
 	case AFC:
-		return n.coreSlab.New(n.mesh, node, sys.AFC, sys.LinkLatency, sys.EjectWidth, n.source.Stream(), w, nif, nif, meter,
-			core.Options{Policy: n.cfg.Policy, MisrouteThreshold: n.cfg.MisrouteThreshold, Tables: n.tables})
+		return n.coreSlab.New(n.tables, node, sys.AFC, sys.LinkLatency, sys.EjectWidth, n.source.Stream(), w, inbox, nif, nif, meter,
+			core.Options{Policy: n.cfg.Policy, MisrouteThreshold: n.cfg.MisrouteThreshold})
 	case AFCAlwaysBuffered:
-		return n.coreSlab.New(n.mesh, node, sys.AFC, sys.LinkLatency, sys.EjectWidth, n.source.Stream(), w, nif, nif, meter,
-			core.Options{AlwaysBuffered: true, Policy: n.cfg.Policy, Tables: n.tables})
+		return n.coreSlab.New(n.tables, node, sys.AFC, sys.LinkLatency, sys.EjectWidth, n.source.Stream(), w, inbox, nif, nif, meter,
+			core.Options{AlwaysBuffered: true, Policy: n.cfg.Policy})
 	}
 	panic(fmt.Sprintf("network: unknown kind %v", n.cfg.Kind))
 }
@@ -527,6 +520,11 @@ func (n *Network) AddTicker(t sim.Ticker) { n.kernel.Register(t) }
 // Wires returns the link endpoints of node. Routers own the wires;
 // the invariant checker reads link state through this accessor.
 func (n *Network) Wires(node topology.NodeID) router.Wires { return n.wires[node] }
+
+// Inbox returns node's in-flight tally, by router.Wires.Tally's columns:
+// what the router reads to skip receive scans and to decide quiescence.
+// The invariant checker reconciles it against the inbound pipes.
+func (n *Network) Inbox(node topology.NodeID) [3]int32 { return n.inbox[node] }
 
 // Mesh returns the network's mesh.
 func (n *Network) Mesh() topology.Mesh { return n.mesh }

@@ -123,7 +123,7 @@ func (n *Network) ResetStats() {
 // retransmissions.
 func (n *Network) Drained() bool {
 	for _, nif := range n.nis {
-		if nif.QueueLen() > 0 || nif.PendingReassembly() > 0 {
+		if nif.QueuedFlits() > 0 || nif.PendingReassembly() > 0 {
 			return false
 		}
 	}

@@ -556,10 +556,7 @@ func (n *NI) SampleQueuesIdle(k uint64) {
 	n.queueLenSamples += k
 }
 
-// QueueLen returns the flits currently waiting for injection.
-func (n *NI) QueueLen() int { return n.queuedFlits }
-
-// QueuedFlits implements router.QueuedCounter: the O(1) total of flits
+// QueuedFlits implements router.LocalSource: the O(1) total of flits
 // waiting for injection across all virtual networks.
 func (n *NI) QueuedFlits() int { return n.queuedFlits }
 

@@ -11,8 +11,8 @@ import (
 func TestPacketizationAndQueues(t *testing.T) {
 	n := New(0)
 	n.SendPacket(10, 3, flit.VNData, 4, 77)
-	if n.QueueLen() != 4 {
-		t.Fatalf("queue len = %d, want 4", n.QueueLen())
+	if n.QueuedFlits() != 4 {
+		t.Fatalf("queue len = %d, want 4", n.QueuedFlits())
 	}
 	for i := 0; i < 4; i++ {
 		f := n.Pop(flit.VNData)
@@ -228,7 +228,7 @@ func TestBacklogHoldsNoFlits(t *testing.T) {
 		n.SendPacket(uint64(i), 1, flit.VNData, flit.DataPacketFlits, uint64(i))
 		n.SendPacket(uint64(i), 2, flit.VNReq, flit.ControlPacketFlits, uint64(i))
 	}
-	if got, want := n.QueueLen(), packets*(flit.DataPacketFlits+flit.ControlPacketFlits); got != want {
+	if got, want := n.QueuedFlits(), packets*(flit.DataPacketFlits+flit.ControlPacketFlits); got != want {
 		t.Fatalf("queue len = %d flits, want %d", got, want)
 	}
 	if live := a.Live(); live != 0 {
@@ -251,8 +251,8 @@ func TestBacklogHoldsNoFlits(t *testing.T) {
 			t.Fatalf("pop %d: %d arena flits live, want at most %d", i, live, bound)
 		}
 	}
-	if n.Peek(flit.VNData) != nil || n.QueueLen() != packets {
-		t.Fatalf("after draining VNData: head %v, %d flits queued", n.Peek(flit.VNData), n.QueueLen())
+	if n.Peek(flit.VNData) != nil || n.QueuedFlits() != packets {
+		t.Fatalf("after draining VNData: head %v, %d flits queued", n.Peek(flit.VNData), n.QueuedFlits())
 	}
 }
 
@@ -302,8 +302,8 @@ func TestRetransmitInterleavesInOrder(t *testing.T) {
 	if n.Epoch(a) != 2 || n.Epoch(b) != 1 || n.Epoch(c) != 0 {
 		t.Errorf("epochs a %d b %d c %d, want 2 1 0", n.Epoch(a), n.Epoch(b), n.Epoch(c))
 	}
-	if n.QueueLen() != 0 || n.Peek(flit.VNData) != nil {
-		t.Errorf("queue not empty: %d flits", n.QueueLen())
+	if n.QueuedFlits() != 0 || n.Peek(flit.VNData) != nil {
+		t.Errorf("queue not empty: %d flits", n.QueuedFlits())
 	}
 }
 
@@ -318,8 +318,8 @@ func TestResetMidPacket(t *testing.T) {
 		n.Pop(flit.VNData)
 	}
 	n.Reset()
-	if n.QueueLen() != 0 || n.QueuedFlits() != 0 {
-		t.Fatalf("queue len %d after Reset", n.QueueLen())
+	if n.QueuedFlits() != 0 {
+		t.Fatalf("queue len %d after Reset", n.QueuedFlits())
 	}
 	for vn := flit.VN(0); vn < flit.NumVNs; vn++ {
 		if f := n.Peek(vn); f != nil {

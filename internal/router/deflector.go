@@ -50,7 +50,6 @@ type Assignment struct {
 // (hot-potato) routing for one router: every contending flit receives some
 // free output; at most one flit ejects per cycle; losers are misrouted.
 type Deflector struct {
-	mesh   topology.Mesh
 	node   topology.NodeID
 	policy DeflectPolicy
 	rng    *rand.Rand
@@ -65,21 +64,10 @@ type Deflector struct {
 	out   []Assignment
 }
 
-// NewDeflector returns a deflector for the router at node, building a
-// private route table. Slab-resident routers use Init with the
-// network's shared tables instead.
-func NewDeflector(mesh topology.Mesh, node topology.NodeID, policy DeflectPolicy, rng *rand.Rand) *Deflector {
-	d := &Deflector{}
-	d.Init(mesh, node, policy, rng, mesh.Routes(node))
-	return d
-}
-
-// Init (re)initializes a deflector in place for value embedding, with a
-// caller-provided route table — typically a view into the network's
-// shared topology.Tables, so the O(N²) table exists once per mesh
-// rather than once per deflector.
-func (d *Deflector) Init(mesh topology.Mesh, node topology.NodeID, policy DeflectPolicy, rng *rand.Rand, routes topology.RouteTable) {
-	d.mesh = mesh
+// Init (re)initializes a deflector in place for value embedding. routes
+// is node's view into the network's shared topology.Tables, so the
+// O(N²) table exists once per mesh rather than once per deflector.
+func (d *Deflector) Init(node topology.NodeID, policy DeflectPolicy, rng *rand.Rand, routes topology.RouteTable) {
 	d.node = node
 	d.policy = policy
 	d.rng = rng

@@ -1,8 +1,11 @@
-// Package router defines the interfaces and helpers shared by all three
-// router implementations (backpressured baseline, backpressureless
-// deflection, and AFC): the Router interface, the link bundles that wire
-// routers to their neighbors, the local-port interfaces to the network
-// interface, round-robin arbitration, and the deflection port-assignment
+// Package router defines the interfaces and helpers shared by all four
+// router types — the backpressured baseline (vcrouter), the
+// backpressureless deflection and drop routers (deflect), and AFC
+// (core): the Router interface, the link bundles that wire routers to
+// their neighbors and to their per-node inbox tally, the local-port
+// interfaces to the network interface (LocalSource.QueuedFlits is the
+// O(1) queue total every router's quiescence test and injection skip
+// read), round-robin arbitration, and the deflection port-assignment
 // engine used by the BLESS router and by AFC's backpressureless mode.
 package router
 
@@ -55,6 +58,9 @@ type LocalSource interface {
 	Peek(vn flit.VN) *flit.Flit
 	// Pop removes and returns the next flit on vn, or nil.
 	Pop(vn flit.VN) *flit.Flit
+	// QueuedFlits returns the total flits queued over every virtual
+	// network, in O(1): zero means every Peek would return nil.
+	QueuedFlits() int
 }
 
 // PortLinks bundles the channels of one mesh port. For a port facing
@@ -81,23 +87,57 @@ type Wires struct {
 	Ports [topology.NumDirs]PortLinks
 }
 
+// Tally attaches every inbound pipe of w to its column of inbox, the
+// router's per-node in-flight tally (see link.Pipe.SetTally): In to [0]
+// (data), CreditIn to [1] (credit), CtrlIn to [2] (ctrl). Each column
+// then mirrors the summed InFlight of its class at all times, which is
+// what lets a router skip a receive scan whose class is idle and decide
+// quiescence from one cache line. Build-time wiring: the pipes must be
+// empty.
+func (w *Wires) Tally(inbox *[3]int32) {
+	for d := range w.Ports {
+		p := &w.Ports[d]
+		if p.In != nil {
+			p.In.SetTally(&inbox[0])
+		}
+		if p.CreditIn != nil {
+			p.CreditIn.SetTally(&inbox[1])
+		}
+		if p.CtrlIn != nil {
+			p.CtrlIn.SetTally(&inbox[2])
+		}
+	}
+}
+
+// InFlight returns the summed InFlight of w's inbound pipes, by Tally's
+// columns: what a correctly wired inbox holds.
+func (w *Wires) InFlight() [3]int32 {
+	var t [3]int32
+	for d := range w.Ports {
+		p := &w.Ports[d]
+		if p.In != nil {
+			t[0] += int32(p.In.InFlight())
+		}
+		if p.CreditIn != nil {
+			t[1] += int32(p.CreditIn.InFlight())
+		}
+		if p.CtrlIn != nil {
+			t[2] += int32(p.CtrlIn.InFlight())
+		}
+	}
+	return t
+}
+
 // RoundRobin is a stateful round-robin pointer over n slots.
 type RoundRobin struct {
 	n    int
 	next int
 }
 
-// NewRoundRobin returns an arbiter over n slots.
-func NewRoundRobin(n int) *RoundRobin {
-	r := &RoundRobin{}
-	r.Init(n)
-	return r
-}
-
-// Init (re)initializes an arbiter over n slots in place, for arbiters
-// embedded by value in slab-resident router state — the cursor then
-// lives inside the router's own cache lines instead of behind a
-// per-port heap pointer.
+// Init (re)initializes an arbiter over n slots in place. Arbiters are
+// embedded by value in slab-resident router state, so the cursor lives
+// inside the router's own cache lines instead of behind a per-port heap
+// pointer.
 func (r *RoundRobin) Init(n int) {
 	if n <= 0 {
 		panic(fmt.Sprintf("router: round-robin over %d slots", n))
@@ -185,12 +225,4 @@ type FaultInjectable interface {
 	// no-ops and Quiescent reports true. Held flits stay parked but
 	// remain visible to ForEachFlit, so conservation ledgers balance.
 	SetDead()
-}
-
-// QueuedCounter is implemented by local sources that can report their
-// total queued flits in O(1) (the network interface does). Routers use
-// it to cheapen the per-cycle quiescence check; they fall back to
-// per-VN Peek calls for sources that do not implement it.
-type QueuedCounter interface {
-	QueuedFlits() int
 }

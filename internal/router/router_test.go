@@ -10,7 +10,7 @@ import (
 )
 
 func TestRoundRobinFairness(t *testing.T) {
-	rr := NewRoundRobin(3)
+	rr := newRoundRobin(3)
 	all := func(int) bool { return true }
 	got := []int{rr.Pick(all), rr.Pick(all), rr.Pick(all), rr.Pick(all)}
 	want := []int{0, 1, 2, 0}
@@ -22,7 +22,7 @@ func TestRoundRobinFairness(t *testing.T) {
 }
 
 func TestRoundRobinSkipsIneligible(t *testing.T) {
-	rr := NewRoundRobin(4)
+	rr := newRoundRobin(4)
 	only2 := func(i int) bool { return i == 2 }
 	for k := 0; k < 3; k++ {
 		if got := rr.Pick(only2); got != 2 {
@@ -35,7 +35,7 @@ func TestRoundRobinSkipsIneligible(t *testing.T) {
 }
 
 func TestRoundRobinStartsAfterLastGrant(t *testing.T) {
-	rr := NewRoundRobin(4)
+	rr := newRoundRobin(4)
 	all := func(int) bool { return true }
 	rr.Pick(all) // grants 0
 	// 1 should be favored now even if 0 also eligible
@@ -72,7 +72,7 @@ func TestPickFirstMatchesPick(t *testing.T) {
 				}
 			}
 			mask &= all
-			arb := NewRoundRobin(n)
+			arb := newRoundRobin(n)
 			arb.Advance(uint64(rng.Intn(n)))
 			ref := *arb
 			got := arb.PickFirst(mask)
@@ -83,6 +83,20 @@ func TestPickFirstMatchesPick(t *testing.T) {
 			}
 		}
 	}
+}
+
+func newRoundRobin(n int) *RoundRobin {
+	r := &RoundRobin{}
+	r.Init(n)
+	return r
+}
+
+// newDeflector initializes a deflector at node the way the routers do,
+// with its route table a view into the mesh's shared tables.
+func newDeflector(mesh topology.Mesh, node topology.NodeID, policy DeflectPolicy, rng *rand.Rand) *Deflector {
+	d := &Deflector{}
+	d.Init(node, policy, rng, mesh.NewTables().Routes(node))
+	return d
 }
 
 func mkFlit(id uint64, dst topology.NodeID, vn flit.VN) *flit.Flit {
@@ -103,7 +117,7 @@ func TestDeflectorAlwaysAssigns(t *testing.T) {
 	mesh := topology.NewMesh(3, 3)
 	for _, policy := range []DeflectPolicy{PolicyRandom, PolicyOldest} {
 		for node := topology.NodeID(0); node < 9; node++ {
-			d := NewDeflector(mesh, node, policy, rand.New(rand.NewSource(int64(node))))
+			d := newDeflector(mesh, node, policy, rand.New(rand.NewSource(int64(node))))
 			deg := mesh.Degree(node)
 			// worst case: deg network flits, none destined here
 			flits := make([]*flit.Flit, deg)
@@ -137,7 +151,7 @@ func TestDeflectorAlwaysAssigns(t *testing.T) {
 func TestDeflectorEjectsAtMostWidth(t *testing.T) {
 	mesh := topology.NewMesh(3, 3)
 	node := topology.NodeID(4)
-	d := NewDeflector(mesh, node, PolicyRandom, rand.New(rand.NewSource(1)))
+	d := newDeflector(mesh, node, PolicyRandom, rand.New(rand.NewSource(1)))
 	flits := []*flit.Flit{
 		mkFlit(1, node, flit.VNReq), mkFlit(2, node, flit.VNReq),
 		mkFlit(3, node, flit.VNReq), mkFlit(4, node, flit.VNReq),
@@ -168,7 +182,7 @@ func TestDeflectorEjectsAtMostWidth(t *testing.T) {
 
 func TestDeflectorPrefersProductiveDirs(t *testing.T) {
 	mesh := topology.NewMesh(3, 3)
-	d := NewDeflector(mesh, 0, PolicyRandom, rand.New(rand.NewSource(2)))
+	d := newDeflector(mesh, 0, PolicyRandom, rand.New(rand.NewSource(2)))
 	// single flit, no contention: must take the DOR direction (East for
 	// 0 -> 2) and not be a deflection
 	f := mkFlit(1, 2, flit.VNReq)
@@ -182,7 +196,7 @@ func TestDeflectorPrefersProductiveDirs(t *testing.T) {
 
 func TestDeflectorOldestPriority(t *testing.T) {
 	mesh := topology.NewMesh(3, 3)
-	d := NewDeflector(mesh, 0, PolicyOldest, rand.New(rand.NewSource(3)))
+	d := newDeflector(mesh, 0, PolicyOldest, rand.New(rand.NewSource(3)))
 	old := &flit.Flit{PacketID: 1, Len: 1, Dst: 2, VN: flit.VNReq, InjectedAt: 5}
 	young := &flit.Flit{PacketID: 2, Len: 1, Dst: 2, VN: flit.VNReq, InjectedAt: 50}
 	// Both want East; the old one must get it every time.
@@ -205,7 +219,7 @@ func TestDeflectorRespectsMasking(t *testing.T) {
 	node := topology.NodeID(4)
 	f := func(mask uint8, nf uint8) bool {
 		rng := rand.New(rand.NewSource(int64(mask)*31 + int64(nf)))
-		d := NewDeflector(mesh, node, PolicyRandom, rng)
+		d := newDeflector(mesh, node, PolicyRandom, rng)
 		usable := func(_ *flit.Flit, dir topology.Dir) bool {
 			return mask&(1<<uint(dir)) != 0
 		}
@@ -255,7 +269,7 @@ func TestDeflectorExhaustiveSmallCases(t *testing.T) {
 	mesh := topology.NewMesh(3, 3)
 	node := topology.NodeID(4)
 	rng := rand.New(rand.NewSource(99))
-	d := NewDeflector(mesh, node, PolicyRandom, rng)
+	d := newDeflector(mesh, node, PolicyRandom, rng)
 	for mask := 0; mask < 16; mask++ {
 		usable := func(_ *flit.Flit, dir topology.Dir) bool {
 			return mask&(1<<uint(dir)) != 0

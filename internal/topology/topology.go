@@ -238,23 +238,6 @@ type RouteTable struct {
 	Prod []ProdSet
 }
 
-// Routes returns cur's precomputed route table.
-func (m Mesh) Routes(cur NodeID) RouteTable {
-	t := RouteTable{
-		DOR:  make([]Dir, m.Nodes()),
-		Prod: make([]ProdSet, m.Nodes()),
-	}
-	var buf [2]Dir
-	for n := 0; n < m.Nodes(); n++ {
-		dst := NodeID(n)
-		t.DOR[n] = m.DORNext(cur, dst)
-		dirs := m.ProductiveDirs(cur, dst, buf[:0])
-		t.Prod[n].N = uint8(len(dirs))
-		copy(t.Prod[n].D[:], dirs)
-	}
-	return t
-}
-
 // Tables holds every node's route table and neighbor-direction list in
 // four contiguous backing arrays, built once per network and aliased by
 // all routers (and their deflectors). The per-source layout is row-major
@@ -306,9 +289,8 @@ func (m Mesh) NewTables() *Tables {
 // Mesh returns the mesh the tables were built for.
 func (t *Tables) Mesh() Mesh { return t.mesh }
 
-// Routes returns cur's route table as views into the shared backing —
-// contents identical to Mesh.Routes(cur), storage aliased across every
-// caller.
+// Routes returns cur's route table as views into the shared backing,
+// storage aliased across every caller.
 func (t *Tables) Routes(cur NodeID) RouteTable {
 	nodes := t.mesh.Nodes()
 	lo, hi := int(cur)*nodes, (int(cur)+1)*nodes

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -277,12 +278,20 @@ func TestNodeValidation(t *testing.T) {
 	}
 }
 
-// TestRoutesMatchDOR checks the precomputed per-source route tables hold
-// exactly what DORNext and ProductiveDirs compute.
+// TestRoutesMatchDOR checks the shared per-source route tables hold
+// exactly what DORNext and ProductiveDirs compute, and each neighbor
+// list exactly the directions Neighbor wires, in ascending order.
 func TestRoutesMatchDOR(t *testing.T) {
 	m := NewMesh(5, 4)
+	tables := m.NewTables()
+	if tables.Mesh() != m {
+		t.Fatalf("Tables.Mesh() = %v, want %v", tables.Mesh(), m)
+	}
 	for cur := NodeID(0); cur < NodeID(m.Nodes()); cur++ {
-		rt := m.Routes(cur)
+		rt := tables.Routes(cur)
+		if len(rt.DOR) != m.Nodes() || len(rt.Prod) != m.Nodes() {
+			t.Fatalf("Routes(%d) has %d DOR and %d Prod entries, want %d", cur, len(rt.DOR), len(rt.Prod), m.Nodes())
+		}
 		for dst := NodeID(0); dst < NodeID(m.Nodes()); dst++ {
 			if rt.DOR[dst] != m.DORNext(cur, dst) {
 				t.Fatalf("Routes(%d).DOR[%d] = %s, want %s", cur, dst, rt.DOR[dst], m.DORNext(cur, dst))
@@ -297,6 +306,15 @@ func TestRoutesMatchDOR(t *testing.T) {
 					t.Fatalf("Routes(%d).Prod[%d][%d] = %s, want %s", cur, dst, i, ps.D[i], d)
 				}
 			}
+		}
+		var wantNbr []Dir
+		for d := Dir(0); d < NumDirs; d++ {
+			if _, ok := m.Neighbor(cur, d); ok {
+				wantNbr = append(wantNbr, d)
+			}
+		}
+		if got := tables.Neighbors(cur); !slices.Equal(got, wantNbr) {
+			t.Fatalf("Neighbors(%d) = %v, want %v", cur, got, wantNbr)
 		}
 	}
 }

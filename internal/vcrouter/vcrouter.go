@@ -78,16 +78,16 @@ type Router struct {
 	// held counts flits currently in the input buffers (maintained at the
 	// enqueue/dequeue sites) so quiescence and drain checks are O(1).
 	held int
-	// inbox, when non-nil, is this router's slot of the network's
-	// per-node aggregate in-flight slab (link.Pipe.SetTally), split by
-	// pipe class: [0] data, [1] credit, [2] ctrl (always zero here —
-	// nothing sends on the control line in a backpressured network).
-	// One cache line replaces Quiescent's pipe scan, and each receive
-	// scan skips when its own class is idle. Nil falls back to scans.
+	// inbox is this router's slot of the network's per-node aggregate
+	// in-flight slab, split by pipe class (see router.Wires.Tally):
+	// [0] data, [1] credit, [2] ctrl (always zero here — nothing sends
+	// on the control line in a backpressured network). One cache line
+	// replaces Quiescent's pipe scan, and each receive scan skips when
+	// its own class is idle.
 	inbox *[3]int32
 	meter *energy.Meter
-	// srcCount is src when it can report its queue total in O(1).
-	srcCount router.QueuedCounter
+	// src is the node's NI; Quiescent reads its O(1) queue total.
+	src router.LocalSource
 
 	// --- active-tick working set ---
 
@@ -108,13 +108,11 @@ type Router struct {
 
 	// nbr lists the directions with a wired neighbor, so the per-cycle
 	// receive loops skip the empty ports of edge and corner routers.
-	// A view into the network's shared topology.Tables under slab
-	// construction.
+	// A view into the network's shared topology.Tables.
 	nbr []topology.Dir
 
 	// dor is node's precomputed DOR next-hop table, indexed by
-	// destination — shared topology.Tables storage under slab
-	// construction, a private copy otherwise.
+	// destination — shared topology.Tables storage.
 	dor []topology.Dir
 
 	// blockedOut marks output ports whose data link is fault-blocked
@@ -127,12 +125,10 @@ type Router struct {
 	deadOut [topology.NumDirs]bool
 
 	wires router.Wires
-	src   router.LocalSource
 	sink  router.LocalSink
 
 	// --- cold config/stats tail ---
 
-	mesh         topology.Mesh
 	node         topology.NodeID
 	depth        int
 	ejectWidth   int
@@ -180,29 +176,23 @@ func NewSlab(count int, cfg config.Baseline) *Slab {
 	return s
 }
 
-// New returns a standalone baseline router at node (a slab of one) with
-// the given configuration, wired to its neighbors and its network
-// interface. The meter may be nil (no energy accounting).
-func New(mesh topology.Mesh, node topology.NodeID, cfg config.Baseline,
-	ejectWidth int, wires router.Wires, src router.LocalSource,
+// New carves the next router from the slab and initializes it at node,
+// wired to its neighbors and its network interface. tables is the
+// network's shared route tables (the router's dor and nbr slices are
+// views into it) and inbox the node's in-flight tally, which wires'
+// inbound pipes feed (router.Wires.Tally). The meter may be nil (no
+// energy accounting).
+func (s *Slab) New(tables *topology.Tables, node topology.NodeID, cfg config.Baseline,
+	ejectWidth int, wires router.Wires, inbox *[3]int32, src router.LocalSource,
 	sink router.LocalSink, meter *energy.Meter) *Router {
-	return NewSlab(1, cfg).New(mesh, node, cfg, ejectWidth, wires, src, sink, meter, nil)
-}
-
-// New carves the next router from the slab and initializes it at node.
-// tables, when non-nil, provides the shared route tables and neighbor
-// lists; nil builds private copies from the mesh.
-func (s *Slab) New(mesh topology.Mesh, node topology.NodeID, cfg config.Baseline,
-	ejectWidth int, wires router.Wires, src router.LocalSource,
-	sink router.LocalSink, meter *energy.Meter, tables *topology.Tables) *Router {
 
 	if s.next >= len(s.routers) {
 		panic("vcrouter: router slab exhausted")
 	}
 	r := &s.routers[s.next]
-	r.mesh = mesh
 	r.node = node
 	r.wires = wires
+	r.inbox = inbox
 	r.src = src
 	r.sink = sink
 	r.meter = meter
@@ -234,26 +224,11 @@ func (s *Slab) New(mesh topology.Mesh, node topology.NodeID, cfg config.Baseline
 	for vn := range r.injVC {
 		r.injVC[vn] = flit.NoVC
 	}
-	r.srcCount, _ = src.(router.QueuedCounter)
-	if tables != nil {
-		r.nbr = tables.Neighbors(node)
-		r.dor = tables.Routes(node).DOR
-	} else {
-		for d := topology.Dir(0); d < topology.NumDirs; d++ {
-			if pl := &wires.Ports[d]; pl.In != nil || pl.CreditIn != nil {
-				r.nbr = append(r.nbr, d)
-			}
-		}
-		r.dor = mesh.Routes(node).DOR
-	}
+	r.nbr = tables.Neighbors(node)
+	r.dor = tables.Routes(node).DOR
 	s.next++
 	return r
 }
-
-// SetInbox attaches the router's slot of the network's per-node
-// aggregate in-flight slab (see link.Pipe.SetTally). Build-time wiring,
-// kept across Reset.
-func (r *Router) SetInbox(t *[3]int32) { r.inbox = t }
 
 // DORTable exposes the router's per-destination DOR table and
 // NeighborDirs its wired-direction list (aliasing tests assert they
@@ -356,7 +331,7 @@ func (r *Router) Tick(now uint64) {
 func (r *Router) receiveCredits(now uint64) {
 	// inbox[1] counts credits in flight toward this node: zero means
 	// every Recv below would miss, so the scan is skipped outright.
-	if r.inbox != nil && r.inbox[1] == 0 {
+	if r.inbox[1] == 0 {
 		return
 	}
 	for _, d := range r.nbr {
@@ -574,7 +549,7 @@ func (r *Router) sendWinner(now uint64, in, out topology.Dir) {
 // where each virtual network has its own injection path.
 func (r *Router) inject(now uint64) {
 	// Empty NI: every peek below would return nil.
-	if r.srcCount != nil && r.srcCount.QueuedFlits() == 0 {
+	if r.src.QueuedFlits() == 0 {
 		return
 	}
 	for vn := flit.VN(0); vn < flit.NumVNs; vn++ {
@@ -638,7 +613,7 @@ func (r *Router) injectionVC(vn flit.VN, f *flit.Flit) int {
 // receive buffers this cycle's link arrivals. Credits guarantee space; an
 // overflow is an invariant violation.
 func (r *Router) receive(now uint64) {
-	if r.inbox != nil && r.inbox[0] == 0 {
+	if r.inbox[0] == 0 {
 		return // see receiveCredits: no flits in flight toward this node
 	}
 	for _, d := range r.nbr {
@@ -684,31 +659,11 @@ func (r *Router) Quiescent(now uint64) bool {
 	// The inbox tallies mirror the summed InFlight of every inbound
 	// pipe (the ctrl column included, but nothing sends on the control
 	// line in a backpressured network), so one cache line of loads
-	// decides exactly what the pipe scan would.
-	if r.inbox != nil {
-		if r.inbox[0]|r.inbox[1]|r.inbox[2] != 0 {
-			return false
-		}
-	} else {
-		for _, d := range r.nbr {
-			pl := &r.wires.Ports[d]
-			if pl.In != nil && pl.In.InFlight() != 0 {
-				return false
-			}
-			if pl.CreditIn != nil && pl.CreditIn.InFlight() != 0 {
-				return false
-			}
-		}
+	// decides exactly what a pipe scan would.
+	if r.inbox[0]|r.inbox[1]|r.inbox[2] != 0 {
+		return false
 	}
-	if r.srcCount != nil {
-		return r.srcCount.QueuedFlits() == 0
-	}
-	for vn := flit.VN(0); vn < flit.NumVNs; vn++ {
-		if r.src.Peek(vn) != nil {
-			return false
-		}
-	}
-	return true
+	return r.src.QueuedFlits() == 0
 }
 
 // FastForward applies k skipped idle cycles (sim.Quiescer): an idle tick

@@ -32,6 +32,14 @@ func (f *fakeNI) Pop(vn flit.VN) *flit.Flit {
 	return fl
 }
 
+func (f *fakeNI) QueuedFlits() int {
+	n := 0
+	for _, q := range f.queues {
+		n += len(q)
+	}
+	return n
+}
+
 func (f *fakeNI) Deliver(_ uint64, fl *flit.Flit) { f.delivered = append(f.delivered, fl) }
 
 func (f *fakeNI) enqueuePacket(dst topology.NodeID, vn flit.VN, length int, id uint64) {
@@ -47,11 +55,18 @@ type harness struct {
 	ni    *fakeNI
 	now   uint64
 	wires router.Wires
+	inbox [3]int32
 }
 
 const testLinkLat = 2
 
 func newHarness(t *testing.T) *harness {
+	t.Helper()
+	return newHarnessWith(t, config.Default().Baseline)
+}
+
+// newHarnessWith is newHarness with an explicit router configuration.
+func newHarnessWith(t *testing.T, cfg config.Baseline) *harness {
 	t.Helper()
 	mesh := topology.NewMesh(2, 2)
 	h := &harness{mesh: mesh, ni: &fakeNI{}}
@@ -65,7 +80,8 @@ func newHarness(t *testing.T) *harness {
 			CtrlIn:    link.NewCtrl(testLinkLat),
 		}
 	}
-	h.r = New(mesh, 0, config.Default().Baseline, 1, h.wires, h.ni, h.ni, nil)
+	h.wires.Tally(&h.inbox)
+	h.r = NewSlab(1, cfg).New(mesh.NewTables(), 0, cfg, 1, h.wires, &h.inbox, h.ni, h.ni, nil)
 	return h
 }
 
@@ -343,19 +359,9 @@ func TestSingleFlitPacketsHoldTheirVC(t *testing.T) {
 // Section II's realistic backpressured router).
 func TestRealisticVCAAddsOneStage(t *testing.T) {
 	mk := func(realistic bool) uint64 {
-		mesh := topology.NewMesh(2, 2)
-		h := &harness{mesh: mesh, ni: &fakeNI{}}
-		for _, d := range []topology.Dir{topology.East, topology.South} {
-			h.wires.Ports[d] = router.PortLinks{
-				Out:       link.NewData(testLinkLat + 1),
-				In:        link.NewData(testLinkLat + 1),
-				CreditOut: link.NewCredit(testLinkLat),
-				CreditIn:  link.NewCredit(testLinkLat),
-			}
-		}
 		cfg := config.Default().Baseline
 		cfg.RealisticVCA = realistic
-		h.r = New(mesh, 0, cfg, 1, h.wires, h.ni, h.ni, nil)
+		h := newHarnessWith(t, cfg)
 		h.ni.enqueuePacket(1, flit.VNReq, 1, 1)
 		for c := uint64(0); c < 30; c++ {
 			h.tick()
