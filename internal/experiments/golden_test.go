@@ -39,6 +39,8 @@ func goldenOwner(key string) string {
 		return "TestShardCountInvarianceFig2a"
 	case strings.HasPrefix(key, "scenario/") && strings.HasSuffix(key, "/seed2"):
 		return "TestScenarioEqualsSerial"
+	case strings.HasPrefix(key, evalPrefix):
+		return "TestEvaluationDigests"
 	}
 	return "TestGoldenDigests"
 }
@@ -345,5 +347,59 @@ func TestGoldenDigests(t *testing.T) {
 		Check:       true,
 	})
 
+	checkGolden(t, rec, got)
+}
+
+// evalPrefix marks the digests of the evaluation slice: one per public
+// harness result.
+const evalPrefix = "eval/"
+
+// TestEvaluationDigests pins the result of every public harness call of
+// the paper's evaluation, with the parameters the registry passes, at
+// seeds 1 and 2 and short lengths: the Fig. 2 low- and high-load
+// closed-loop reads, Table III, the open-loop sweep, the 8x8
+// consolidation, the gossip hotspot at each seed, and the six ablations.
+// Two seeds exercise each harness's aggregation across seeds.
+func TestEvaluationDigests(t *testing.T) {
+	rec := loadGolden(t)
+	got := goldenDigests{}
+	opt := Options{
+		Seeds:           []int64{1, 2},
+		WarmupTx:        100,
+		MeasureTx:       300,
+		CycleLimit:      2_000_000,
+		OpenLoopWarmup:  300,
+		OpenLoopMeasure: 800,
+	}
+	add := func(name string, v any, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got.add(t, evalPrefix+name, "pooled", v)
+	}
+	low, err := ClosedLoop(cmp.LowLoad(), Fig2EnergyKinds, opt)
+	add("2a", low, err)
+	high, err := ClosedLoop(cmp.HighLoad(), Fig2Kinds, opt)
+	add("2c", high, err)
+	rates, err := Table3(opt)
+	add("table3", rates, err)
+	add("sweep", LatencySweep([]network.Kind{network.Backpressured, network.Bless, network.BlessDrop, network.AFC},
+		[]float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6}, opt), nil)
+	add("quadrant", Quadrant([]network.Kind{network.Backpressured, network.Bless, network.AFC}, 0.9, 0.1, opt), nil)
+	for _, seed := range opt.Seeds {
+		add(fmt.Sprintf("gossip/seed%d", seed), GossipHotspot(seed, opt), nil)
+	}
+	lazy, err := AblationLazyVCA(opt)
+	add("lazyvca", lazy, err)
+	th, err := AblationThresholds([]float64{0.5, 1.0, 2.0, 4.0}, opt)
+	add("thresholds", th, err)
+	sizing, err := AblationBaselineSizing(opt)
+	add("sizing", sizing, err)
+	pipe, err := AblationPipeline(opt)
+	add("pipeline", pipe, err)
+	add("metric", AblationContentionMetric(opt), nil)
+	eject, err := AblationEjectWidth([]int{1, 2, 3}, opt)
+	add("ejectwidth", eject, err)
 	checkGolden(t, rec, got)
 }
