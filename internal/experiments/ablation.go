@@ -8,7 +8,6 @@ import (
 	"afcnet/internal/config"
 	"afcnet/internal/core"
 	"afcnet/internal/network"
-	"afcnet/internal/runner"
 	"afcnet/internal/stats"
 	"afcnet/internal/topology"
 	"afcnet/internal/traffic"
@@ -28,48 +27,36 @@ type LazyVCARow struct {
 
 // AblationLazyVCA runs the buffer-halving comparison on the high-load
 // benchmarks (where buffering matters).
-func AblationLazyVCA(opt Options) ([]LazyVCARow, error) {
-	sys := config.Default()
-	ratio := float64(sys.AFC.BufferSlotsPerPort()) / float64(sys.Baseline.BufferSlotsPerPort())
+func AblationLazyVCA(opt Options) ([]LazyVCARow, error) { return lazyVCAView().run(opt) }
+
+// lazyVCAView reads each high-load benchmark on the backpressured and
+// AFC-always-backpressured networks.
+func lazyVCAView() closedView[[]LazyVCARow] {
 	benches := cmp.HighLoad()
-	type lazyOut struct{ perf, cut float64 }
-	ns := len(opt.Seeds)
-	outs, err := runner.Map(len(benches)*ns, opt.pool(), func(i int) (lazyOut, error) {
-		p := benches[i/ns]
-		seed := opt.Seeds[i%ns]
-		base, baseNet, err := runCell(p, metered(network.Backpressured, seed), opt)
-		if err != nil {
-			return lazyOut{}, err
-		}
-		ab, abNet, err := runCell(p, metered(network.AFCAlwaysBuffered, seed), opt)
-		if err != nil {
-			return lazyOut{}, err
-		}
-		be := baseNet.TotalEnergy().Buffer()
-		ae := abNet.TotalEnergy().Buffer()
-		return lazyOut{
-			perf: ab.TransactionsPerCycle / base.TransactionsPerCycle,
-			cut:  1 - ae/be,
-		}, nil
-	})
-	if err != nil {
-		return nil, err
+	var cells []cell
+	for _, p := range benches {
+		cells = append(cells, on(p, network.Backpressured), on(p, network.AFCAlwaysBuffered))
 	}
-	var out []LazyVCARow
-	for bi, p := range benches {
-		var perf, cut stats.Running
-		for si := 0; si < ns; si++ {
-			perf.Add(outs[bi*ns+si].perf)
-			cut.Add(outs[bi*ns+si].cut)
+	return closedView[[]LazyVCARow]{cells, func(b *closedBatch) []LazyVCARow {
+		sys := config.Default()
+		ratio := float64(sys.AFC.BufferSlotsPerPort()) / float64(sys.Baseline.BufferSlotsPerPort())
+		var out []LazyVCARow
+		for _, p := range benches {
+			base, ab := b.of(on(p, network.Backpressured)), b.of(on(p, network.AFCAlwaysBuffered))
+			var perf, cut stats.Running
+			for si := range base {
+				perf.Add(ab[si].res.TransactionsPerCycle / base[si].res.TransactionsPerCycle)
+				cut.Add(1 - ab[si].energy.Buffer()/base[si].energy.Buffer())
+			}
+			out = append(out, LazyVCARow{
+				Bench:            p.Name,
+				PerfRatio:        perf.Mean(),
+				BufferEnergyCut:  cut.Mean(),
+				BufferSlotsRatio: ratio,
+			})
 		}
-		out = append(out, LazyVCARow{
-			Bench:            p.Name,
-			PerfRatio:        perf.Mean(),
-			BufferEnergyCut:  cut.Mean(),
-			BufferSlotsRatio: ratio,
-		})
-	}
-	return out, nil
+		return out
+	}}
 }
 
 // WriteLazyVCA renders the A1 ablation.
@@ -99,65 +86,50 @@ type ThresholdRow struct {
 // AblationThresholds sweeps a multiplicative scale over the paper's
 // position-specific thresholds.
 func AblationThresholds(scales []float64, opt Options) ([]ThresholdRow, error) {
+	return thresholdsView(scales).run(opt)
+}
+
+// thresholdsView reads water and apache on the backpressured network,
+// which does not depend on the scale, and on AFC at each scale's
+// thresholds. At scale 1 the AFC cells are the standard ones.
+func thresholdsView(scales []float64) closedView[[]ThresholdRow] {
 	low, _ := cmp.ByName("water")
 	high, _ := cmp.ByName("apache")
-	// Each cell runs one workload on one network; for every seed, water
-	// then apache. The backpressured baselines come first and once: they
-	// do not depend on the scale. Then AFC at each scale's thresholds,
-	// one scaled system per scale shared read-only by its cells.
-	type cell struct {
-		p   cmp.Params
-		cfg network.Config
-	}
-	var cells []cell
-	addPairs := func(cfg network.Config) {
-		for _, seed := range opt.Seeds {
-			cfg.Seed = seed
-			cells = append(cells, cell{low, cfg}, cell{high, cfg})
-		}
-	}
-	addPairs(metered(network.Backpressured, 0))
-	for _, sc := range scales {
-		cfg := metered(network.AFC, 0)
-		cfg.System = config.Default()
+	scaled := func(p cmp.Params, sc float64) cell {
+		sys := config.Default()
 		th := map[topology.Position]config.Thresholds{}
-		for pos, t := range cfg.System.AFC.ThresholdsByPosition {
+		for pos, t := range sys.AFC.ThresholdsByPosition {
 			th[pos] = config.Thresholds{High: t.High * sc, Low: t.Low * sc}
 		}
-		cfg.System.AFC.ThresholdsByPosition = th
-		addPairs(cfg)
+		sys.AFC.ThresholdsByPosition = th
+		return cell{p, network.Config{System: sys, Kind: network.AFC}}
 	}
-	type thOut struct{ tx, energy, buffered float64 }
-	outs, err := runner.Map(len(cells), opt.pool(), func(i int) (thOut, error) {
-		res, net, err := runCell(cells[i].p, cells[i].cfg, opt)
-		if err != nil {
-			return thOut{}, err
+	cells := []cell{on(low, network.Backpressured), on(high, network.Backpressured)}
+	for _, sc := range scales {
+		cells = append(cells, scaled(low, sc), scaled(high, sc))
+	}
+	return closedView[[]ThresholdRow]{cells, func(b *closedBatch) []ThresholdRow {
+		baseLow, baseHigh := b.of(on(low, network.Backpressured)), b.of(on(high, network.Backpressured))
+		var out []ThresholdRow
+		for _, sc := range scales {
+			afcLow, afcHigh := b.of(scaled(low, sc)), b.of(scaled(high, sc))
+			var le, hp, bl, bh stats.Running
+			for si := range baseLow {
+				le.Add(afcLow[si].energy.Total() / baseLow[si].energy.Total())
+				bl.Add(afcLow[si].mode.BufferedFraction())
+				hp.Add(afcHigh[si].res.TransactionsPerCycle / baseHigh[si].res.TransactionsPerCycle)
+				bh.Add(afcHigh[si].mode.BufferedFraction())
+			}
+			out = append(out, ThresholdRow{
+				Scale:            sc,
+				LowLoadEnergy:    le.Mean(),
+				HighLoadPerf:     hp.Mean(),
+				BufferedFracLow:  bl.Mean(),
+				BufferedFracHigh: bh.Mean(),
+			})
 		}
-		return thOut{res.TransactionsPerCycle, net.TotalEnergy().Total(), net.ModeStats().BufferedFraction()}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	ns := len(opt.Seeds)
-	var out []ThresholdRow
-	for sci, sc := range scales {
-		var le, hp, bl, bh stats.Running
-		for si := 0; si < ns; si++ {
-			base, afc := outs[2*si:], outs[2*ns*(sci+1)+2*si:]
-			le.Add(afc[0].energy / base[0].energy)
-			bl.Add(afc[0].buffered)
-			hp.Add(afc[1].tx / base[1].tx)
-			bh.Add(afc[1].buffered)
-		}
-		out = append(out, ThresholdRow{
-			Scale:            sc,
-			LowLoadEnergy:    le.Mean(),
-			HighLoadPerf:     hp.Mean(),
-			BufferedFracLow:  bl.Mean(),
-			BufferedFracHigh: bh.Mean(),
-		})
-	}
-	return out, nil
+		return out
+	}}
 }
 
 // WriteThresholds renders the A2 ablation.
@@ -179,35 +151,35 @@ type EjectRow struct {
 
 // AblationEjectWidth sweeps the ejection width.
 func AblationEjectWidth(widths []int, opt Options) ([]EjectRow, error) {
+	return ejectWidthView(widths).run(opt)
+}
+
+// ejectWidthView reads apache on the backpressured and backpressureless
+// networks at each ejection width. At width 1 they are the standard
+// cells.
+func ejectWidthView(widths []int) closedView[[]EjectRow] {
 	high, _ := cmp.ByName("apache")
-	ns := len(opt.Seeds)
-	outs, err := runner.Map(len(widths)*ns, opt.pool(), func(i int) (float64, error) {
-		w := widths[i/ns]
-		seed := opt.Seeds[i%ns]
+	at := func(width int, kind network.Kind) cell {
 		sys := config.Default()
-		sys.EjectWidth = w
-		baseRes, _, err := runCell(high, network.Config{System: sys, Kind: network.Backpressured, Seed: seed}, opt)
-		if err != nil {
-			return 0, err
-		}
-		res, _, err := runCell(high, network.Config{System: sys, Kind: network.Bless, Seed: seed}, opt)
-		if err != nil {
-			return 0, err
-		}
-		return res.TransactionsPerCycle / baseRes.TransactionsPerCycle, nil
-	})
-	if err != nil {
-		return nil, err
+		sys.EjectWidth = width
+		return cell{high, network.Config{System: sys, Kind: kind}}
 	}
-	var out []EjectRow
-	for wi, w := range widths {
-		var r stats.Running
-		for si := 0; si < ns; si++ {
-			r.Add(outs[wi*ns+si])
-		}
-		out = append(out, EjectRow{Width: w, BlessPerf: r.Mean()})
+	var cells []cell
+	for _, w := range widths {
+		cells = append(cells, at(w, network.Backpressured), at(w, network.Bless))
 	}
-	return out, nil
+	return closedView[[]EjectRow]{cells, func(b *closedBatch) []EjectRow {
+		var out []EjectRow
+		for _, w := range widths {
+			base, bless := b.of(at(w, network.Backpressured)), b.of(at(w, network.Bless))
+			var r stats.Running
+			for si := range base {
+				r.Add(bless[si].res.TransactionsPerCycle / base[si].res.TransactionsPerCycle)
+			}
+			out = append(out, EjectRow{Width: w, BlessPerf: r.Mean()})
+		}
+		return out
+	}}
 }
 
 // WriteEjectWidth renders the A4 ablation.
@@ -234,7 +206,11 @@ type BaselineConfigRow struct {
 
 // AblationBaselineSizing measures apache on the paper's baseline, a
 // double-VC variant and a double-depth variant.
-func AblationBaselineSizing(opt Options) ([]BaselineConfigRow, error) {
+func AblationBaselineSizing(opt Options) ([]BaselineConfigRow, error) { return sizingView().run(opt) }
+
+// sizingView reads apache on the backpressured network of each variant.
+// The paper's variant is the standard cell.
+func sizingView() closedView[[]BaselineConfigRow] {
 	high, _ := cmp.ByName("apache")
 	variants := []struct {
 		label string
@@ -245,44 +221,39 @@ func AblationBaselineSizing(opt Options) ([]BaselineConfigRow, error) {
 		{"double VCs (4+4+8 x8)", [3]int{4, 4, 8}, 8},
 		{"double depth (2+2+4 x16)", [3]int{2, 2, 4}, 16},
 	}
-	type sizeOut struct{ perf, energy float64 }
-	ns := len(opt.Seeds)
-	outs, err := runner.Map(len(variants)*ns, opt.pool(), func(i int) (sizeOut, error) {
-		v := variants[i/ns]
-		seed := opt.Seeds[i%ns]
+	sized := func(vcs [3]int, depth int) cell {
 		sys := config.Default()
-		sys.Baseline.VCsPerVN = v.vcs
-		sys.Baseline.BufDepth = v.depth
-		res, net, err := runCell(high, network.Config{System: sys, Kind: network.Backpressured, Seed: seed, MeterEnergy: true}, opt)
-		if err != nil {
-			return sizeOut{}, err
-		}
-		return sizeOut{perf: res.TransactionsPerCycle, energy: net.TotalEnergy().Total()}, nil
-	})
-	if err != nil {
-		return nil, err
+		sys.Baseline.VCsPerVN = vcs
+		sys.Baseline.BufDepth = depth
+		return cell{high, network.Config{System: sys, Kind: network.Backpressured}}
 	}
-	var out []BaselineConfigRow
-	var basePerf, baseEnergy stats.Running
-	for vi, v := range variants {
-		var perf, en stats.Running
-		for si := 0; si < ns; si++ {
-			perf.Add(outs[vi*ns+si].perf)
-			en.Add(outs[vi*ns+si].energy)
-		}
-		if vi == 0 {
-			basePerf, baseEnergy = perf, en
-		}
-		out = append(out, BaselineConfigRow{
-			Label:     v.label,
-			VCsPerVN:  v.vcs,
-			BufDepth:  v.depth,
-			Perf:      perf.Mean() / basePerf.Mean(),
-			Energy:    en.Mean() / baseEnergy.Mean(),
-			SlotsPort: (v.vcs[0] + v.vcs[1] + v.vcs[2]) * v.depth,
-		})
+	var cells []cell
+	for _, v := range variants {
+		cells = append(cells, sized(v.vcs, v.depth))
 	}
-	return out, nil
+	return closedView[[]BaselineConfigRow]{cells, func(b *closedBatch) []BaselineConfigRow {
+		var out []BaselineConfigRow
+		var basePerf, baseEnergy stats.Running
+		for vi, v := range variants {
+			var perf, en stats.Running
+			for _, o := range b.of(sized(v.vcs, v.depth)) {
+				perf.Add(o.res.TransactionsPerCycle)
+				en.Add(o.energy.Total())
+			}
+			if vi == 0 {
+				basePerf, baseEnergy = perf, en
+			}
+			out = append(out, BaselineConfigRow{
+				Label:     v.label,
+				VCsPerVN:  v.vcs,
+				BufDepth:  v.depth,
+				Perf:      perf.Mean() / basePerf.Mean(),
+				Energy:    en.Mean() / baseEnergy.Mean(),
+				SlotsPort: (v.vcs[0] + v.vcs[1] + v.vcs[2]) * v.depth,
+			})
+		}
+		return out
+	}}
 }
 
 // WriteBaselineSizing renders the A5 ablation.
@@ -310,54 +281,45 @@ type PipelineRow struct {
 
 // AblationPipeline measures the ideal-vs-realistic baseline pipeline on
 // one low-load and one high-load workload.
-func AblationPipeline(opt Options) ([]PipelineRow, error) {
-	names := []string{"water", "apache"}
-	type pipeOut struct{ rp, ai, ar float64 }
-	ns := len(opt.Seeds)
-	outs, err := runner.Map(len(names)*ns, opt.pool(), func(i int) (pipeOut, error) {
-		name := names[i/ns]
-		seed := opt.Seeds[i%ns]
+func AblationPipeline(opt Options) ([]PipelineRow, error) { return pipelineView().run(opt) }
+
+// pipelineView reads water and apache on the ideal and the realistic
+// backpressured networks and on AFC. The ideal and AFC cells are the
+// standard ones.
+func pipelineView() closedView[[]PipelineRow] {
+	var benches []cmp.Params
+	for _, name := range []string{"water", "apache"} {
 		p, _ := cmp.ByName(name)
-		ideal, _, err := runCell(p, metered(network.Backpressured, seed), opt)
-		if err != nil {
-			return pipeOut{}, err
-		}
+		benches = append(benches, p)
+	}
+	realisticCell := func(p cmp.Params) cell {
 		sys := config.Default()
 		sys.Baseline.RealisticVCA = true
-		realistic, _, err := runCell(p, network.Config{System: sys, Kind: network.Backpressured, Seed: seed}, opt)
-		if err != nil {
-			return pipeOut{}, err
-		}
-		afc, _, err := runCell(p, metered(network.AFC, seed), opt)
-		if err != nil {
-			return pipeOut{}, err
-		}
-		return pipeOut{
-			rp: realistic.TransactionsPerCycle / ideal.TransactionsPerCycle,
-			ai: afc.TransactionsPerCycle / ideal.TransactionsPerCycle,
-			ar: afc.TransactionsPerCycle / realistic.TransactionsPerCycle,
-		}, nil
-	})
-	if err != nil {
-		return nil, err
+		return cell{p, network.Config{System: sys, Kind: network.Backpressured}}
 	}
-	var out []PipelineRow
-	for ni, name := range names {
-		var rp, ai, ar stats.Running
-		for si := 0; si < ns; si++ {
-			o := outs[ni*ns+si]
-			rp.Add(o.rp)
-			ai.Add(o.ai)
-			ar.Add(o.ar)
-		}
-		out = append(out, PipelineRow{
-			Bench:          name,
-			RealisticPerf:  rp.Mean(),
-			AFCvsIdeal:     ai.Mean(),
-			AFCvsRealistic: ar.Mean(),
-		})
+	var cells []cell
+	for _, p := range benches {
+		cells = append(cells, on(p, network.Backpressured), realisticCell(p), on(p, network.AFC))
 	}
-	return out, nil
+	return closedView[[]PipelineRow]{cells, func(b *closedBatch) []PipelineRow {
+		var out []PipelineRow
+		for _, p := range benches {
+			ideal, realistic, afc := b.of(on(p, network.Backpressured)), b.of(realisticCell(p)), b.of(on(p, network.AFC))
+			var rp, ai, ar stats.Running
+			for si := range ideal {
+				rp.Add(realistic[si].res.TransactionsPerCycle / ideal[si].res.TransactionsPerCycle)
+				ai.Add(afc[si].res.TransactionsPerCycle / ideal[si].res.TransactionsPerCycle)
+				ar.Add(afc[si].res.TransactionsPerCycle / realistic[si].res.TransactionsPerCycle)
+			}
+			out = append(out, PipelineRow{
+				Bench:          p.Name,
+				RealisticPerf:  rp.Mean(),
+				AFCvsIdeal:     ai.Mean(),
+				AFCvsRealistic: ar.Mean(),
+			})
+		}
+		return out
+	}}
 }
 
 // WritePipeline renders the A6 ablation.
@@ -397,18 +359,16 @@ func AblationContentionMetric(opt Options) []ContentionMetricRow {
 	}
 	type metricOut struct{ near, total uint64 }
 	ns := len(opt.Seeds)
-	outs, err := runner.Map(len(policies)*ns, opt.pool(), func(i int) (metricOut, error) {
-		misroute := policies[i/ns].threshold
-		seed := opt.Seeds[i%ns]
-		net := opt.newWorkerState().acquire(network.Config{
-			System: sys, Kind: network.AFC, Seed: seed,
-			MisrouteThreshold: misroute,
-		}).net
-		gen := traffic.NewGenerator(net, traffic.Config{
+	outs, err := mapCells(len(policies)*ns, opt, func(w *workerState, i int) (metricOut, error) {
+		e := w.acquire(network.Config{
+			System: sys, Kind: network.AFC, Seed: opt.Seeds[i%ns],
+			MisrouteThreshold: policies[i/ns].threshold,
+		})
+		net := e.net
+		net.AddTicker(e.generator(traffic.Config{
 			Pattern: traffic.Hotspot{Mesh: mesh, Hot: hot, Frac: 0.5},
 			Rate:    0.22,
-		}, net.RandStream)
-		net.AddTicker(gen)
+		}))
 		net.Run(opt.OpenLoopWarmup + opt.OpenLoopMeasure)
 		var o metricOut
 		for n := 0; n < net.Nodes(); n++ {

@@ -159,29 +159,6 @@ func (w *workerState) acquire(cfg network.Config) *workerEnt {
 	return e
 }
 
-// metered is the configuration of a standard closed-loop cell: kind at
-// seed on the options' machine, with energy metered.
-func metered(kind network.Kind, seed int64) network.Config {
-	return network.Config{Kind: kind, Seed: seed, MeterEnergy: true}
-}
-
-// runCell runs one closed-loop measurement of p on a network for cfg on
-// this worker, reusing its network and CMP substrate when possible.
-func (w *workerState) runCell(p cmp.Params, cfg network.Config) (cmp.RunResult, *network.Network, error) {
-	e := w.acquire(cfg)
-	if e.sys == nil {
-		e.sys = cmp.NewSystem(e.net, p, e.net.RandStream)
-	} else {
-		e.sys.Reattach(p)
-	}
-	res, ok := e.sys.Measure(w.opt.WarmupTx, w.opt.MeasureTx, w.opt.CycleLimit)
-	if !ok {
-		return res, e.net, fmt.Errorf("experiments: %s on %s exceeded %d cycles",
-			p.Name, cfg.Kind, w.opt.CycleLimit)
-	}
-	return res, e.net, nil
-}
-
 // pool returns the runner options shared by every harness.
 func (o Options) pool() runner.Options {
 	ro := runner.Options{Parallelism: o.Parallelism}
@@ -254,135 +231,162 @@ type Measurement struct {
 	EscapeEvents     float64
 }
 
-// runCell runs one closed-loop measurement of p on a fresh network for
-// cfg: the no-reuse path of the ablations, whose cells mix
-// configurations.
-func runCell(p cmp.Params, cfg network.Config, opt Options) (cmp.RunResult, *network.Network, error) {
-	return opt.newWorkerState().runCell(p, cfg)
+// A cell is one closed-loop simulation: workload p on a network built
+// for cfg, run once per seed of its batch. cfg.Seed is ignored, and every
+// cell meters energy.
+type cell struct {
+	p   cmp.Params
+	cfg network.Config
 }
 
-// closedOut is the state a closed-loop cell hands back to the merge step:
-// everything the aggregation reads, so the network itself need not be
-// retained.
+// closedOut is one seed of a cell: everything the views read, so the
+// network itself need not be retained.
 type closedOut struct {
 	res    cmp.RunResult
 	energy energy.Breakdown
 	mode   network.ModeStats
 }
 
-// ClosedLoop runs the Figure 2/3 measurement for the given benchmarks and
-// kinds. The backpressured baseline is always run (it is the
-// normalization target) even if absent from kinds. The (bench, kind,
-// seed) cells execute on opt.Parallelism workers; each cell owns its
-// network and random substreams, and cells are merged in the serial
-// iteration order, so results are identical at any parallelism.
-func ClosedLoop(benches []cmp.Params, kinds []network.Kind, opt Options) ([]Measurement, error) {
-	rows, err := runClosed([]closedRead{{benches, kinds}}, opt)
-	return rows.view(closedRead{benches, kinds}), err
+// closedBatch is one closed-loop batch: its distinct cells and each
+// one's output at every seed of the options.
+type closedBatch struct {
+	opt   Options
+	cells []cell
+	outs  [][]closedOut // outs[i][s] is cells[i] at opt.Seeds[s]
 }
 
-// closedRead is what a closed-loop artifact reads: one Measurement per
-// benchmark and kind.
-type closedRead struct {
-	benches []cmp.Params
-	kinds   []network.Kind
-}
-
-// benchKind keys one closed-loop Measurement.
-type benchKind struct {
-	bench cmp.Params
-	kind  network.Kind
-}
-
-// closedRows are the Measurements of one closed-loop batch.
-type closedRows map[benchKind]Measurement
-
-// view returns the rows read names, benchmark-major and in its kind
-// order. A row the batch did not measure is absent.
-func (rows closedRows) view(read closedRead) []Measurement {
-	var out []Measurement
-	for _, p := range read.benches {
-		for _, k := range read.kinds {
-			if m, ok := rows[benchKind{p, k}]; ok {
-				out = append(out, m)
-			}
+// newClosedBatch returns a batch of the distinct cells of cells, in
+// first-named order, with no outputs yet.
+func newClosedBatch(cells []cell, opt Options) *closedBatch {
+	b := &closedBatch{opt: opt}
+	for _, c := range cells {
+		if b.index(c) < 0 {
+			b.cells = append(b.cells, c)
 		}
 	}
-	return out
+	return b
 }
 
-// runClosed measures what reads name as one runner batch: for each
-// benchmark, one backpressured baseline cell per seed, run even when no
-// read names it, and one cell per seed for each other kind any read
-// names for that benchmark. A Measurement depends only on its own cells
-// and its baseline's, so a row is the same whatever else the batch
-// holds.
-func runClosed(reads []closedRead, opt Options) (closedRows, error) {
-	// The benchmarks in first-read order, each with the union of the
-	// kinds read for it, baseline first.
-	var benches []cmp.Params
-	var kinds [][]network.Kind
-	for _, r := range reads {
-		for _, p := range r.benches {
-			bi := slices.Index(benches, p)
-			if bi < 0 {
-				bi = len(benches)
-				benches = append(benches, p)
-				kinds = append(kinds, []network.Kind{network.Backpressured})
-			}
-			for _, k := range r.kinds {
-				if !slices.Contains(kinds[bi], k) {
-					kinds[bi] = append(kinds[bi], k)
-				}
-			}
+// config returns the configuration c's network is built for at seed.
+func (b *closedBatch) config(c cell, seed int64) network.Config {
+	cfg := b.opt.netConfig(c.cfg)
+	cfg.Seed, cfg.MeterEnergy = seed, true
+	return cfg
+}
+
+// index returns the position of the batch's cell that runs what c runs
+// (the same workload on the same network but for its seed), or -1.
+func (b *closedBatch) index(c cell) int {
+	return slices.IndexFunc(b.cells, func(d cell) bool {
+		return d.p == c.p && network.SameNetwork(b.config(d, 0), b.config(c, 0))
+	})
+}
+
+// of returns c's output at each seed. The batch must hold c.
+func (b *closedBatch) of(c cell) []closedOut {
+	i := b.index(c)
+	if i < 0 {
+		panic(fmt.Sprintf("experiments: %s on %s is not in the batch", c.p.Name, c.cfg.Kind))
+	}
+	return b.outs[i]
+}
+
+// runClosed runs each distinct cell of cells once per seed as one runner
+// batch, every run on a worker's reusable network and CMP substrate.
+func runClosed(cells []cell, opt Options) (*closedBatch, error) {
+	b := newClosedBatch(cells, opt)
+	ns := len(opt.Seeds)
+	outs, err := mapCells(len(b.cells)*ns, opt, func(w *workerState, i int) (closedOut, error) {
+		c := b.cells[i/ns]
+		e := w.acquire(b.config(c, opt.Seeds[i%ns]))
+		if e.sys == nil {
+			e.sys = cmp.NewSystem(e.net, c.p, e.net.RandStream)
+		} else {
+			e.sys.Reattach(c.p)
 		}
-	}
-	type cell struct {
-		bench int
-		kind  network.Kind
-		seed  int64
-	}
-	var cells []cell
-	for bi, ks := range kinds {
-		for _, seed := range opt.Seeds {
-			for _, k := range ks {
-				cells = append(cells, cell{bi, k, seed})
-			}
+		res, ok := e.sys.Measure(opt.WarmupTx, opt.MeasureTx, opt.CycleLimit)
+		if !ok {
+			return closedOut{}, fmt.Errorf("experiments: %s on %s exceeded %d cycles",
+				c.p.Name, c.cfg.Kind, opt.CycleLimit)
 		}
-	}
-	outs, err := mapCells(len(cells), opt, func(w *workerState, i int) (closedOut, error) {
-		c := cells[i]
-		res, net, err := w.runCell(benches[c.bench], metered(c.kind, c.seed))
-		return closedOut{res: res, energy: net.TotalEnergy(), mode: net.ModeStats()}, err
+		return closedOut{res: res, energy: e.net.TotalEnergy(), mode: e.net.ModeStats()}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	for i := range b.cells {
+		b.outs = append(b.outs, outs[i*ns:(i+1)*ns])
+	}
+	return b, nil
+}
 
-	rows := make(closedRows)
-	for bi, ks := range kinds {
-		aggs := make([]cellAgg, len(ks))
-		for range opt.Seeds {
-			for ki := range ks {
-				aggs[ki].add(outs[ki], outs[0])
-			}
-			outs = outs[len(ks):]
-		}
-		for ki, k := range ks {
-			a := &aggs[ki]
-			rows[benchKind{benches[bi], k}] = Measurement{
-				Bench: benches[bi].Name, Kind: k,
-				Perf: a.perf.Mean(), PerfStd: a.perf.StdDev(),
-				Energy: a.energy.Mean(), EnergyStd: a.energy.StdDev(),
-				BufferE: a.bufferE.Mean(), LinkE: a.linkE.Mean(), RestE: a.restE.Mean(),
-				TxPerCycle: a.tx.Mean(), InjectionRate: a.inj.Mean(), NetLatency: a.lat.Mean(),
-				BufferedFraction: a.bufFrac.Mean(),
-				GossipSwitches:   a.gossip.Mean(),
-				EscapeEvents:     a.escape.Mean(),
-			}
+// A closedView is a table or figure computed from closed-loop cells:
+// the cells it reads, and its rows from their outputs.
+type closedView[T any] struct {
+	cells []cell
+	rows  func(b *closedBatch) T
+}
+
+// run measures v's cells as one batch and returns v's rows.
+func (v closedView[T]) run(opt Options) (T, error) {
+	b, err := runClosed(v.cells, opt)
+	if err != nil {
+		var none T
+		return none, err
+	}
+	return v.rows(b), nil
+}
+
+// on is the cell that runs p on a network of kind on the options'
+// machine.
+func on(p cmp.Params, kind network.Kind) cell {
+	return cell{p, network.Config{Kind: kind}}
+}
+
+// measured is the view of one Measurement per benchmark and kind,
+// benchmark-major. It reads each benchmark's cell on every kind and on
+// the backpressured baseline, the normalization target.
+func measured(benches []cmp.Params, kinds []network.Kind) closedView[[]Measurement] {
+	var cells []cell
+	for _, p := range benches {
+		cells = append(cells, on(p, network.Backpressured))
+		for _, k := range kinds {
+			cells = append(cells, on(p, k))
 		}
 	}
-	return rows, nil
+	return closedView[[]Measurement]{cells, func(b *closedBatch) []Measurement {
+		var out []Measurement
+		for _, p := range benches {
+			base := b.of(on(p, network.Backpressured))
+			for _, k := range kinds {
+				var a cellAgg
+				for si, co := range b.of(on(p, k)) {
+					a.add(co, base[si])
+				}
+				out = append(out, Measurement{
+					Bench: p.Name, Kind: k,
+					Perf: a.perf.Mean(), PerfStd: a.perf.StdDev(),
+					Energy: a.energy.Mean(), EnergyStd: a.energy.StdDev(),
+					BufferE: a.bufferE.Mean(), LinkE: a.linkE.Mean(), RestE: a.restE.Mean(),
+					TxPerCycle: a.tx.Mean(), InjectionRate: a.inj.Mean(), NetLatency: a.lat.Mean(),
+					BufferedFraction: a.bufFrac.Mean(),
+					GossipSwitches:   a.gossip.Mean(),
+					EscapeEvents:     a.escape.Mean(),
+				})
+			}
+		}
+		return out
+	}}
+}
+
+// ClosedLoop runs the Figure 2/3 measurement for the given benchmarks and
+// kinds. The backpressured baseline is always run (it is the
+// normalization target) even if absent from kinds. The (bench, kind,
+// seed) cells execute on opt.Parallelism workers; each cell owns its
+// network and random substreams, and every row is aggregated in seed
+// order, so results are identical at any parallelism.
+func ClosedLoop(benches []cmp.Params, kinds []network.Kind, opt Options) ([]Measurement, error) {
+	return measured(benches, kinds).run(opt)
 }
 
 // cellAgg accumulates one (bench, kind) row over seeds.
@@ -483,7 +487,7 @@ type Table3Row struct {
 // the backpressured baseline (the configuration the paper's Table III
 // reports): a view of the closed-loop baseline rows.
 func Table3(opt Options) ([]Table3Row, error) {
-	ms, err := ClosedLoop(ratesRead.benches, ratesRead.kinds, opt)
+	ms, err := ratesView.run(opt)
 	return table3Rows(ms), err
 }
 

@@ -264,7 +264,7 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Errorf("Fig. 2 rows: %d low-load starting with %v, %d high-load; want 15 in Fig2EnergyKinds order and 12",
 			len(back.LowLoad), back.LowLoad[0].Kind, len(back.HighLoad))
 	}
-	if len(back.Table3) != 6 || back.Table3[0].Measured != r.closed[benchKind{cmp.LowLoad()[0], network.Backpressured}].InjectionRate {
+	if len(back.Table3) != 6 || back.Table3[0].Measured != r.closed.of(on(cmp.LowLoad()[0], network.Backpressured))[0].res.InjectionRate {
 		t.Errorf("table3 = %+v; want the six backpressured rows' injection rates", back.Table3)
 	}
 	if back.Sweep[1].Kind != network.Bless || !back.Gossip.Drained {

@@ -9,19 +9,14 @@ import (
 // measurements its artifacts read, and the result of each harness call
 // they make. Text, -json and -svg all render from it.
 type Results struct {
-	// closed holds the closed-loop batch's rows; the figures and tables
-	// that read them render views of it.
-	closed closedRows
+	// closed is the closed-loop batch; the figures, tables and
+	// ablations that read it render views of it.
+	closed *closedBatch
 
-	Sweep      []SweepPoint
-	Quadrant   []QuadrantResult
-	Gossip     GossipResult
-	LazyVCA    []LazyVCARow
-	Thresholds []ThresholdRow
-	Sizing     []BaselineConfigRow
-	Pipeline   []PipelineRow
-	Metric     []ContentionMetricRow
-	EjectWidth []EjectRow
+	Sweep    []SweepPoint
+	Quadrant []QuadrantResult
+	Gossip   GossipResult
+	Metric   []ContentionMetricRow
 }
 
 // JSONArtifacts are the artifacts WriteJSON renders; `figures -json`
@@ -45,9 +40,9 @@ func (r *Results) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(resultsJSON{
-		LowLoad:  r.closed.view(lowEnergyRead),
-		HighLoad: r.closed.view(highRead),
-		Table3:   table3Rows(r.closed.view(ratesRead)),
+		LowLoad:  lowEnergyView.rows(r.closed),
+		HighLoad: highView.rows(r.closed),
+		Table3:   table3Rows(ratesView.rows(r.closed)),
 		Sweep:    r.Sweep,
 		Quadrant: r.Quadrant,
 		Gossip:   r.Gossip,

@@ -16,27 +16,27 @@ type artifact struct {
 	name string
 	// partOf names the entry whose block prints this one under -fig all.
 	partOf string
-	// An artifact reads the closed-loop batch (closed) or makes a
-	// harness call of its own that stores its result in r (run).
-	closed *closedRead
-	run    func(opt Options, r *Results) error
+	// An artifact is a view of the closed-loop cells it reads from the
+	// evaluation's batch (cells), or makes a harness call of its own that
+	// stores its result in r (run).
+	cells []cell
+	run   func(opt Options, r *Results) error
 	// text renders the artifact from r, then returns the artifact's
 	// check of its result.
 	text func(w io.Writer, r *Results) error
 }
 
-// The closed-loop reads that several entries or renderers share.
+// The closed-loop views that several entries or renderers share.
 var (
-	lowEnergyRead = closedRead{cmp.LowLoad(), Fig2EnergyKinds}
-	highRead      = closedRead{cmp.HighLoad(), Fig2Kinds}
-	ratesRead     = closedRead{cmp.AllBenchmarks(), []network.Kind{network.Backpressured}}
+	lowEnergyView = measured(cmp.LowLoad(), Fig2EnergyKinds)
+	highView      = measured(cmp.HighLoad(), Fig2Kinds)
+	ratesView     = measured(cmp.AllBenchmarks(), []network.Kind{network.Backpressured})
 )
 
-// closedArtifact returns an entry that renders write over the rows of
-// read.
-func closedArtifact(name, partOf string, read closedRead, write func(io.Writer, []Measurement)) artifact {
-	return artifact{name: name, partOf: partOf, closed: &read, text: func(w io.Writer, r *Results) error {
-		write(w, r.closed.view(read))
+// closedArtifact returns an entry that renders write over the rows of v.
+func closedArtifact[T any](name, partOf string, v closedView[T], write func(io.Writer, T)) artifact {
+	return artifact{name: name, partOf: partOf, cells: v.cells, text: func(w io.Writer, r *Results) error {
+		write(w, v.rows(r.closed))
 		return nil
 	}}
 }
@@ -60,18 +60,18 @@ func fig2(title string) func(io.Writer, []Measurement) {
 // prints it. It is the one list of the artifacts, their parameters and
 // their titles.
 var registry = []artifact{
-	closedArtifact("2a", "", lowEnergyRead, fig2("Figure 2(a/b): low-load benchmarks (normalized to backpressured)")),
-	closedArtifact("2b", "2a", lowEnergyRead, fig2("Figure 2(b): low-load energy (normalized to backpressured)")),
-	closedArtifact("2c", "", highRead, fig2("Figure 2(c/d): high-load benchmarks (normalized to backpressured)")),
-	closedArtifact("2d", "2c", highRead, fig2("Figure 2(c/d): high-load benchmarks (normalized to backpressured)")),
-	closedArtifact("3a", "", closedRead{cmp.LowLoad(), Fig2Kinds}, func(w io.Writer, ms []Measurement) {
+	closedArtifact("2a", "", lowEnergyView, fig2("Figure 2(a/b): low-load benchmarks (normalized to backpressured)")),
+	closedArtifact("2b", "2a", lowEnergyView, fig2("Figure 2(b): low-load energy (normalized to backpressured)")),
+	closedArtifact("2c", "", highView, fig2("Figure 2(c/d): high-load benchmarks (normalized to backpressured)")),
+	closedArtifact("2d", "2c", highView, fig2("Figure 2(c/d): high-load benchmarks (normalized to backpressured)")),
+	closedArtifact("3a", "", measured(cmp.LowLoad(), Fig2Kinds), func(w io.Writer, ms []Measurement) {
 		WriteFig3(w, "Figure 3(a): energy breakdown, low-load benchmarks", ms)
 	}),
-	closedArtifact("3b", "", highRead, func(w io.Writer, ms []Measurement) {
+	closedArtifact("3b", "", highView, func(w io.Writer, ms []Measurement) {
 		WriteFig3(w, "Figure 3(b): energy breakdown, high-load benchmarks", ms)
 	}),
-	closedArtifact("duty", "", closedRead{cmp.AllBenchmarks(), []network.Kind{network.Backpressured, network.AFC}}, WriteDuty),
-	closedArtifact("rates", "", ratesRead, func(w io.Writer, ms []Measurement) { WriteTable3(w, table3Rows(ms)) }),
+	closedArtifact("duty", "", measured(cmp.AllBenchmarks(), []network.Kind{network.Backpressured, network.AFC}), WriteDuty),
+	closedArtifact("rates", "", ratesView, func(w io.Writer, ms []Measurement) { WriteTable3(w, table3Rows(ms)) }),
 	harness("sweep", func(r *Results) *[]SweepPoint { return &r.Sweep }, func(opt Options) ([]SweepPoint, error) {
 		rates := []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6}
 		return LatencySweep([]network.Kind{network.Backpressured, network.Bless, network.BlessDrop, network.AFC}, rates, opt), nil
@@ -91,18 +91,14 @@ var registry = []artifact{
 			return nil
 		},
 	},
-	harness("lazyvca", func(r *Results) *[]LazyVCARow { return &r.LazyVCA }, AblationLazyVCA, WriteLazyVCA),
-	harness("thresholds", func(r *Results) *[]ThresholdRow { return &r.Thresholds }, func(opt Options) ([]ThresholdRow, error) {
-		return AblationThresholds([]float64{0.5, 1.0, 2.0, 4.0}, opt)
-	}, WriteThresholds),
-	harness("sizing", func(r *Results) *[]BaselineConfigRow { return &r.Sizing }, AblationBaselineSizing, WriteBaselineSizing),
-	harness("pipeline", func(r *Results) *[]PipelineRow { return &r.Pipeline }, AblationPipeline, WritePipeline),
+	closedArtifact("lazyvca", "", lazyVCAView(), WriteLazyVCA),
+	closedArtifact("thresholds", "", thresholdsView([]float64{0.5, 1.0, 2.0, 4.0}), WriteThresholds),
+	closedArtifact("sizing", "", sizingView(), WriteBaselineSizing),
+	closedArtifact("pipeline", "", pipelineView(), WritePipeline),
 	harness("metric", func(r *Results) *[]ContentionMetricRow { return &r.Metric }, func(opt Options) ([]ContentionMetricRow, error) {
 		return AblationContentionMetric(opt), nil
 	}, WriteContentionMetric),
-	harness("ejectwidth", func(r *Results) *[]EjectRow { return &r.EjectWidth }, func(opt Options) ([]EjectRow, error) {
-		return AblationEjectWidth([]int{1, 2, 3}, opt)
-	}, WriteEjectWidth),
+	closedArtifact("ejectwidth", "", ejectWidthView([]int{1, 2, 3}), WriteEjectWidth),
 }
 
 // Artifacts returns the registry's names, in the order `figures -fig
@@ -149,22 +145,22 @@ func (s Selection) With(names ...string) Selection {
 }
 
 // Run computes s's artifacts in registry order and returns their
-// results. It first runs the closed-loop cells of every selected
-// artifact as one runner batch, each cell once: for each benchmark, the
-// union of the kinds the artifacts read. It then makes each artifact's
-// harness call and writes the artifact's text to w as soon as it is
-// computed, if the artifact prints; w may be nil. It stops at the first
-// error, which may be an artifact's check of a result it has printed.
+// results. It first runs the union of the closed-loop cells of every
+// selected artifact as one runner batch, each distinct cell once per
+// seed. It then makes each artifact's harness call and writes the
+// artifact's text to w as soon as it is computed, if the artifact
+// prints; w may be nil. It stops at the first error, which may be an
+// artifact's check of a result it has printed.
 func (s Selection) Run(opt Options, w io.Writer) (*Results, error) {
-	var reads []closedRead
+	var cells []cell
 	for i, a := range registry {
-		if s.compute&(1<<i) != 0 && a.closed != nil {
-			reads = append(reads, *a.closed)
+		if s.compute&(1<<i) != 0 {
+			cells = append(cells, a.cells...)
 		}
 	}
 	r := &Results{}
 	var err error
-	if r.closed, err = runClosed(reads, opt); err != nil {
+	if r.closed, err = runClosed(cells, opt); err != nil {
 		return nil, err
 	}
 	for i, a := range registry {

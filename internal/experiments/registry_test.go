@@ -9,27 +9,29 @@ import (
 	"testing"
 
 	"afcnet/internal/cmp"
+	"afcnet/internal/energy"
 	"afcnet/internal/network"
 	"afcnet/internal/obs"
 )
 
-// cannedResults is a Results with a row for every closed-loop read of
-// the registry and every harness result filled in, for rendering tests
-// that simulate nothing.
+// cannedResults is a Results with a canned one-seed output for every
+// closed-loop cell of the registry and every harness result filled in,
+// for rendering tests that simulate nothing.
 func cannedResults() *Results {
-	r := &Results{closed: closedRows{}}
-	for _, read := range []closedRead{lowEnergyRead, highRead} {
-		for _, p := range read.benches {
-			for i, k := range read.kinds {
-				x := float64(i) / 10
-				r.closed[benchKind{p, k}] = Measurement{
-					Bench: p.Name, Kind: k, Perf: 1 - x, Energy: 1 + x,
-					BufferE: 0.3, LinkE: 0.2 + x, RestE: 0.5,
-					InjectionRate: 0.1 + x, BufferedFraction: x,
-				}
-			}
-		}
+	var cells []cell
+	for _, a := range registry {
+		cells = append(cells, a.cells...)
 	}
+	b := newClosedBatch(cells, Options{Seeds: []int64{1}})
+	for i := range b.cells {
+		x := float64(i%5) / 10
+		b.outs = append(b.outs, []closedOut{{
+			res:    cmp.RunResult{TransactionsPerCycle: 1 - x, InjectionRate: 0.1 + x},
+			energy: energy.Breakdown{BufferDynamic: 0.3, Link: 0.2 + x, Xbar: 0.5},
+			mode:   network.ModeStats{BlessCycles: 10, BufferedCycles: uint64(10 * x)},
+		}})
+	}
+	r := &Results{closed: b}
 	r.Sweep = []SweepPoint{
 		{Kind: network.Backpressured, Offered: 0.1, Latency: 15},
 		{Kind: network.Bless, Offered: 0.1, Latency: 16},
@@ -37,12 +39,7 @@ func cannedResults() *Results {
 	}
 	r.Quadrant = []QuadrantResult{{Kind: network.Backpressured, Energy: 5}, {Kind: network.AFC, Energy: 4}}
 	r.Gossip = GossipResult{GossipSwitches: 3, Delivered: 7, Created: 7, Drained: true}
-	r.LazyVCA = []LazyVCARow{{Bench: "apache", PerfRatio: 1}}
-	r.Thresholds = []ThresholdRow{{Scale: 1}}
-	r.Sizing = []BaselineConfigRow{{Label: "paper"}}
-	r.Pipeline = []PipelineRow{{Bench: "water"}}
 	r.Metric = []ContentionMetricRow{{Policy: "paper"}}
-	r.EjectWidth = []EjectRow{{Width: 1}}
 	return r
 }
 
@@ -59,8 +56,8 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("duplicate or reserved artifact name %q", a.name)
 		}
 		seen[a.name] = true
-		if (a.closed == nil) == (a.run == nil) {
-			t.Errorf("%s: reads the closed-loop batch or makes a harness call, not both or neither", a.name)
+		if (a.cells == nil) == (a.run == nil) {
+			t.Errorf("%s: is a view of the closed-loop batch or makes a harness call, not both or neither", a.name)
 		}
 		if a.partOf != "" && !seen[a.partOf] {
 			t.Errorf("%s: prints inside %q, which is not an earlier entry", a.name, a.partOf)
@@ -123,8 +120,8 @@ func entry(t *testing.T, name string) artifact {
 
 // TestEvaluateEachArtifact: each artifact evaluated alone renders what
 // the whole evaluation renders for it, and the whole evaluation runs
-// each distinct closed-loop cell exactly once, in one batch. Two seeds,
-// reduced lengths, checker on.
+// each distinct closed-loop cell exactly once per seed, in one batch.
+// Two seeds, reduced lengths, checker on.
 func TestEvaluateEachArtifact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole evaluation 18 times at reduced lengths")
@@ -141,8 +138,13 @@ func TestEvaluateEachArtifact(t *testing.T) {
 	}
 	ob.Finish()
 
-	// 3 low-load benchmarks x 5 kinds and 3 high-load x 4, per seed.
-	const perSeed = 27
+	// Per seed: Fig. 2's 3 low-load benchmarks x 5 kinds and 3 high-load
+	// x 4, then the ablations' cells that are not Fig. 2's: thresholds'
+	// AFC at scales 0.5, 2 and 4 on water and apache (6), sizing's two
+	// variants (2), pipeline's realistic baseline on water and apache
+	// (2), and ejectwidth's widths 2 and 3 on backpressured and
+	// backpressureless (4).
+	const perSeed = 27 + 6 + 2 + 2 + 4
 	var mbuf bytes.Buffer
 	if err := ob.WriteManifest(&mbuf); err != nil {
 		t.Fatal(err)
@@ -157,9 +159,9 @@ func TestEvaluateEachArtifact(t *testing.T) {
 			first++
 		}
 	}
-	if want := perSeed * len(opt.Seeds); first != want || len(all.closed) != perSeed {
-		t.Errorf("closed-loop batch ran %d cells for %d rows; want %d cells, one per (bench, kind, seed), for %d rows",
-			first, len(all.closed), want, perSeed)
+	if want := perSeed * len(opt.Seeds); first != want || len(all.closed.cells) != perSeed {
+		t.Errorf("closed-loop batch ran %d cells for %d distinct cells; want %d, each of %d distinct cells once per seed",
+			first, len(all.closed.cells), want, perSeed)
 	}
 
 	var blocks bytes.Buffer
@@ -192,15 +194,17 @@ func TestEvaluateEachArtifact(t *testing.T) {
 		}
 	}
 
-	// Table III is the backpressured rows' injection rate, bit for bit.
+	// Table III is Fig. 2's backpressured rows' injection rate, bit for
+	// bit.
 	rates, err := Table3(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fig2 := append(lowEnergyView.rows(all.closed), highView.rows(all.closed)...)
 	for _, r := range rates {
-		p, _ := cmp.ByName(r.Bench)
-		if m := all.closed[benchKind{p, network.Backpressured}]; r.Measured != m.InjectionRate {
-			t.Errorf("Table3 %s measured %v, backpressured row injects %v", r.Bench, r.Measured, m.InjectionRate)
+		i := slices.IndexFunc(fig2, func(m Measurement) bool { return m.Bench == r.Bench && m.Kind == network.Backpressured })
+		if i < 0 || r.Measured != fig2[i].InjectionRate {
+			t.Errorf("Table3 %s measured %v, Fig. 2's backpressured rows are %+v", r.Bench, r.Measured, fig2)
 		}
 	}
 }

@@ -116,8 +116,8 @@ func (r *Results) WriteSVGs(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	lows := r.closed.view(lowEnergyRead)
-	highs := r.closed.view(highRead)
+	lows := lowEnergyView.rows(r.closed)
+	highs := highView.rows(r.closed)
 	files := map[string]string{
 		"fig2a.svg": Fig2SVG("Figure 2(a): performance, low load", "performance (normalized)", lows, false),
 		"fig2b.svg": Fig2SVG("Figure 2(b): network energy, low load", "energy (normalized)", lows, true),
