@@ -115,7 +115,8 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 		return err
 	}
 	// newNet builds a cell's network with the shared -shards and -check
-	// settings and the observer's counter sampler.
+	// settings, then the observer's counter sampler and barrier timing,
+	// attached in the order experiments' harnesses attach them.
 	newNet := func(cfg network.Config) *network.Network {
 		cfg.Shards = shared.Shards
 		net := network.New(cfg)
@@ -123,6 +124,7 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 			check.Attach(net)
 		}
 		ob.Sample(net)
+		ob.ObserveBarrier(net)
 		return net
 	}
 	// The report is buffered so it prints after finish has closed the

@@ -127,3 +127,25 @@ func TestCellErrorWritesManifest(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedManifestRecordsBarrier: a sharded closed-loop run records
+// the barrier's wall-time split in its manifest, as the experiment
+// harnesses' runs do.
+func TestShardedManifestRecordsBarrier(t *testing.T) {
+	dir := t.TempDir()
+	args := append(obsArgs(dir), "-bench", "water", "-kind", "afc", "-shards", "2", "-warmup", "100", "-tx", "300")
+	if err := run(flag.NewFlagSet("afcsim", flag.ContinueOnError), args, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "run.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m obs.Manifest
+	if err := json.Unmarshal(b, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Barrier == nil || m.Barrier.Shards != 2 || m.Barrier.Cycles == 0 {
+		t.Errorf("manifest barrier record %+v; want 2 shards over a nonzero number of cycles", m.Barrier)
+	}
+}
