@@ -99,8 +99,6 @@ func (p Params) Validate() error {
 
 type coreState struct {
 	outstanding int
-	completed   uint64
-	issued      uint64
 	nextTx      uint64
 	neighbors   []topology.NodeID
 }
@@ -340,7 +338,6 @@ func (s *System) Tick(now uint64) {
 		if c.outstanding == s.params.MSHRs {
 			s.fullCores++
 		}
-		c.issued++
 		s.net.NI(node).SendPacket(now, home, flit.VNReq,
 			flit.ControlPacketFlits, payload(msgRequest, tx))
 	}
@@ -401,7 +398,6 @@ func (s *System) onPacket(now uint64, d ni.Delivered) {
 			}
 		}
 		c.outstanding--
-		c.completed++
 		if cell != nil {
 			cell.completed++
 		} else {

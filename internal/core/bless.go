@@ -52,8 +52,6 @@ func (r *Router) blessCycle(now uint64) {
 }
 
 func (r *Router) eject(now uint64, f *flit.Flit) {
-	r.routedFlits++
-	r.ejectedFlits++
 	r.dispatched++
 	if r.meter != nil {
 		r.meter.SwArb()
@@ -73,7 +71,6 @@ func (r *Router) blessSend(now uint64, d topology.Dir, f *flit.Flit) {
 			panic(fmt.Sprintf("afc %d: negative credits toward %s vn %s", r.node, d, vn))
 		}
 	}
-	r.routedFlits++
 	r.dispatched++
 	f.Hops++
 	r.wires.Ports[d].Out.Send(now, f)
@@ -131,7 +128,6 @@ func (r *Router) blessInject(now uint64, taken *[topology.NumDirs]bool) {
 		entered := r.injArmedAt[vn] - 1
 		r.injArmedAt[vn] = now + 1
 		f.InjectedAt = entered
-		r.injectedFlits++
 
 		one := []*flit.Flit{f}
 		a := r.defl.Assign(one, func(ff *flit.Flit, d topology.Dir) bool {

@@ -146,11 +146,9 @@ func (r *Router) sendBuffered(now uint64, in, out topology.Dir) {
 		r.meter.SwArb()
 		r.meter.Xbar()
 	}
-	r.routedFlits++
 	r.dispatched++
 
 	if out == topology.Local {
-		r.ejectedFlits++
 		r.sink.Deliver(now, f)
 		return
 	}
@@ -193,7 +191,6 @@ func (r *Router) bufferedInject(now uint64) {
 		}
 		f = r.src.Pop(vn)
 		f.InjectedAt = now
-		r.injectedFlits++
 		r.writeSlot(topology.Local, s, f)
 	}
 }

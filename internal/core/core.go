@@ -176,16 +176,10 @@ type Router struct {
 
 	// in holds each input port's SRAM slots (nil = free) and esc its
 	// escape-latch FIFO.
-	in   [topology.NumPorts][]*flit.Flit
-	esc  [topology.NumPorts][]*flit.Flit
-	down [topology.NumDirs]downstream
-	// trackedDirs counts the directions with down[d].tracking set,
-	// maintained at every tracking toggle, so the gossip checks in
-	// decideMode and Quiescent are a register compare in the common
-	// (no buffered neighbor) case instead of a scan over the cold
-	// down array.
-	trackedDirs int
-	dispatched  int // flits dispatched this cycle (intensity metric)
+	in         [topology.NumPorts][]*flit.Flit
+	esc        [topology.NumPorts][]*flit.Flit
+	down       [topology.NumDirs]downstream
+	dispatched int // flits dispatched this cycle (intensity metric)
 
 	cands  [topology.NumPorts]cand
 	inArb  [topology.NumPorts]router.RoundRobin
@@ -227,10 +221,7 @@ type Router struct {
 	totalSlots int
 
 	// Stats
-	routedFlits     uint64
 	deflections     uint64
-	ejectedFlits    uint64
-	injectedFlits   uint64
 	forwardSwitches uint64
 	reverseSwitches uint64
 	gossipSwitches  uint64
@@ -355,7 +346,6 @@ func (s *Slab) New(tables *topology.Tables, node topology.NodeID, cfg config.AFC
 		for d := topology.Dir(0); d < topology.NumDirs; d++ {
 			if wires.Ports[d].Exists() {
 				r.down[d] = downstream{tracking: true, credits: cfg.VCsPerVN}
-				r.trackedDirs++
 				r.gossipLow += r.gossipLowFull()
 			}
 		}
@@ -411,10 +401,7 @@ func (r *Router) Reset(seed int64) {
 	r.held = 0
 	r.dispatched = 0
 	r.misrouteTripped = false
-	r.routedFlits = 0
 	r.deflections = 0
-	r.ejectedFlits = 0
-	r.injectedFlits = 0
 	r.modeCycles = [numModes]uint64{}
 	r.forwardSwitches = 0
 	r.reverseSwitches = 0
@@ -425,12 +412,10 @@ func (r *Router) Reset(seed int64) {
 	r.dead = false
 	if r.alwaysBuffered {
 		r.mode = ModeBuffered
-		r.trackedDirs = 0
 		r.gossipLow = 0
 		for d := topology.Dir(0); d < topology.NumDirs; d++ {
 			if r.wires.Ports[d].Exists() {
 				r.down[d] = downstream{tracking: true, credits: r.cfg.VCsPerVN}
-				r.trackedDirs++
 				r.gossipLow += r.gossipLowFull()
 			} else {
 				r.down[d] = downstream{}
@@ -441,7 +426,6 @@ func (r *Router) Reset(seed int64) {
 		}
 	} else {
 		r.mode = ModeBless
-		r.trackedDirs = 0
 		r.gossipLow = 0
 		for d := topology.Dir(0); d < topology.NumDirs; d++ {
 			r.down[d] = downstream{}
@@ -492,9 +476,6 @@ func (r *Router) EscapeEvents() uint64 { return r.escapeEvents }
 
 // Deflections returns the misroutes issued by this router.
 func (r *Router) Deflections() uint64 { return r.deflections }
-
-// RoutedFlits returns the flits dispatched (sent or ejected).
-func (r *Router) RoutedFlits() uint64 { return r.routedFlits }
 
 // Intensity returns the current smoothed local traffic intensity.
 func (r *Router) Intensity() float64 { return r.monitor.Value() }
@@ -681,18 +662,12 @@ func (r *Router) receiveCtrl(now uint64) {
 		case link.CtrlStartCredits:
 			// The neighbor's buffers are empty at the announcement, so
 			// the initial credit count is the full per-VN capacity.
-			if !r.down[d].tracking {
-				r.trackedDirs++
-			}
 			r.gossipLow -= r.gossipLowAt(d)
 			r.down[d] = downstream{tracking: true, credits: r.cfg.VCsPerVN}
 			r.gossipLow += r.gossipLowFull()
 		case link.CtrlStopCredits:
 			// Per the paper, occupancy is considered empty immediately;
 			// in-flight credits for the stopped neighbor are ignored.
-			if r.down[d].tracking {
-				r.trackedDirs--
-			}
 			r.gossipLow -= r.gossipLowAt(d)
 			r.down[d] = downstream{}
 		}

@@ -96,10 +96,7 @@ type Router struct {
 	ejectWidth int
 
 	// Stats
-	routedFlits  uint64
-	deflections  uint64
-	ejectedFlits uint64
-	injected     uint64
+	deflections uint64
 }
 
 // Slab is a contiguous bank of deflection routers, carved in ascending
@@ -167,10 +164,7 @@ func (r *Router) Reset(seed int64) {
 	r.blockedCount = 0
 	r.parked = 0
 	r.dead = false
-	r.routedFlits = 0
 	r.deflections = 0
-	r.ejectedFlits = 0
-	r.injected = 0
 }
 
 // SetPortBlocked marks (or clears) output d as fault-blocked: port
@@ -197,9 +191,6 @@ func (r *Router) SetPortDead(d topology.Dir) { r.SetPortBlocked(d, true) }
 // latched flits stay parked — still visible to ForEachFlit, keeping the
 // checker's conservation ledger balanced.
 func (r *Router) SetDead() { r.dead = true }
-
-// RoutedFlits returns the number of flits dispatched by this router.
-func (r *Router) RoutedFlits() uint64 { return r.routedFlits }
 
 // Deflections returns the number of misroutes issued by this router.
 func (r *Router) Deflections() uint64 { return r.deflections }
@@ -268,8 +259,6 @@ func (r *Router) usable(_ *flit.Flit, d topology.Dir) bool {
 }
 
 func (r *Router) eject(now uint64, f *flit.Flit) {
-	r.routedFlits++
-	r.ejectedFlits++
 	if r.meter != nil {
 		r.meter.SwArb()
 		r.meter.Xbar()
@@ -278,7 +267,6 @@ func (r *Router) eject(now uint64, f *flit.Flit) {
 }
 
 func (r *Router) send(now uint64, d topology.Dir, f *flit.Flit) {
-	r.routedFlits++
 	f.Hops++
 	r.wires.Ports[d].Out.Send(now, f)
 	if r.meter != nil {
@@ -337,7 +325,6 @@ func (r *Router) inject(now uint64, taken *[topology.NumDirs]bool) {
 		entered := r.injArmedAt[vn] - 1
 		r.injArmedAt[vn] = now + 1
 		f.InjectedAt = entered
-		r.injected++
 
 		one := []*flit.Flit{f}
 		a := r.defl.Assign(one, func(ff *flit.Flit, d topology.Dir) bool {

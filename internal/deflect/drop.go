@@ -71,9 +71,7 @@ type DropRouter struct {
 	ejectWidth int
 
 	// Stats
-	routedFlits  uint64
 	droppedFlits uint64
-	ejectedFlits uint64
 }
 
 // DropSlab is a contiguous bank of drop routers, carved in ascending
@@ -142,9 +140,7 @@ func (r *DropRouter) Reset(seed int64) {
 	r.injArmedAt = [flit.NumVNs]uint64{}
 	r.blockedOut = [topology.NumDirs]bool{}
 	r.dead = false
-	r.routedFlits = 0
 	r.droppedFlits = 0
-	r.ejectedFlits = 0
 }
 
 // SetPortBlocked marks (or clears) output d as fault-blocked: flits
@@ -162,9 +158,6 @@ func (r *DropRouter) SetDead() { r.dead = true }
 
 // DroppedFlits returns the number of flits dropped by this router.
 func (r *DropRouter) DroppedFlits() uint64 { return r.droppedFlits }
-
-// RoutedFlits returns the number of flits dispatched or ejected.
-func (r *DropRouter) RoutedFlits() uint64 { return r.routedFlits }
 
 // LatchedFlits returns the number of flits currently in pipeline latches.
 func (r *DropRouter) LatchedFlits() int { return len(r.latches) }
@@ -238,8 +231,6 @@ func (r *DropRouter) Tick(now uint64) {
 		f := l.f
 		if f.Dst == r.node && ejectSlots > 0 {
 			ejectSlots--
-			r.routedFlits++
-			r.ejectedFlits++
 			if r.meter != nil {
 				r.meter.SwArb()
 				r.meter.Xbar()
@@ -287,7 +278,6 @@ func (r *DropRouter) productiveFree(f *flit.Flit, taken *[topology.NumDirs]bool)
 }
 
 func (r *DropRouter) send(now uint64, d topology.Dir, f *flit.Flit) {
-	r.routedFlits++
 	f.Hops++
 	r.wires.Ports[d].Out.Send(now, f)
 	if r.meter != nil {

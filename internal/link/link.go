@@ -29,7 +29,6 @@ type Pipe[T any] struct {
 	vals     []T
 	occupied []bool
 	inflight int
-	sends    uint64
 
 	// tally, when non-nil, points at a receiver-owned aggregate
 	// in-flight counter shared by every pipe inbound to one router: the
@@ -110,7 +109,6 @@ func (p *Pipe[T]) Reset() {
 		p.occupied[i] = false
 	}
 	p.inflight = 0
-	p.sends = 0
 	// Clear any parked sends but keep the staged-mode wiring itself
 	// (mode flag and bucket): like the latency, staging is build-time
 	// wiring owned by the network, which clears the buckets in its own
@@ -121,10 +119,6 @@ func (p *Pipe[T]) Reset() {
 		p.stagedAt[par] = 0
 	}
 }
-
-// Sends returns the total number of values sent, for stats and energy
-// accounting.
-func (p *Pipe[T]) Sends() uint64 { return p.sends }
 
 func (p *Pipe[T]) slot(cycle uint64) int {
 	return int(cycle) & p.mask
@@ -166,7 +160,6 @@ func (p *Pipe[T]) send(now uint64, v T) {
 	p.vals[s] = v
 	p.occupied[s] = true
 	p.inflight++
-	p.sends++
 	if p.tally != nil {
 		*p.tally++
 	}

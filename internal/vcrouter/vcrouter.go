@@ -127,19 +127,13 @@ type Router struct {
 	wires router.Wires
 	sink  router.LocalSink
 
-	// --- cold config/stats tail ---
+	// --- cold config tail ---
 
 	node         topology.NodeID
 	depth        int
 	ejectWidth   int
 	realisticVCA bool
-	numVCs       int
 	vnVCs        [flit.NumVNs][]int // virtual network -> VC indices
-
-	// Stats
-	routedFlits   uint64
-	injectedFlits uint64
-	ejectedFlits  uint64
 }
 
 // Slab is a contiguous bank of baseline routers: the Router structs,
@@ -200,7 +194,6 @@ func (s *Slab) New(tables *topology.Tables, node topology.NodeID, cfg config.Bas
 	r.ejectWidth = ejectWidth
 	r.realisticVCA = cfg.RealisticVCA
 	r.vnVCs = s.vnVCs
-	r.numVCs = s.numVCs
 	base := s.next * topology.NumPorts
 	for p := 0; p < topology.NumPorts; p++ {
 		lo := (base + p) * s.numVCs
@@ -275,9 +268,6 @@ func (r *Router) Reset() {
 	r.blockedOut = [topology.NumDirs]bool{}
 	r.deadOut = [topology.NumDirs]bool{}
 	r.dead = false
-	r.routedFlits = 0
-	r.injectedFlits = 0
-	r.ejectedFlits = 0
 }
 
 // SetPortBlocked marks (or clears) output d as fault-blocked for data:
@@ -298,10 +288,6 @@ func (r *Router) SetPortDead(d topology.Dir) {
 // flits stay parked — still visible to ForEachFlit, keeping the
 // checker's conservation ledger balanced.
 func (r *Router) SetDead() { r.dead = true }
-
-// RoutedFlits returns the number of flits this router has moved through
-// its crossbar (switch traversals).
-func (r *Router) RoutedFlits() uint64 { return r.routedFlits }
 
 // Tick implements one cycle (see the package comment for the pipeline
 // correspondence).
@@ -497,7 +483,6 @@ func (r *Router) sendWinner(now uint64, in, out topology.Dir) {
 	r.held--
 	r.heldAt[in]--
 	c.valid = false
-	r.routedFlits++
 	if r.meter != nil {
 		r.meter.BufRead()
 		r.meter.SwArb()
@@ -526,7 +511,6 @@ func (r *Router) sendWinner(now uint64, in, out topology.Dir) {
 	}
 
 	if out == topology.Local {
-		r.ejectedFlits++
 		r.sink.Deliver(now, f)
 		return
 	}
@@ -578,7 +562,6 @@ func (r *Router) inject(now uint64) {
 		vc.q = append(vc.q, entry{f: f, readyAt: now + 1})
 		r.held++
 		r.heldAt[topology.Local]++
-		r.injectedFlits++
 		if r.meter != nil {
 			r.meter.BufWrite()
 		}
