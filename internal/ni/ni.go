@@ -226,14 +226,6 @@ func (s *Slab) New(node topology.NodeID) *NI {
 	return n
 }
 
-// New returns the network interface for node (a slab of one) with a
-// flit arena of its own.
-func New(node topology.NodeID) *NI {
-	n := NewSlab(1).New(node)
-	n.SetArena(flit.NewArena())
-	return n
-}
-
 // Node returns the node this NI serves.
 func (n *NI) Node() topology.NodeID { return n.node }
 

@@ -6,10 +6,38 @@ import (
 	"testing/quick"
 
 	"afcnet/internal/flit"
+	"afcnet/internal/topology"
 )
 
+// carve builds an NI for each of nodes the way the network does: carved
+// in order from one slab, all packetizing from one shared arena, which
+// it returns.
+func carve(nodes ...topology.NodeID) ([]*NI, *flit.Arena) {
+	a := flit.NewArena()
+	s := NewSlab(len(nodes))
+	nis := make([]*NI, len(nodes))
+	for i, node := range nodes {
+		nis[i] = s.New(node)
+		nis[i].SetArena(a)
+	}
+	return nis, a
+}
+
+// one returns the NI of node, carved alone.
+func one(node topology.NodeID) *NI {
+	nis, _ := carve(node)
+	return nis[0]
+}
+
+// pair returns the NIs of node 1, the source, and node 0, the
+// destination, carved from one slab.
+func pair() (src, dst *NI) {
+	nis, _ := carve(1, 0)
+	return nis[0], nis[1]
+}
+
 func TestPacketizationAndQueues(t *testing.T) {
-	n := New(0)
+	n := one(0)
 	n.SendPacket(10, 3, flit.VNData, 4, 77)
 	if n.QueuedFlits() != 4 {
 		t.Fatalf("queue len = %d, want 4", n.QueuedFlits())
@@ -29,7 +57,7 @@ func TestPacketizationAndQueues(t *testing.T) {
 }
 
 func TestQueuesArePerVN(t *testing.T) {
-	n := New(2)
+	n := one(2)
 	n.SendPacket(0, 0, flit.VNReq, 1, 0)
 	n.SendPacket(0, 0, flit.VNData, 2, 0)
 	if n.Peek(flit.VNResp) != nil {
@@ -44,7 +72,7 @@ func TestQueuesArePerVN(t *testing.T) {
 }
 
 func TestSelfAddressedPanics(t *testing.T) {
-	n := New(4)
+	n := one(4)
 	defer func() {
 		if recover() == nil {
 			t.Error("self-addressed packet did not panic")
@@ -59,8 +87,7 @@ func TestSelfAddressedPanics(t *testing.T) {
 func TestReassemblyAnyOrder(t *testing.T) {
 	f := func(permSeed int64, lenRaw uint8) bool {
 		l := int(lenRaw)%20 + 1
-		src := New(1)
-		dst := New(0)
+		src, dst := pair()
 		var got []Delivered
 		dst.SetHandler(func(_ uint64, d Delivered) { got = append(got, d) })
 		src.SendPacket(100, 0, flit.VNData, l, 5)
@@ -91,8 +118,7 @@ func TestReassemblyAnyOrder(t *testing.T) {
 }
 
 func TestInterleavedReassembly(t *testing.T) {
-	src := New(1)
-	dst := New(0)
+	src, dst := pair()
 	delivered := 0
 	dst.SetHandler(func(_ uint64, d Delivered) { delivered++ })
 	src.SendPacket(0, 0, flit.VNData, 3, 0)
@@ -115,8 +141,7 @@ func TestInterleavedReassembly(t *testing.T) {
 }
 
 func TestWrongDestinationPanics(t *testing.T) {
-	src := New(1)
-	dst := New(0)
+	src, dst := pair()
 	src.SendPacket(0, 3, flit.VNReq, 1, 0)
 	fl := src.Pop(flit.VNReq)
 	defer func() {
@@ -128,8 +153,7 @@ func TestWrongDestinationPanics(t *testing.T) {
 }
 
 func TestRetransmitLifecycle(t *testing.T) {
-	src := New(1)
-	dst := New(0)
+	src, dst := pair()
 	src.SetRetain(true)
 	id := src.SendPacket(0, 0, flit.VNReq, 1, 0)
 
@@ -173,8 +197,7 @@ func TestRetransmitLifecycle(t *testing.T) {
 }
 
 func TestStatsAndReset(t *testing.T) {
-	src := New(1)
-	dst := New(0)
+	src, dst := pair()
 	src.SendPacket(0, 0, flit.VNReq, 1, 0)
 	fl := src.Pop(flit.VNReq)
 	fl.InjectedAt = 2
@@ -194,7 +217,7 @@ func TestStatsAndReset(t *testing.T) {
 }
 
 func TestQueueSampling(t *testing.T) {
-	n := New(0)
+	n := one(0)
 	n.SendPacket(0, 1, flit.VNData, 4, 0)
 	n.SampleQueues() // 4 queued
 	n.Pop(flit.VNData)
@@ -205,8 +228,7 @@ func TestQueueSampling(t *testing.T) {
 }
 
 func TestDeflectionHistogram(t *testing.T) {
-	src := New(1)
-	dst := New(0)
+	src, dst := pair()
 	src.SendPacket(0, 0, flit.VNReq, 1, 0)
 	f := src.Pop(flit.VNReq)
 	f.Deflections = 7
@@ -220,9 +242,8 @@ func TestDeflectionHistogram(t *testing.T) {
 // packets are descriptors until Peek reaches them, so a source backlog
 // past saturation holds at most one packet's flits per virtual network.
 func TestBacklogHoldsNoFlits(t *testing.T) {
-	a := flit.NewArena()
-	n := NewSlab(1).New(0)
-	n.SetArena(a)
+	nis, a := carve(0)
+	n := nis[0]
 	const packets = 1000
 	for i := 0; i < packets; i++ {
 		n.SendPacket(uint64(i), 1, flit.VNData, flit.DataPacketFlits, uint64(i))
@@ -261,7 +282,7 @@ func TestBacklogHoldsNoFlits(t *testing.T) {
 // enqueued, each flit carrying its copy's epoch; a copy whose tail has
 // not popped defers the next retransmission.
 func TestRetransmitInterleavesInOrder(t *testing.T) {
-	n := New(1)
+	n := one(1)
 	n.SetRetain(true)
 	// pop takes flits seq from..to-1 of packet id and checks each one's
 	// place and epoch.
@@ -310,7 +331,7 @@ func TestRetransmitInterleavesInOrder(t *testing.T) {
 // TestResetMidPacket: Reset after a partly popped head packet leaves
 // every queue empty, and the NI then behaves as freshly built.
 func TestResetMidPacket(t *testing.T) {
-	n := New(0)
+	n := one(0)
 	n.SendPacket(0, 1, flit.VNData, flit.DataPacketFlits, 0)
 	n.SendPacket(0, 2, flit.VNData, flit.DataPacketFlits, 0)
 	n.SendPacket(0, 3, flit.VNReq, 1, 0)
@@ -343,13 +364,64 @@ func TestResetMidPacket(t *testing.T) {
 	}
 }
 
+// TestShardMagazinesConserveFlits: NIs on two shards of one arena, wired
+// as a sharded network wires them, packetize through their own shard's
+// magazine and recycle delivered flits through theirs, so every packet
+// sent from shard 0 to shard 1 moves its flits from one magazine to the
+// other. The arena's live count sums the magazines' deltas: it reads a
+// packet's flits while they are out and returns to 0 on delivery.
+func TestShardMagazinesConserveFlits(t *testing.T) {
+	nis, a := carve(0, 1)
+	a.SetShards(2)
+	for i, n := range nis {
+		n.SetArenaShard(a.Shard(i))
+	}
+	src, dst := nis[0], nis[1]
+	delivered := 0
+	dst.SetHandler(func(uint64, Delivered) { delivered++ })
+	const packets = 100
+	pooled := 0
+	fs := make([]*flit.Flit, 0, flit.DataPacketFlits)
+	for i := 0; i < packets; i++ {
+		now := uint64(i)
+		src.SendPacket(now, 1, flit.VNData, flit.DataPacketFlits, uint64(i))
+		fs = fs[:0]
+		for f := src.Pop(flit.VNData); f != nil; f = src.Pop(flit.VNData) {
+			f.InjectedAt = now
+			fs = append(fs, f)
+		}
+		switch live := a.Live(); live {
+		case flit.DataPacketFlits:
+			pooled++
+		case 0: // a magazine that finds the reserve dry hands out heap flits
+		default:
+			t.Fatalf("packet %d: %d flits live while its %d flits are out", i, live, len(fs))
+		}
+		for _, f := range fs {
+			dst.Deliver(now, f)
+		}
+		if live := a.Live(); live != 0 {
+			t.Fatalf("packet %d: %d flits live after delivery, want 0", i, live)
+		}
+		// The sharded tick's serial phase mints stock for starved
+		// magazines.
+		a.Reconcile()
+	}
+	if delivered != packets {
+		t.Errorf("delivered %d of %d packets", delivered, packets)
+	}
+	if pooled == 0 {
+		t.Errorf("none of %d packets came from the magazines", packets)
+	}
+}
+
 // BenchmarkNIPop pops through a standing backlog of data packets the way
 // a router injects from a saturated source: each op peeks and pops one
 // flit and recycles it, and each popped tail enqueues a replacement
 // packet. The steady state allocates nothing (make bench-layers).
 func BenchmarkNIPop(b *testing.B) {
 	const backlog = 64
-	n := New(0)
+	n := one(0)
 	for i := 0; i < backlog; i++ {
 		n.SendPacket(0, 1, flit.VNData, flit.DataPacketFlits, 0)
 	}
