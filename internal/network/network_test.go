@@ -18,6 +18,45 @@ func newTestNet(t *testing.T, kind Kind, seed int64) *Network {
 	return New(Config{System: config.Default(), Kind: kind, Seed: seed, MeterEnergy: true})
 }
 
+// TestSameNetwork: configurations build the same network when they
+// differ only in their seed, with an unset machine configuration read
+// as config.Default(); Reset refuses any other difference and leaves
+// the network as it was.
+func TestSameNetwork(t *testing.T) {
+	base := Config{Kind: AFC, Seed: 1, MeterEnergy: true}
+	scaled := config.Default()
+	scaled.AFC.ThresholdsByPosition = map[topology.Position]config.Thresholds{
+		topology.Corner: {High: 1, Low: 0.5}, topology.Edge: {High: 1, Low: 0.5}, topology.Center: {High: 1, Low: 0.5},
+	}
+	cases := []struct {
+		name string
+		edit func(*Config)
+		same bool
+	}{
+		{"another seed", func(c *Config) { c.Seed = 9 }, true},
+		{"the default machine spelled out", func(c *Config) { c.System = config.Default() }, true},
+		{"another kind", func(c *Config) { c.Kind = AFCAlwaysBuffered }, false},
+		{"unmetered", func(c *Config) { c.MeterEnergy = false }, false},
+		{"other thresholds", func(c *Config) { c.System = scaled }, false},
+		{"sharded", func(c *Config) { c.Shards = 2 }, false},
+	}
+	for _, c := range cases {
+		cfg := base
+		c.edit(&cfg)
+		if got := SameNetwork(base, cfg); got != c.same {
+			t.Errorf("%s: SameNetwork = %v, want %v", c.name, got, c.same)
+		}
+		n := New(base)
+		if got := n.Reset(cfg); got != c.same {
+			t.Errorf("%s: Reset = %v, want %v", c.name, got, c.same)
+		}
+		if !c.same && n.cfg.Seed != base.Seed {
+			t.Errorf("%s: a refused Reset changed the network's seed to %d", c.name, n.cfg.Seed)
+		}
+		n.Close()
+	}
+}
+
 // TestAllToAllDelivery sends a control and a data packet from every node
 // to every other node under every flow-control kind and checks complete,
 // loss-free delivery.
