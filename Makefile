@@ -60,8 +60,9 @@ smoke-64x64:
 
 # Record the next free BENCH_<n>.json: every value/unit pair `go test
 # -bench -benchmem` prints for ^BenchmarkKernelStep (root package) and
-# ^BenchmarkTick (internal/core), with the Go version, CPU model, NumCPU
-# and GOMAXPROCS of the host. The checked-in snapshots are the repo's
+# ^BenchmarkTick (each router datapath: internal/core, internal/vcrouter
+# and internal/deflect), with the Go version, CPU model, NumCPU and
+# GOMAXPROCS of the host. The checked-in snapshots are the repo's
 # perf history; no gate reads them. LABEL is recorded with the numbers.
 LABEL ?=
 bench-json:
@@ -92,10 +93,13 @@ BASE ?= HEAD
 bench-smoke:
 	$(GO) run ./cmd/benchjson -base $(BASE)
 
-# The per-layer microbenchmarks: an AFC router's Tick on a canned input
-# that stays saturated, in backpressured mode (BenchmarkTickBuffered)
-# and backpressureless mode (BenchmarkTickBless), and NI pops through a
-# standing source backlog (BenchmarkNIPop); then the serial kernel step
+# The per-layer microbenchmarks: each router datapath's Tick on a canned
+# input that stays saturated — the AFC router in backpressured mode
+# (BenchmarkTickBuffered) and backpressureless mode (BenchmarkTickBless),
+# the baseline VC router (BenchmarkTickBackpressured), the deflection
+# router (BenchmarkTickBackpressureless) and the drop router
+# (BenchmarkTickBackpressurelessDrop) — and NI pops through a standing
+# source backlog (BenchmarkNIPop); then the serial kernel step
 # of every router kind at 3x3 and 16x16 (BenchmarkKernelStepKinds), the
 # AFC step at near-idle load (BenchmarkKernelStepLowLoad), the 16x16 AFC
 # step through the sharded tick (BenchmarkKernelStep16x16Sharded) and
@@ -110,7 +114,7 @@ bench-smoke:
 # an arena block per queued packet. This is the repo's steady-state
 # allocation gate, bench-smoke's included.
 bench-layers:
-	@out=$$($(GO) test -run='^$$' -bench='^Benchmark(Tick|NIPop)' -benchmem -benchtime=200000x ./internal/core ./internal/ni) || { echo "$$out"; exit 1; }; \
+	@out=$$($(GO) test -run='^$$' -bench='^Benchmark(Tick|NIPop)' -benchmem -benchtime=200000x ./internal/core ./internal/vcrouter ./internal/deflect ./internal/ni) || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
 	echo "$$out" | awk '$(ALLOC_GATE)'
 	@out=$$($(GO) test -run='^$$' -bench='^BenchmarkKernelStep(Kinds|LowLoad|16x16Sharded|Checked)$$' -benchmem -benchtime=20000x .) || { echo "$$out"; exit 1; }; \

@@ -2,7 +2,8 @@
 // BENCH_<n>.json snapshot, and gates the working tree against a base
 // revision on the same host. It defines no benchmark: every number is one
 // that `go test -bench -benchmem` prints for a cell of bench_test.go or
-// internal/core, so each cell has one definition.
+// of a router package (internal/core, internal/vcrouter,
+// internal/deflect), so each cell has one definition.
 //
 //	benchjson [-label text] [-o file]  # record (default: the next free BENCH_<n>.json)
 //	benchjson -base REV                # paired gate
@@ -100,9 +101,10 @@ func record(path, label string) error {
 		Schema: snapshotSchema, Label: label, GoVersion: runtime.Version(),
 		NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
-	// Each prefix names benchmarks of one package only: KernelStep the
-	// root package's, Tick internal/core's.
-	out, err := run("", "go", "test", "-run", "^$", "-bench", "^Benchmark(KernelStep|Tick)", "-benchmem", ".", "./internal/core")
+	// KernelStep names the root package's benchmarks, Tick each router
+	// datapath's; no two packages share a benchmark name.
+	out, err := run("", "go", "test", "-run", "^$", "-bench", "^Benchmark(KernelStep|Tick)", "-benchmem",
+		".", "./internal/core", "./internal/vcrouter", "./internal/deflect")
 	if err != nil {
 		return err
 	}
