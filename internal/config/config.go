@@ -145,6 +145,9 @@ func (s System) Validate() error {
 	if s.Mesh.Width < 2 || s.Mesh.Height < 2 {
 		return fmt.Errorf("config: mesh must be at least 2x2, got %dx%d", s.Mesh.Width, s.Mesh.Height)
 	}
+	if s.Mesh.Width > topology.MaxDim || s.Mesh.Height > topology.MaxDim {
+		return fmt.Errorf("config: mesh sides must be at most %d, got %dx%d", topology.MaxDim, s.Mesh.Width, s.Mesh.Height)
+	}
 	for vn, n := range s.Baseline.VCsPerVN {
 		if n < 1 {
 			return fmt.Errorf("config: baseline needs >= 1 VC on vn %d", vn)

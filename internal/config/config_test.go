@@ -74,6 +74,8 @@ func TestValidateCatchesViolations(t *testing.T) {
 	}{
 		{"zero link latency", func(s *System) { s.LinkLatency = 0 }},
 		{"zero eject width", func(s *System) { s.EjectWidth = 0 }},
+		{"mesh wider than the route state holds", func(s *System) { s.Mesh.Width = topology.MaxDim + 1 }},
+		{"mesh taller than the route state holds", func(s *System) { s.Mesh.Height = topology.MaxDim + 1 }},
 		{"no baseline VCs", func(s *System) { s.Baseline.VCsPerVN[0] = 0 }},
 		{"zero buffer depth", func(s *System) { s.Baseline.BufDepth = 0 }},
 		{"AFC VN below 2L", func(s *System) { s.AFC.VCsPerVN[0] = 1 }},

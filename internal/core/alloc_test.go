@@ -16,7 +16,7 @@ import (
 // flit's virtual network. credits holds the per-VN counts the input
 // stage will read (this cycle's credit arrivals included).
 func slotEligible(r *Router, f *flit.Flit, credits *[topology.NumDirs][flit.NumVNs]int) bool {
-	out := r.dor[f.Dst]
+	out := r.routes.DOR(f.Dst)
 	if out == topology.Local {
 		return true
 	}
@@ -42,9 +42,9 @@ func checkRoute(t *testing.T, r *Router, now uint64) {
 			t.Fatalf("cycle %d port %d: OR of route masks %#x, occ %#x", now, p, union, r.occ[p])
 		}
 		for s, f := range r.in[p] {
-			if f != nil && r.route[p][r.dor[f.Dst]]&(1<<uint(s)) == 0 {
+			if f != nil && r.route[p][r.routes.DOR(f.Dst)]&(1<<uint(s)) == 0 {
 				t.Fatalf("cycle %d port %d slot %d: flit to %d missing from route mask of output %s",
-					now, p, s, f.Dst, r.dor[f.Dst])
+					now, p, s, f.Dst, r.routes.DOR(f.Dst))
 			}
 		}
 	}
@@ -64,8 +64,8 @@ func TestBufferedAllocatorMatchesSlotPredicate(t *testing.T) {
 	r := h.r
 	east, _ := h.mesh.Neighbor(h.node, topology.East)
 	south, _ := h.mesh.Neighbor(h.node, topology.South)
-	if r.dor[east] != topology.East || r.dor[south] != topology.South {
-		t.Fatalf("DOR toward %d/%d is %s/%s, want East/South", east, south, r.dor[east], r.dor[south])
+	if r.routes.DOR(east) != topology.East || r.routes.DOR(south) != topology.South {
+		t.Fatalf("DOR toward %d/%d is %s/%s, want East/South", east, south, r.routes.DOR(east), r.routes.DOR(south))
 	}
 	// The upstream West neighbor tracks credits toward the router.
 	h.up[topology.West] = upstream{tracking: true, credits: r.cfg.VCsPerVN}
@@ -114,7 +114,7 @@ func TestBufferedAllocatorMatchesSlotPredicate(t *testing.T) {
 				if slotEligible(r, fl, &credits) {
 					return true
 				}
-				if r.blockedOut[r.dor[fl.Dst]] {
+				if r.blockedOut[r.routes.DOR(fl.Dst)] {
 					blockRejects++
 				} else {
 					creditRejects++
@@ -145,7 +145,7 @@ func TestBufferedAllocatorMatchesSlotPredicate(t *testing.T) {
 		// Downstream: South and East's request VN credit every arrival at
 		// once; East's data credits wait for the release windows.
 		for _, fl := range h.recvAll() {
-			switch d := r.dor[fl.Dst]; {
+			switch d := r.routes.DOR(fl.Dst); {
 			case d == topology.East && fl.VN == flit.VNData:
 				heldData++
 			default:

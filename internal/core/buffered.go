@@ -69,7 +69,7 @@ func (r *Router) bufferedCycle(now uint64) {
 	for p := 0; p < topology.NumPorts; p++ {
 		if e := r.esc[p]; len(e) > 0 {
 			f := e[0]
-			out := r.dor[f.Dst]
+			out := r.routes.DOR(f.Dst)
 			if okOut[out]&r.vnMask[f.VN] != 0 {
 				r.cands[p] = cand{escape: true}
 				req[out] |= 1 << uint(p)
@@ -202,7 +202,7 @@ func (r *Router) writeSlot(p topology.Dir, s int, f *flit.Flit) {
 	r.in[p][s] = f
 	bit := uint64(1) << uint(s)
 	r.occ[p] |= bit
-	r.route[p][r.dor[f.Dst]] |= bit
+	r.route[p][r.routes.DOR(f.Dst)] |= bit
 	r.held++
 	if r.meter != nil {
 		r.meter.BufWrite()

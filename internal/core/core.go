@@ -194,14 +194,13 @@ type Router struct {
 	// wire carries nothing — the invariant checker excludes such edges).
 	deadOut [topology.NumDirs]bool
 
-	// dor is node's precomputed DOR next-hop table, indexed by
-	// destination: a view into the network's shared topology.Tables —
-	// one O(N²) table per mesh, not per router.
-	dor []topology.Dir
+	// routes is node's routing state from the network's shared
+	// topology.Tables; the buffered datapath reads its DOR hop.
+	routes topology.Routes
 	// nbr lists the directions with a wired neighbor (data, credit and
 	// control pipes all exist exactly there), so the per-cycle receive
 	// loops skip the empty ports of edge and corner routers. Shared
-	// storage, like dor.
+	// storage, like routes.
 	nbr   []topology.Dir
 	wires router.Wires
 	sink  router.LocalSink
@@ -294,8 +293,8 @@ func NewSlab(count int, cfg config.AFC, linkLatency int) *Slab {
 
 // New carves the next router from the slab and initializes it at node.
 // It panics when the slab is exhausted. tables is the network's shared
-// route tables; the router's dor and nbr slices and its deflector's
-// route table are views into it. inbox is the node's in-flight tally,
+// route state; the router's and its deflector's routes and the nbr
+// slice are views into it. inbox is the node's in-flight tally,
 // which wires' inbound pipes feed (router.Wires.Tally). rng drives
 // deflection arbitration.
 func (s *Slab) New(tables *topology.Tables, node topology.NodeID, cfg config.AFC, linkLatency, ejectWidth int,
@@ -323,11 +322,8 @@ func (s *Slab) New(tables *topology.Tables, node topology.NodeID, cfg config.AFC
 	r.vnMask = s.vnMask
 	r.totalSlots = s.totalSlots
 
-	// The deflector shares the same table — before the shared-tables
-	// layout each AFC router built two private O(N²) copies.
-	routes := tables.Routes(node)
-	r.defl.Init(node, opts.Policy, rng, routes)
-	r.dor = routes.DOR
+	r.routes = tables.Routes(node)
+	r.defl.Init(node, opts.Policy, rng, r.routes)
 	r.nbr = tables.Neighbors(node)
 
 	base := s.next * topology.NumPorts
@@ -358,18 +354,6 @@ func (s *Slab) New(tables *topology.Tables, node topology.NodeID, cfg config.AFC
 	s.next++
 	return r
 }
-
-// DORTable exposes the router's per-destination DOR table and
-// NeighborDirs its wired-direction list (aliasing tests assert they
-// share the network's topology.Tables backing rather than holding
-// private copies).
-func (r *Router) DORTable() []topology.Dir { return r.dor }
-
-// NeighborDirs reports the router's wired mesh directions.
-func (r *Router) NeighborDirs() []topology.Dir { return r.nbr }
-
-// DeflectorDORTable exposes the deflector's DOR table (see DORTable).
-func (r *Router) DeflectorDORTable() []topology.Dir { return r.defl.DORTable() }
 
 // Node implements router.Router.
 func (r *Router) Node() topology.NodeID { return r.node }

@@ -112,8 +112,8 @@ func NewSlab(count int) *Slab {
 }
 
 // New carves the next router from the slab and initializes it at node.
-// tables is the network's shared route tables (the router's nbr slice
-// and its deflector's route table are views into it) and inbox the
+// tables is the network's shared route state (the router's nbr slice
+// and its deflector's routes are views into it) and inbox the
 // node's in-flight tally, which wires' inbound pipes feed
 // (router.Wires.Tally). rng drives the randomized arbitration policy.
 func (s *Slab) New(tables *topology.Tables, node topology.NodeID, policy router.DeflectPolicy,
@@ -137,14 +137,6 @@ func (s *Slab) New(tables *topology.Tables, node topology.NodeID, policy router.
 	s.next++
 	return r
 }
-
-// DORTable exposes the deflector's per-destination DOR table and
-// NeighborDirs the wired-direction list (aliasing tests assert they
-// share the network's topology.Tables backing).
-func (r *Router) DORTable() []topology.Dir { return r.defl.DORTable() }
-
-// NeighborDirs reports the router's wired mesh directions.
-func (r *Router) NeighborDirs() []topology.Dir { return r.nbr }
 
 // Node implements router.Router.
 func (r *Router) Node() topology.NodeID { return r.node }

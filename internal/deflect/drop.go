@@ -48,9 +48,9 @@ type DropRouter struct {
 	ashard *flit.ArenaShard
 
 	order []int
-	// routes is node's precomputed route table — a view into the
-	// network's shared topology.Tables.
-	routes topology.RouteTable
+	// routes is node's routing state from the network's shared
+	// topology.Tables.
+	routes topology.Routes
 	// nbr lists the directions with a wired inbound data pipe (see
 	// Router.nbr).
 	nbr []topology.Dir
@@ -111,14 +111,6 @@ func (s *DropSlab) New(tables *topology.Tables, node topology.NodeID, ejectWidth
 	s.next++
 	return r
 }
-
-// DORTable exposes the per-destination DOR table and NeighborDirs the
-// wired-direction list (aliasing tests assert they share the network's
-// topology.Tables backing).
-func (r *DropRouter) DORTable() []topology.Dir { return r.routes.DOR }
-
-// NeighborDirs reports the router's wired mesh directions.
-func (r *DropRouter) NeighborDirs() []topology.Dir { return r.nbr }
 
 // Node implements router.Router.
 func (r *DropRouter) Node() topology.NodeID { return r.node }
@@ -265,10 +257,8 @@ func (r *DropRouter) productiveFree(f *flit.Flit, taken *[topology.NumDirs]bool)
 	if dst == r.node {
 		return 0, false // ejection port busy; dst flits cannot be misrouted here
 	}
-	if d := r.routes.DOR[dst]; !taken[d] && r.wires.Ports[d].Exists() && !r.blockedOut[d] {
-		return d, true
-	}
-	ps := &r.routes.Prod[dst]
+	// The DOR next hop first, then the other productive direction.
+	ps := r.routes.Prod(dst)
 	for _, d := range ps.D[:ps.N] {
 		if !taken[d] && r.wires.Ports[d].Exists() && !r.blockedOut[d] {
 			return d, true

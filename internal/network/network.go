@@ -123,9 +123,8 @@ type Network struct {
 	links   []*link.Data
 	wires   []router.Wires
 
-	// tables is the shared per-mesh route-table/neighbor-list storage
-	// every router (and deflector) aliases — one O(N²) block per
-	// network instead of one per consumer.
+	// tables is the per-mesh route state (node coordinates and
+	// neighbor lists) every router and deflector shares.
 	tables *topology.Tables
 	// inbox is the per-node aggregate in-flight slab: inbox[v] mirrors
 	// the summed InFlight of every pipe inbound to v's router
@@ -243,8 +242,8 @@ func (n *Network) build() {
 	dataLat := sys.LinkLatency + 1 // switch traversal folded into the link
 	sideLat := sys.LinkLatency
 
-	// Shared route tables and the per-node in-flight slab (see the
-	// field comments).
+	// Shared route state and the per-node in-flight slab (see the field
+	// comments).
 	n.tables = n.mesh.NewTables()
 	n.inbox = make([][3]int32, nodes)
 

@@ -54,9 +54,8 @@ type Deflector struct {
 	policy DeflectPolicy
 	rng    *rand.Rand
 
-	// routes is node's precomputed route table (per-destination DOR
-	// next hop and productive-direction set).
-	routes topology.RouteTable
+	// routes is node's routing state: productive sets, DOR hop first.
+	routes topology.Routes
 
 	// scratch buffers reused across cycles to avoid allocation
 	order []int
@@ -65,18 +64,13 @@ type Deflector struct {
 }
 
 // Init (re)initializes a deflector in place for value embedding. routes
-// is node's view into the network's shared topology.Tables, so the
-// O(N²) table exists once per mesh rather than once per deflector.
-func (d *Deflector) Init(node topology.NodeID, policy DeflectPolicy, rng *rand.Rand, routes topology.RouteTable) {
+// is node's routing state from the network's shared topology.Tables.
+func (d *Deflector) Init(node topology.NodeID, policy DeflectPolicy, rng *rand.Rand, routes topology.Routes) {
 	d.node = node
 	d.policy = policy
 	d.rng = rng
 	d.routes = routes
 }
-
-// DORTable exposes the deflector's per-destination DOR table (aliasing
-// tests assert it shares the network's backing).
-func (d *Deflector) DORTable() []topology.Dir { return d.routes.DOR }
 
 // Reseed rewinds the deflector's arbitration randomness onto a fresh
 // stream root. With the scratch buffers carrying no cross-cycle state,
@@ -153,11 +147,7 @@ func (d *Deflector) assignOne(f *flit.Flit, avail func(*flit.Flit, topology.Dir)
 		// Ejection port busy: the flit must be deflected and return later.
 	} else {
 		// Prefer the DOR next hop, then the other productive direction.
-		if dor := d.routes.DOR[dst]; usable(dor) {
-			taken[dor] = true
-			return Assignment{Dir: dor, OK: true}
-		}
-		ps := &d.routes.Prod[dst]
+		ps := d.routes.Prod(dst)
 		for _, dir := range ps.D[:ps.N] {
 			if usable(dir) {
 				taken[dir] = true

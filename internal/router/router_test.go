@@ -92,7 +92,7 @@ func newRoundRobin(n int) *RoundRobin {
 }
 
 // newDeflector initializes a deflector at node the way the routers do,
-// with its route table a view into the mesh's shared tables.
+// with its routes from the mesh's shared tables.
 func newDeflector(mesh topology.Mesh, node topology.NodeID, policy DeflectPolicy, rng *rand.Rand) *Deflector {
 	d := &Deflector{}
 	d.Init(node, policy, rng, mesh.NewTables().Routes(node))

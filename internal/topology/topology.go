@@ -224,58 +224,82 @@ func (m Mesh) ProductiveDirs(cur, dst NodeID, buf []Dir) []Dir {
 
 // ProdSet is a packed productive-direction set: at most two directions
 // exist on a 2D mesh (one per dimension), stored in preference order.
+// X comes before Y, as in DOR, so D[0] is also the DOR next hop; at the
+// destination N is 0 and D[0] is Local, DORNext's answer there.
 type ProdSet struct {
 	N uint8
 	D [2]Dir
 }
 
-// RouteTable holds one source node's per-destination routing decisions,
-// precomputed so router hot paths replace DORNext's division arithmetic
-// with a single table load. Both slices are indexed by destination NodeID
-// and hold exactly what DORNext / ProductiveDirs return.
-type RouteTable struct {
-	DOR  []Dir
-	Prod []ProdSet
+// prodSets holds the productive set of each position a destination can
+// take relative to the current node, indexed by 3*sx + sy + 4, where sx
+// and sy are the signs of the destination's X and Y offsets. Y grows
+// southward.
+var prodSets = [9]ProdSet{
+	{2, [2]Dir{West, North}}, {1, [2]Dir{West}}, {2, [2]Dir{West, South}},
+	{1, [2]Dir{North}}, {0, [2]Dir{Local}}, {1, [2]Dir{South}},
+	{2, [2]Dir{East, North}}, {1, [2]Dir{East}}, {2, [2]Dir{East, South}},
 }
 
-// Tables holds every node's route table and neighbor-direction list in
-// four contiguous backing arrays, built once per network and aliased by
-// all routers (and their deflectors). The per-source layout is row-major
-// — source n's destinations occupy [n*Nodes, (n+1)*Nodes) — so the
-// memory cost is one O(N²) block total instead of one per consumer:
-// before Tables, every AFC router built two private copies (its own DOR
-// table plus its deflector's full table), which at 64×64 would be
-// gigabytes. The slices handed out are three-index subslices of the
-// backing, so appends by a buggy caller fail loudly instead of
-// corrupting a neighbor's table.
+// MaxDim is the widest mesh side the route state can hold: it stores
+// coordinates as int16.
+const MaxDim = 1 << 15
+
+// coord is a node's mesh coordinate.
+type coord struct{ x, y int16 }
+
+// Routes is one node's routing state: its own coordinate and a view of
+// the mesh's shared coordinate list. A route decision compares the
+// destination's coordinate with the node's own, so the state is O(1)
+// per node and O(N) per mesh, with no entry per (source, destination)
+// pair.
+type Routes struct {
+	xy []coord
+	at coord
+}
+
+// Prod returns the productive set from the node toward dst; exactly
+// what ProductiveDirs returns, with DORNext's answer in D[0].
+func (r Routes) Prod(dst NodeID) ProdSet {
+	c := r.xy[dst]
+	return prodSets[3*sign(int(c.x)-int(r.at.x))+sign(int(c.y)-int(r.at.y))+4]
+}
+
+// DOR returns the DOR next hop from the node toward dst: DORNext's
+// answer.
+func (r Routes) DOR(dst NodeID) Dir { return r.Prod(dst).D[0] }
+
+// sign returns -1, 0 or 1 as v is negative, zero or positive.
+func sign(v int) int { return v>>63 | int(uint(-v)>>63) }
+
+// Tables holds the route state every router of one network shares: each
+// node's coordinate and its neighbor-direction list, in contiguous
+// backing arrays built once per network. The neighbor lists handed out
+// are three-index subslices of the backing, so appends by a buggy caller
+// fail loudly instead of corrupting a neighbor's list.
 type Tables struct {
 	mesh   Mesh
-	dor    []Dir
-	prod   []ProdSet
+	xy     []coord
 	nbr    []Dir
 	nbrOff []int32
 }
 
-// NewTables precomputes the shared route tables for every node of the
-// mesh.
+// NewTables builds the shared route state for every node of the mesh.
+// It panics when a side exceeds MaxDim, which config.System.Validate
+// rejects.
 func (m Mesh) NewTables() *Tables {
+	if m.Width > MaxDim || m.Height > MaxDim {
+		panic(fmt.Sprintf("topology: mesh %dx%d has a side above %d", m.Width, m.Height, MaxDim))
+	}
 	nodes := m.Nodes()
 	t := &Tables{
 		mesh:   m,
-		dor:    make([]Dir, nodes*nodes),
-		prod:   make([]ProdSet, nodes*nodes),
+		xy:     make([]coord, nodes),
 		nbrOff: make([]int32, nodes+1),
 	}
-	var buf [2]Dir
 	for cur := 0; cur < nodes; cur++ {
-		base := cur * nodes
-		for n := 0; n < nodes; n++ {
-			dst := NodeID(n)
-			t.dor[base+n] = m.DORNext(NodeID(cur), dst)
-			dirs := m.ProductiveDirs(NodeID(cur), dst, buf[:0])
-			t.prod[base+n].N = uint8(len(dirs))
-			copy(t.prod[base+n].D[:], dirs)
-		}
+		x, y := m.Coord(NodeID(cur))
+		t.xy[cur] = coord{int16(x), int16(y)}
 		for d := Dir(0); d < NumDirs; d++ {
 			if _, ok := m.Neighbor(NodeID(cur), d); ok {
 				t.nbr = append(t.nbr, d)
@@ -289,15 +313,9 @@ func (m Mesh) NewTables() *Tables {
 // Mesh returns the mesh the tables were built for.
 func (t *Tables) Mesh() Mesh { return t.mesh }
 
-// Routes returns cur's route table as views into the shared backing,
-// storage aliased across every caller.
-func (t *Tables) Routes(cur NodeID) RouteTable {
-	nodes := t.mesh.Nodes()
-	lo, hi := int(cur)*nodes, (int(cur)+1)*nodes
-	return RouteTable{
-		DOR:  t.dor[lo:hi:hi],
-		Prod: t.prod[lo:hi:hi],
-	}
+// Routes returns cur's routing state, a view of the shared coordinates.
+func (t *Tables) Routes(cur NodeID) Routes {
+	return Routes{xy: t.xy, at: t.xy[cur]}
 }
 
 // Neighbors returns the wired mesh directions at cur in ascending Dir

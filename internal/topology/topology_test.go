@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -278,43 +279,52 @@ func TestNodeValidation(t *testing.T) {
 	}
 }
 
-// TestRoutesMatchDOR checks the shared per-source route tables hold
-// exactly what DORNext and ProductiveDirs compute, and each neighbor
-// list exactly the directions Neighbor wires, in ascending order.
+// TestRoutesMatchDOR checks, for every (cur, dst) pair of each mesh
+// shape, that the shared route state gives exactly what DORNext and
+// ProductiveDirs compute, in order, and that each neighbor list holds
+// exactly the directions Neighbor wires, in ascending order.
 func TestRoutesMatchDOR(t *testing.T) {
-	m := NewMesh(5, 4)
-	tables := m.NewTables()
-	if tables.Mesh() != m {
-		t.Fatalf("Tables.Mesh() = %v, want %v", tables.Mesh(), m)
-	}
-	for cur := NodeID(0); cur < NodeID(m.Nodes()); cur++ {
-		rt := tables.Routes(cur)
-		if len(rt.DOR) != m.Nodes() || len(rt.Prod) != m.Nodes() {
-			t.Fatalf("Routes(%d) has %d DOR and %d Prod entries, want %d", cur, len(rt.DOR), len(rt.Prod), m.Nodes())
-		}
-		for dst := NodeID(0); dst < NodeID(m.Nodes()); dst++ {
-			if rt.DOR[dst] != m.DORNext(cur, dst) {
-				t.Fatalf("Routes(%d).DOR[%d] = %s, want %s", cur, dst, rt.DOR[dst], m.DORNext(cur, dst))
+	for _, shape := range [][2]int{{2, 2}, {2, 9}, {9, 2}, {5, 4}, {8, 8}, {16, 16}, {32, 32}} {
+		m := NewMesh(shape[0], shape[1])
+		t.Run(fmt.Sprintf("%dx%d", m.Width, m.Height), func(t *testing.T) {
+			tables := m.NewTables()
+			if tables.Mesh() != m {
+				t.Fatalf("Tables.Mesh() = %v, want %v", tables.Mesh(), m)
 			}
-			want := m.ProductiveDirs(cur, dst, nil)
-			ps := rt.Prod[dst]
-			if int(ps.N) != len(want) {
-				t.Fatalf("Routes(%d).Prod[%d] has %d dirs, want %d", cur, dst, ps.N, len(want))
-			}
-			for i, d := range want {
-				if ps.D[i] != d {
-					t.Fatalf("Routes(%d).Prod[%d][%d] = %s, want %s", cur, dst, i, ps.D[i], d)
+			var buf [2]Dir
+			for cur := NodeID(0); cur < NodeID(m.Nodes()); cur++ {
+				rt := tables.Routes(cur)
+				for dst := NodeID(0); dst < NodeID(m.Nodes()); dst++ {
+					if got, want := rt.DOR(dst), m.DORNext(cur, dst); got != want {
+						t.Fatalf("Routes(%d).DOR(%d) = %s, want %s", cur, dst, got, want)
+					}
+					ps := rt.Prod(dst)
+					if want := m.ProductiveDirs(cur, dst, buf[:0]); !slices.Equal(ps.D[:ps.N], want) {
+						t.Fatalf("Routes(%d).Prod(%d) = %v, want %v", cur, dst, ps.D[:ps.N], want)
+					}
+				}
+				var wantNbr []Dir
+				for d := Dir(0); d < NumDirs; d++ {
+					if _, ok := m.Neighbor(cur, d); ok {
+						wantNbr = append(wantNbr, d)
+					}
+				}
+				if got := tables.Neighbors(cur); !slices.Equal(got, wantNbr) {
+					t.Fatalf("Neighbors(%d) = %v, want %v", cur, got, wantNbr)
 				}
 			}
-		}
-		var wantNbr []Dir
-		for d := Dir(0); d < NumDirs; d++ {
-			if _, ok := m.Neighbor(cur, d); ok {
-				wantNbr = append(wantNbr, d)
-			}
-		}
-		if got := tables.Neighbors(cur); !slices.Equal(got, wantNbr) {
-			t.Fatalf("Neighbors(%d) = %v, want %v", cur, got, wantNbr)
-		}
+		})
 	}
+}
+
+// TestNewTablesRejectsWideMesh checks that NewTables refuses a mesh whose
+// coordinates the route state cannot hold, instead of truncating them
+// onto other nodes' coordinates.
+func TestNewTablesRejectsWideMesh(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("NewTables on a mesh wider than MaxDim did not panic")
+		}
+	}()
+	Mesh{Width: MaxDim + 1, Height: 2}.NewTables()
 }

@@ -111,9 +111,9 @@ type Router struct {
 	// A view into the network's shared topology.Tables.
 	nbr []topology.Dir
 
-	// dor is node's precomputed DOR next-hop table, indexed by
-	// destination — shared topology.Tables storage.
-	dor []topology.Dir
+	// routes is node's routing state from the network's shared
+	// topology.Tables; lookahead routing reads its DOR hop.
+	routes topology.Routes
 
 	// blockedOut marks output ports whose data link is fault-blocked
 	// (dead, or throttled closed this duty window): eligibility treats
@@ -172,7 +172,7 @@ func NewSlab(count int, cfg config.Baseline) *Slab {
 
 // New carves the next router from the slab and initializes it at node,
 // wired to its neighbors and its network interface. tables is the
-// network's shared route tables (the router's dor and nbr slices are
+// network's shared route state (the router's routes and nbr slice are
 // views into it) and inbox the node's in-flight tally, which wires'
 // inbound pipes feed (router.Wires.Tally). The meter may be nil (no
 // energy accounting).
@@ -218,18 +218,10 @@ func (s *Slab) New(tables *topology.Tables, node topology.NodeID, cfg config.Bas
 		r.injVC[vn] = flit.NoVC
 	}
 	r.nbr = tables.Neighbors(node)
-	r.dor = tables.Routes(node).DOR
+	r.routes = tables.Routes(node)
 	s.next++
 	return r
 }
-
-// DORTable exposes the router's per-destination DOR table and
-// NeighborDirs its wired-direction list (aliasing tests assert they
-// share the network's topology.Tables backing).
-func (r *Router) DORTable() []topology.Dir { return r.dor }
-
-// NeighborDirs reports the router's wired mesh directions.
-func (r *Router) NeighborDirs() []topology.Dir { return r.nbr }
 
 // Node implements router.Router.
 func (r *Router) Node() topology.NodeID { return r.node }
@@ -379,7 +371,7 @@ func (r *Router) eligible(now uint64, p topology.Dir, v int) bool {
 			}
 			return !r.blockedOut[vc.route] && r.out[vc.route][vc.ovc].credits > 0
 		}
-		route := r.dor[f.Dst]
+		route := r.routes.DOR(f.Dst)
 		if route == topology.Local {
 			vc.route = route
 			vc.ovc = flit.NoVC
