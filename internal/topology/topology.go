@@ -259,10 +259,12 @@ type Routes struct {
 }
 
 // Prod returns the productive set from the node toward dst; exactly
-// what ProductiveDirs returns, with DORNext's answer in D[0].
-func (r Routes) Prod(dst NodeID) ProdSet {
+// what ProductiveDirs returns, with DORNext's answer in D[0]. The set
+// is one of nine shared constants: callers must not modify it. A
+// pointer, because a ProdSet value is copied through the stack.
+func (r Routes) Prod(dst NodeID) *ProdSet {
 	c := r.xy[dst]
-	return prodSets[3*sign(int(c.x)-int(r.at.x))+sign(int(c.y)-int(r.at.y))+4]
+	return &prodSets[3*sign(int(c.x)-int(r.at.x))+sign(int(c.y)-int(r.at.y))+4]
 }
 
 // DOR returns the DOR next hop from the node toward dst: DORNext's
