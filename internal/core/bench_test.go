@@ -22,7 +22,7 @@ import (
 // regime a backpressured router exists for. Flits circulate through a
 // fixed pool, so the rig itself allocates nothing per cycle. The router
 // is built the way the network builds it — through its slab, with the
-// mesh's shared route tables and an inbox tallied over the rig's pipes —
+// mesh's shared topology.Tables and an inbox tallied over the rig's pipes —
 // so the receive skips it times are the ones production runs.
 type benchRig struct {
 	r     *Router

@@ -18,7 +18,7 @@ import (
 // through a fixed pool (the rig is also the drop router's Nacker, taking
 // dropped flits back), so the rig itself allocates nothing per cycle.
 // The router is built the way the network builds it: through its slab,
-// with the mesh's shared route tables and an inbox tallied over the
+// with the mesh's shared topology.Tables and an inbox tallied over the
 // rig's pipes.
 type benchRig struct {
 	tick  func(now uint64)

@@ -21,7 +21,7 @@ import (
 // Destinations cycle over every node. Flits circulate through a fixed
 // pool, so the rig itself allocates nothing per cycle. The router is
 // built the way the network builds it: through its slab, with the
-// mesh's shared route tables and an inbox tallied over the rig's pipes.
+// mesh's shared topology.Tables and an inbox tallied over the rig's pipes.
 type benchRig struct {
 	r     *Router
 	wires router.Wires
