@@ -8,8 +8,13 @@ build:
 # go vet, then gofmt: vet fails, printing the files, when any tracked
 # .go file is not gofmt-formatted. gofmt comes from the same toolchain
 # as $(GO), so the two never disagree on formatting. Needs a git checkout.
+# afcbench is a separate module (replace afcnet => ../) that nothing else
+# here compiles, so vet runs there too: an internal API change that
+# breaks the benchmark fails here, not in a benchmark run. (go build
+# would leave an afcbench binary in that directory; vet writes nothing.)
 vet:
 	$(GO) vet ./...
+	cd afcbench && $(GO) vet ./...
 	@files=$$("$$($(GO) env GOROOT)/bin/gofmt" -l $$(git ls-files '*.go')) || exit 1; \
 	if [ -n "$$files" ]; then echo "gofmt: these files need formatting:"; echo "$$files"; exit 1; fi
 

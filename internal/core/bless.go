@@ -81,37 +81,20 @@ func (r *Router) blessSend(now uint64, d topology.Dir, f *flit.Flit) {
 	}
 }
 
-// armInjection advances vn's injection-stage register (see
-// deflect.Router.armInjection; injected flits must see the same 2-cycle
-// pipeline as network flits).
-func (r *Router) armInjection(now uint64, vn flit.VN) bool {
-	if r.src.Peek(vn) == nil {
-		r.injArmedAt[vn] = 0
-		return false
-	}
-	if r.injArmedAt[vn] == 0 {
-		r.injArmedAt[vn] = now + 1
-	}
-	return now >= r.injArmedAt[vn]
-}
-
 // blessInject admits up to one new flit per virtual network, each needing
 // an output port that is both free and usable for it (injection-port
 // backpressure).
 func (r *Router) blessInject(now uint64, taken *[topology.NumDirs]bool) {
-	start := r.injArb.Next()
-	// Empty NI: every armInjection would peek nil, zero its register and
-	// decline, so zeroing them all and returning is bit-for-bit identical.
-	if r.src.QueuedFlits() == 0 {
-		r.injArmedAt = [flit.NumVNs]uint64{}
+	first, ok := r.inj.Start(r.src.QueuedFlits())
+	if !ok {
 		return
 	}
 	for i := 0; i < flit.NumVNs; i++ {
-		vn := flit.VN((start + i) % flit.NumVNs)
-		if !r.armInjection(now, vn) {
+		vn := flit.VN((first + i) % flit.NumVNs)
+		f := r.src.Peek(vn)
+		if !r.inj.Armed(now, vn, f != nil) {
 			continue
 		}
-		f := r.src.Peek(vn)
 		canRoute := false
 		for d := topology.Dir(0); d < topology.NumDirs; d++ {
 			if !taken[d] && r.usableOut(f, d) {
@@ -123,11 +106,7 @@ func (r *Router) blessInject(now uint64, taken *[topology.NumDirs]bool) {
 			continue
 		}
 		f = r.src.Pop(vn)
-		// Latency accounting starts at injection-register entry, like the
-		// buffer write of the backpressured datapath.
-		entered := r.injArmedAt[vn] - 1
-		r.injArmedAt[vn] = now + 1
-		f.InjectedAt = entered
+		r.inj.Enter(now, vn, f)
 
 		one := []*flit.Flit{f}
 		a := r.defl.Assign(one, func(ff *flit.Flit, d topology.Dir) bool {

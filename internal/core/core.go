@@ -153,8 +153,7 @@ type Router struct {
 	meter   *energy.Meter
 	// src is the node's NI; Quiescent reads its O(1) queue total.
 	src        router.LocalSource
-	injArb     router.RoundRobin
-	injArmedAt [flit.NumVNs]uint64
+	inj        router.Injection // backpressureless datapath only
 	modeCycles [numModes]uint64
 
 	// --- active-tick working set ---
@@ -335,7 +334,7 @@ func (s *Slab) New(tables *topology.Tables, node topology.NodeID, cfg config.AFC
 		r.inArb[p].Init(r.totalSlots)
 		r.outArb[p].Init(topology.NumPorts)
 	}
-	r.injArb.Init(flit.NumVNs)
+	r.inj.Init()
 
 	if opts.AlwaysBuffered {
 		r.mode = ModeBuffered
@@ -376,8 +375,7 @@ func (r *Router) Reset(seed int64) {
 		r.occ[p] = 0
 		r.route[p] = [topology.NumPorts]uint64{}
 	}
-	r.injArb.Reset()
-	r.injArmedAt = [flit.NumVNs]uint64{}
+	r.inj.Reset()
 	r.latches = r.latches[:0]
 	r.dflits = r.dflits[:0]
 	r.dports = r.dports[:0]
@@ -538,10 +536,9 @@ func (r *Router) Quiescent(now uint64) bool {
 // FastForward applies k skipped idle cycles (sim.Quiescer): static
 // energy, mode duty-cycle accounting, and the intensity monitor's
 // Observe(0) sequence, replayed bit-for-bit. On the backpressureless
-// datapath each idle tick also rotates the injection arbiter by one (its
-// Pick predicate is always true) and zeroes the idle injection registers
-// via armInjection's empty-queue branch; the buffered datapath's
-// injection touches neither.
+// datapath each idle tick also runs an idle cycle of the injection stage
+// (router.Injection.Idle); the buffered datapath's injection does not
+// use that stage.
 func (r *Router) FastForward(k uint64) {
 	if r.dead {
 		return
@@ -552,8 +549,7 @@ func (r *Router) FastForward(k uint64) {
 	r.modeCycles[r.mode] += k
 	r.monitor.ObserveIdle(k)
 	if r.mode != ModeBuffered {
-		r.injArb.Advance(k)
-		r.injArmedAt = [flit.NumVNs]uint64{}
+		r.inj.Idle(k)
 	}
 }
 

@@ -5,8 +5,9 @@
 // their neighbors and to their per-node inbox tally, the local-port
 // interfaces to the network interface (LocalSource.QueuedFlits is the
 // O(1) queue total every router's quiescence test and injection skip
-// read), round-robin arbitration, and the deflection port-assignment
-// engine used by the BLESS router and by AFC's backpressureless mode.
+// read), round-robin arbitration, and what the backpressureless datapaths
+// share: the deflection port-assignment engine (Deflector) and the
+// injection stage (Injection).
 package router
 
 import (
@@ -162,7 +163,7 @@ func (r *RoundRobin) Pick(ok func(i int) bool) int {
 
 // Next grants the slot at the pointer unconditionally and advances it —
 // the devirtualized equivalent of Pick with an always-true predicate
-// (the deflection routers' per-cycle injection arbitration).
+// (the injection stage's per-cycle arbitration, Injection.Start).
 func (r *RoundRobin) Next() int {
 	i := r.next
 	if i+1 == r.n {
@@ -200,9 +201,9 @@ func (r *RoundRobin) PickFirst(mask uint64) int {
 
 // Advance rotates the pointer as if k consecutive always-granting Pick
 // calls had run — each grants the slot at the pointer and moves it one
-// position. The deflection routers arbitrate injection with an
-// always-true predicate every cycle, so the active-set kernel replays k
-// skipped idle cycles with Advance(k).
+// position. The injection stage arbitrates with an always-true
+// predicate every cycle, so it replays k skipped idle cycles with
+// Advance(k) (Injection.Idle).
 func (r *RoundRobin) Advance(k uint64) {
 	r.next = int((uint64(r.next) + k%uint64(r.n)) % uint64(r.n))
 }

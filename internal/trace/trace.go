@@ -3,8 +3,9 @@
 // section argues against relying on it: "trace-driven evaluations do not
 // include the feedback effect of the network on execution time", so a
 // trace recorded on a fast network over-drives a slow one (its queues
-// grow without the MSHR throttling that a real system would apply). The
-// TraceVsExecution experiment quantifies exactly that effect.
+// grow without the MSHR throttling that a real system would apply).
+// E11's TestTraceDrivenMissesFeedback shows exactly that effect; afcsim's
+// -record and -replay record a closed-loop run and replay it.
 package trace
 
 import (

@@ -100,7 +100,6 @@ type Router struct {
 	inArb   [topology.NumPorts]router.RoundRobin
 	outArb  [topology.NumPorts]router.RoundRobin
 	vcaArb  [topology.NumPorts][flit.NumVNs]router.RoundRobin
-	injArb  router.RoundRobin // over VNs
 	injVC   [flit.NumVNs]int
 	injOpen [flit.NumVNs]bool
 
