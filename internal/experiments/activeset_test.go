@@ -3,15 +3,12 @@ package experiments
 import (
 	"afcnet/internal/energy"
 	"afcnet/internal/network"
-	"afcnet/internal/topology"
 	"afcnet/internal/traffic"
 )
 
 // activeSetSnap captures everything a cell measures, so equal digests of
 // two runs prove bit-for-bit equality: cycle counts (RunUntil semantics),
-// counters, float statistics (EWMA and energy accumulation order), and
-// the sampled queue depths that the fast-forwarded housekeeping path
-// maintains.
+// counters, and float statistics (EWMA and energy accumulation order).
 type activeSetSnap struct {
 	Now        uint64
 	Drained    bool
@@ -23,7 +20,6 @@ type activeSetSnap struct {
 	NetLatency float64
 	Throughput float64
 	Energy     energy.Breakdown
-	QueueLens  []float64
 }
 
 // activeSetCell runs one open-loop (kind, seed, rate) cell on a fresh
@@ -38,15 +34,16 @@ func activeSetCell(kind network.Kind, seed int64, rate float64, opt Options) act
 }
 
 // runSnap runs a cell's warmup and measurement window followed by a
-// drain phase — the drain exercises whole-kernel fast-forward (RunUntil
-// coasting between wake edges) — and captures everything it measured.
+// drain phase and captures everything it measured. Without the checker,
+// which ticks every cycle, the drain exercises whole-kernel fast-forward
+// (RunUntil coasting between wake edges).
 func runSnap(net *network.Network, gen *traffic.Generator, opt Options) activeSetSnap {
 	net.Run(opt.OpenLoopWarmup)
 	net.ResetStats()
 	net.Run(opt.OpenLoopMeasure)
 	gen.Stop()
 	drained := net.RunUntil(net.Drained, 200_000)
-	s := activeSetSnap{
+	return activeSetSnap{
 		Now:        net.Now(),
 		Drained:    drained,
 		Counters:   net.Counters(),
@@ -58,8 +55,4 @@ func runSnap(net *network.Network, gen *traffic.Generator, opt Options) activeSe
 		Throughput: net.ThroughputFlits(),
 		Energy:     net.TotalEnergy(),
 	}
-	for n := 0; n < net.Nodes(); n++ {
-		s.QueueLens = append(s.QueueLens, net.NI(topology.NodeID(n)).MeanQueueLen())
-	}
-	return s
 }

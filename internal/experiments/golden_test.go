@@ -87,10 +87,11 @@ func shardPath(shards int) string {
 }
 
 // addScenario runs detScenario for kinds x opt.Seeds on the 8x8 mesh,
-// checker attached, and adds each result under path.
-func (g goldenDigests) addScenario(t *testing.T, path string, kinds []network.Kind, opt Options) {
+// with the checker attached when check is set, and adds each result
+// under path.
+func (g goldenDigests) addScenario(t *testing.T, path string, kinds []network.Kind, check bool, opt Options) {
 	t.Helper()
-	opt.Check = true
+	opt.Check = check
 	opt.System = config.DefaultWithMesh(topology.NewMesh(8, 8))
 	rs, err := Scenario(kinds, detScenario(), opt)
 	if err != nil {
@@ -260,21 +261,27 @@ const abandonCycles = 1000
 
 // TestGoldenDigests pins every kind's end state and measurements to
 // digests committed in-tree. Each open-loop cell (every kind x seeds
-// {1,2,3,5} x rates {0.05,0.30,0.55}, checker attached) must hash to its
-// recorded digest along four paths: a fresh serial build per cell
-// (activeSetCell); the worker pool that rewinds each worker's network
-// with Reset between cells (pooledCell), with one worker and with eight;
-// and the 8-way pool again with each cell preceded by an abandoned one —
-// rate 0.55, stopped after abandonCycles without draining — so Reset
-// must rewind routers that still hold flits. The detScenario run (dead
-// links, a dead router and a throttle) of every kind must match its
-// digest serially and at 3 shards, and so must its Bless and AFC seed-5
-// runs serially. The closed-loop Fig. 2a slice (the first low-load
-// benchmark, backpressured and AFC, seeds 1 and 2, so the second seed
-// rewinds each network and CMP substrate) must match its digests too.
-// The open-loop, seed-5 scenario and closed-loop digests were recorded
-// when the dense reference kernel and the heap-allocating no-pool path
-// still existed, and both hashed to them. TestShardedEqualsSerial,
+// {1,2,3,5} x rates {0.05,0.30,0.55}) must hash to its recorded digest
+// along five paths: a fresh serial build per cell (activeSetCell), with
+// the checker attached and without it; the worker pool that rewinds each
+// worker's network with Reset between cells (pooledCell), with one
+// worker and with eight; and the 8-way pool again with each cell
+// preceded by an abandoned one — rate 0.55, stopped after abandonCycles
+// without draining — so Reset must rewind routers that still hold
+// flits. The detScenario run (dead links, a dead router and a throttle)
+// of every kind must match its digest serially and at 3 shards, and so
+// must its Bless and AFC seed-5 runs serially; the serial seed-1 and
+// seed-5 runs also run without the checker. The checker ticks every
+// cycle, so only the unchecked paths let the kernel coast, for instance
+// to the drop kind's next NACK wake. The closed-loop Fig. 2a slice (the
+// first low-load benchmark, backpressured and AFC, seeds 1 and 2, so
+// the second seed rewinds each network and CMP substrate) must match
+// its digests too. The seed-5 scenario and closed-loop digests were
+// recorded when the dense reference kernel and the heap-allocating
+// no-pool path still existed, and both hashed to them. So did the
+// open-loop cells; their keys were re-recorded once when the snapshot
+// lost its per-node mean queue length, on a commit whose code still
+// reproduced the earlier digests. TestShardedEqualsSerial,
 // TestScenarioEqualsSerial and TestShardCountInvarianceFig2a check the
 // other slices of the same file (goldenOwner).
 //
@@ -291,18 +298,23 @@ func TestGoldenDigests(t *testing.T) {
 	cells := goldenCells()
 	base := goldenBase()
 
-	serial := base
-	serial.Parallelism = 1
-	fresh, err := runner.Map(len(cells), serial.pool(), func(i int) (activeSetSnap, error) {
-		c := cells[i]
-		return activeSetCell(c.kind, c.seed, c.rate, serial), nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	fresh := func(path string, check bool) {
+		opt := base
+		opt.Parallelism = 1
+		opt.Check = check
+		outs, err := runner.Map(len(cells), opt.pool(), func(i int) (activeSetSnap, error) {
+			c := cells[i]
+			return activeSetCell(c.kind, c.seed, c.rate, opt), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range cells {
+			got.add(t, c.name(), path, outs[i])
+		}
 	}
-	for i, c := range cells {
-		got.add(t, c.name(), "serial", fresh[i])
-	}
+	fresh("serial", true)
+	fresh("unchecked", false)
 	pooled := func(path string, parallelism int, dirty bool) {
 		opt := base
 		opt.Parallelism = parallelism
@@ -333,10 +345,12 @@ func TestGoldenDigests(t *testing.T) {
 		kinds = append(kinds, k)
 	}
 	for _, shards := range []int{0, 3} {
-		got.addScenario(t, shardPath(shards), kinds, Options{Seeds: []int64{1}, Parallelism: 1, Shards: shards})
+		got.addScenario(t, shardPath(shards), kinds, true, Options{Seeds: []int64{1}, Parallelism: 1, Shards: shards})
 	}
-	got.addScenario(t, "serial", []network.Kind{network.Bless, network.AFC},
-		Options{Seeds: []int64{5}, Parallelism: 1})
+	got.addScenario(t, "unchecked", kinds, false, Options{Seeds: []int64{1}, Parallelism: 1})
+	seed5 := []network.Kind{network.Bless, network.AFC}
+	got.addScenario(t, "serial", seed5, true, Options{Seeds: []int64{5}, Parallelism: 1})
+	got.addScenario(t, "unchecked", seed5, false, Options{Seeds: []int64{5}, Parallelism: 1})
 
 	got.addFig2a(t, fig2aShortPrefix, "pooled", []network.Kind{network.Backpressured, network.AFC}, Options{
 		Seeds:       []int64{1, 2},

@@ -51,7 +51,7 @@ func TestScenarioEqualsSerial(t *testing.T) {
 	got := goldenDigests{}
 	kinds := []network.Kind{network.Backpressured, network.Bless, network.BlessDrop, network.AFC}
 	base := Options{Seeds: []int64{1, 2}, Parallelism: 1}
-	got.addScenario(t, "serial", kinds, base)
+	got.addScenario(t, "serial", kinds, true, base)
 	variants := []struct {
 		name        string
 		parallelism int
@@ -67,7 +67,7 @@ func TestScenarioEqualsSerial(t *testing.T) {
 			opt := base
 			opt.Parallelism = v.parallelism
 			opt.Shards = v.shards
-			got.addScenario(t, v.name, kinds, opt)
+			got.addScenario(t, v.name, kinds, true, opt)
 		})
 	}
 	checkGolden(t, rec, got)
