@@ -3,6 +3,7 @@ package network
 import (
 	"afcnet/internal/core"
 	"afcnet/internal/deflect"
+	"afcnet/internal/ni"
 	"afcnet/internal/router"
 	"afcnet/internal/vcrouter"
 )
@@ -224,33 +225,36 @@ func (b *routerBank) FastForward(cycles uint64) {
 	}
 }
 
-// houseKeeper is the per-cycle housekeeping entry (NI queue sampling, due
-// NACK retransmissions), as a Quiescer/Sleeper so NACK backoff waits and
-// drained stretches fast-forward instead of scanning every NI each cycle.
+// houseKeeper is the kernel entry, right after the router bank, that
+// retransmits the drop kind's due NACKed packets. As a Quiescer/Sleeper
+// it lets NACK backoff waits fast-forward; on the other kinds no NACK is
+// ever scheduled, so it is always quiescent and never wakes.
 type houseKeeper struct{ n *Network }
 
-// Tick implements sim.Ticker.
-func (h *houseKeeper) Tick(now uint64) { h.n.houseKeep(now) }
-
-// Quiescent implements sim.Quiescer: with every NI source queue empty the
-// sampling pass accumulates only zeros, and with no due NACK the
-// retransmission loop does not run.
-func (h *houseKeeper) Quiescent(now uint64) bool {
-	for _, nif := range h.n.nis {
-		if nif.QueuedFlits() != 0 {
-			return false
+// Tick implements sim.Ticker: re-enqueue every packet whose NACK is due
+// at its source.
+func (h *houseKeeper) Tick(now uint64) {
+	n := h.n
+	for len(n.nacks) > 0 && n.nacks[0].Due <= now {
+		e := n.nacks.Pop()
+		switch n.nis[e.src].Retransmit(now, e.pkt) {
+		case ni.RetransmitDeferred:
+			// The current copy is still draining out of the source; retry
+			// shortly — dropping this NACK would stall the packet.
+			n.nacks.Push(now+32, e)
+		default:
+			delete(n.nackPending, e.pkt)
 		}
 	}
+}
+
+// Quiescent implements sim.Quiescer: with no NACK due, Tick does nothing.
+func (h *houseKeeper) Quiescent(now uint64) bool {
 	return len(h.n.nacks) == 0 || h.n.nacks[0].Due > now
 }
 
-// FastForward implements sim.Quiescer: record the skipped cycles' zero
-// queue-depth samples in bulk.
-func (h *houseKeeper) FastForward(cycles uint64) {
-	for _, nif := range h.n.nis {
-		nif.SampleQueuesIdle(cycles)
-	}
-}
+// FastForward implements sim.Quiescer: idle cycles leave no trace.
+func (h *houseKeeper) FastForward(uint64) {}
 
 // NextWake implements sim.Sleeper: the earliest scheduled NACK
 // retransmission. While the system is frozen no new NACKs are scheduled,

@@ -143,7 +143,7 @@ type Network struct {
 	dropSlab *deflect.DropSlab
 
 	// baseTickers marks the kernel registrations made by build itself
-	// (router bank + housekeeping); Reset truncates back to it, dropping
+	// (router bank + NACK housekeeper); Reset truncates back to it, dropping
 	// whatever probes, checkers or traffic layers the previous cell added.
 	baseTickers int
 
@@ -306,9 +306,10 @@ func (n *Network) build() {
 	n.nis = make([]*ni.NI, nodes)
 	n.meters = make([]*energy.Meter, nodes)
 	n.routers = make([]router.Router, nodes)
-	// NIs live in one contiguous slab carved in node order, so the
-	// housekeeping sweep (SampleQueues over all nodes) walks memory
-	// sequentially instead of chasing per-node heap objects.
+	// NIs live in one contiguous slab carved in node order: one
+	// allocation, and Drained and Counters, which walk every NI, and
+	// each shard's band of routers, which uses its own nodes' NIs, read
+	// memory sequentially instead of chasing per-node heap objects.
 	niSlab := ni.NewSlab(nodes)
 	for node := topology.NodeID(0); node < topology.NodeID(nodes); node++ {
 		n.nis[node] = niSlab.New(node)
@@ -336,8 +337,8 @@ func (n *Network) build() {
 		wires[node].Tally(&n.inbox[node])
 		n.routers[node] = n.newRouter(node, wires[node], &n.inbox[node], meter)
 	}
-	// One bank entry + housekeeping + a handful of AddTicker clients
-	// (generator or CMP, probe, checker, observer).
+	// One bank entry + the NACK housekeeper + a handful of AddTicker
+	// clients (generator or CMP, probe, checker, observer).
 	n.kernel.Reserve(8)
 	n.registerRouterBank()
 	n.kernel.Register(&houseKeeper{n: n})
@@ -396,25 +397,6 @@ func (n *Network) newRouter(node topology.NodeID, w router.Wires, inbox *[3]int3
 			core.Options{AlwaysBuffered: true, Policy: n.cfg.Policy})
 	}
 	panic(fmt.Sprintf("network: unknown kind %v", n.cfg.Kind))
-}
-
-// houseKeep runs once per cycle after the routers: NI queue sampling and
-// due NACK retransmissions.
-func (n *Network) houseKeep(now uint64) {
-	for _, nif := range n.nis {
-		nif.SampleQueues()
-	}
-	for len(n.nacks) > 0 && n.nacks[0].Due <= now {
-		e := n.nacks.Pop()
-		switch n.nis[e.src].Retransmit(now, e.pkt) {
-		case ni.RetransmitDeferred:
-			// The current copy is still draining out of the source; retry
-			// shortly — dropping this NACK would stall the packet.
-			n.nacks.Push(now+32, e)
-		default:
-			delete(n.nackPending, e.pkt)
-		}
-	}
 }
 
 // Arena returns the network's flit arena. Tests use it as the leak

@@ -34,13 +34,13 @@ package network
 //   concatenation is exactly the serial kernel's node order — then the
 //   registered drain hooks (the CMP substrate) merge their own staged
 //   state. The journals stay serial deliberately: a drop-NACK must
-//   reach the global NACK heap before this cycle's housekeeping pops
+//   reach the global NACK heap before this cycle's NACK housekeeper pops
 //   due entries (same-cycle timing), ACK clears touch another shard's
 //   NI maps, and create hooks feed a network-global trace — all cheap,
 //   all order-sensitive, none per-pipe.
 //
-// Everything else — housekeeping, traffic, CMP ticker, probes, the
-// invariant checker — stays a serial kernel ticker and runs after the
+// Everything else — the NACK housekeeper, traffic, CMP ticker, probes,
+// the invariant checker — stays a serial kernel ticker and runs after the
 // bank, observing fully committed state, exactly as in the serial path.
 // The one observable the parked registers could skew — "is anything
 // still in flight?" — is handled by counting parked sends as in-flight

@@ -126,9 +126,8 @@ type retention struct {
 // router.LocalSource and router.LocalSink.
 //
 // The leading fields are the per-cycle working set (the router's
-// Peek/Pop/QueuedFlits calls); NIs are normally
-// carved from a Slab in ascending node order so those fields of
-// adjacent nodes share cache lines during the housekeeping sweep.
+// Peek/Pop/QueuedFlits calls). NIs are carved from a Slab in ascending
+// node order.
 type NI struct {
 	node topology.NodeID
 
@@ -186,8 +185,6 @@ type NI struct {
 	netLatency       stats.Summary
 	totalLatency     stats.Summary
 	deflections      stats.Summary
-	queueLenSum      uint64
-	queueLenSamples  uint64
 
 	// Lifetime accounting for the invariant checker. Unlike the stats
 	// above these survive ResetStats: conservation must hold over the
@@ -199,8 +196,8 @@ type NI struct {
 }
 
 // Slab is a contiguous bank of network interfaces, carved in ascending
-// node order (matching the network's housekeeping sweep, and band-major
-// for the sharded tick's row bands).
+// node order: the order in which the network's statistics walk them, and
+// band-major for the sharded tick's row bands.
 type Slab struct {
 	nis  []NI
 	next int
@@ -534,31 +531,9 @@ func (n *NI) deliver(now uint64, f *flit.Flit) {
 	}
 }
 
-// SampleQueues records the current injection-queue occupancy (called once
-// per cycle by the network for average-occupancy stats).
-func (n *NI) SampleQueues() {
-	n.queueLenSum += uint64(n.queuedFlits)
-	n.queueLenSamples++
-}
-
-// SampleQueuesIdle records k consecutive empty-queue samples, identical
-// to k SampleQueues calls with nothing queued. The active-set kernel
-// uses it to fast-forward skipped housekeeping cycles.
-func (n *NI) SampleQueuesIdle(k uint64) {
-	n.queueLenSamples += k
-}
-
 // QueuedFlits implements router.LocalSource: the O(1) total of flits
 // waiting for injection across all virtual networks.
 func (n *NI) QueuedFlits() int { return n.queuedFlits }
-
-// MeanQueueLen returns the average sampled injection-queue occupancy.
-func (n *NI) MeanQueueLen() float64 {
-	if n.queueLenSamples == 0 {
-		return 0
-	}
-	return float64(n.queueLenSum) / float64(n.queueLenSamples)
-}
 
 // InjectedFlits returns the number of flits injected into the network.
 func (n *NI) InjectedFlits() uint64 { return n.injectedFlits }
@@ -651,8 +626,6 @@ func (n *NI) ResetStats() {
 	n.netLatency.Reset()
 	n.totalLatency.Reset()
 	n.deflections.Reset()
-	n.queueLenSum = 0
-	n.queueLenSamples = 0
 }
 
 // Reset rewinds the NI to its freshly constructed state, keeping the

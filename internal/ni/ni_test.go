@@ -208,22 +208,10 @@ func TestStatsAndReset(t *testing.T) {
 	if dst.TotalLatency().Mean() != 9 {
 		t.Errorf("total latency = %g, want 9", dst.TotalLatency().Mean())
 	}
-	src.SampleQueues()
 	dst.ResetStats()
 	src.ResetStats()
-	if src.InjectedFlits() != 0 || dst.DeliveredPackets() != 0 || src.MeanQueueLen() != 0 {
+	if src.InjectedFlits() != 0 || dst.DeliveredPackets() != 0 {
 		t.Error("ResetStats left residuals")
-	}
-}
-
-func TestQueueSampling(t *testing.T) {
-	n := one(0)
-	n.SendPacket(0, 1, flit.VNData, 4, 0)
-	n.SampleQueues() // 4 queued
-	n.Pop(flit.VNData)
-	n.SampleQueues() // 3 queued
-	if got := n.MeanQueueLen(); got != 3.5 {
-		t.Errorf("mean queue length = %g, want 3.5", got)
 	}
 }
 
