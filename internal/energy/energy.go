@@ -112,20 +112,6 @@ func (b *Breakdown) Add(o Breakdown) {
 	b.RouterStatic += o.RouterStatic
 }
 
-// Scale returns b with every component multiplied by k.
-func (b Breakdown) Scale(k float64) Breakdown {
-	return Breakdown{
-		BufferDynamic: b.BufferDynamic * k,
-		BufferStatic:  b.BufferStatic * k,
-		Link:          b.Link * k,
-		Xbar:          b.Xbar * k,
-		Arb:           b.Arb * k,
-		Latch:         b.Latch * k,
-		Credit:        b.Credit * k,
-		RouterStatic:  b.RouterStatic * k,
-	}
-}
-
 // Meter accumulates the energy of one router and its outgoing links.
 type Meter struct {
 	p Params

@@ -98,9 +98,6 @@ func TestBreakdownArithmetic(t *testing.T) {
 	if acc.Total() != 72 {
 		t.Errorf("Add: total = %g", acc.Total())
 	}
-	if s := b.Scale(0.5); s.Total() != 18 {
-		t.Errorf("Scale: total = %g", s.Total())
-	}
 }
 
 func TestResetClearsAccumulation(t *testing.T) {

@@ -494,10 +494,6 @@ func (n *Network) Reset(cfg Config) bool {
 	return true
 }
 
-// Kernel exposes the cycle kernel so traffic generators and the CMP
-// substrate can register their own tickers.
-func (n *Network) Kernel() *sim.Kernel { return n.kernel }
-
 // ReseedStream rewinds an existing random stream to the state the next
 // RandStream call would mint, consuming the same stream number. Reattach
 // paths use it to restore generator and workload randomness without

@@ -178,7 +178,6 @@ type NI struct {
 
 	// Stats
 	injectedFlits    uint64
-	injectedPackets  uint64
 	createdPackets   uint64
 	deliveredFlits   uint64
 	deliveredPackets uint64
@@ -222,9 +221,6 @@ func (s *Slab) New(node topology.NodeID) *NI {
 	n.completed = make(map[uint64]struct{})
 	return n
 }
-
-// Node returns the node this NI serves.
-func (n *NI) Node() topology.NodeID { return n.node }
 
 // SetArena attaches the flit arena used for packetization. The network
 // sets it at construction.
@@ -440,9 +436,6 @@ func (n *NI) Pop(vn flit.VN) *flit.Flit {
 	}
 	n.injectedFlits++
 	n.totalInjected++
-	if f.Head() {
-		n.injectedPackets++
-	}
 	return f
 }
 
@@ -538,10 +531,6 @@ func (n *NI) QueuedFlits() int { return n.queuedFlits }
 // InjectedFlits returns the number of flits injected into the network.
 func (n *NI) InjectedFlits() uint64 { return n.injectedFlits }
 
-// InjectedPackets returns the number of packets whose head flit entered
-// the network.
-func (n *NI) InjectedPackets() uint64 { return n.injectedPackets }
-
 // CreatedPackets returns the number of packets handed to the NI.
 func (n *NI) CreatedPackets() uint64 { return n.createdPackets }
 
@@ -619,7 +608,6 @@ func (n *NI) CheckReassembly() error {
 // without touching in-flight state.
 func (n *NI) ResetStats() {
 	n.injectedFlits = 0
-	n.injectedPackets = 0
 	n.createdPackets = 0
 	n.deliveredFlits = 0
 	n.deliveredPackets = 0

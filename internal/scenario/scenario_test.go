@@ -39,7 +39,7 @@ func TestParseValid(t *testing.T) {
 		t.Fatalf("ValidateFor: %v", err)
 	}
 	cfg := s.TrafficConfig(mesh)
-	if cfg.Rate != 0.05 || cfg.Pattern.Name() != "uniform" {
+	if cfg.Rate != 0.05 || cfg.Pattern != (traffic.Uniform{Mesh: mesh}) {
 		t.Fatalf("TrafficConfig: %+v", cfg)
 	}
 }

@@ -74,9 +74,6 @@ func NewShardGroup(n int) *ShardGroup {
 	return g
 }
 
-// Shards returns the number of shards the group runs per cycle.
-func (g *ShardGroup) Shards() int { return g.n }
-
 // Inline reports whether the group runs its shards on the calling
 // goroutine instead of dispatching to workers (single-P runtimes). The
 // observability layer records it so benchmark artifacts say which

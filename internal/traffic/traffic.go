@@ -19,8 +19,6 @@ type Pattern interface {
 	// Dest returns a destination for a packet from src; it must never
 	// return src itself.
 	Dest(src topology.NodeID, rng *rand.Rand) topology.NodeID
-	// Name identifies the pattern in reports.
-	Name() string
 }
 
 // Uniform sends to a uniformly random other node. On a degenerate
@@ -41,9 +39,6 @@ func (u Uniform) Dest(src topology.NodeID, rng *rand.Rand) topology.NodeID {
 	return d
 }
 
-// Name implements Pattern.
-func (u Uniform) Name() string { return "uniform" }
-
 // Transpose sends from (x, y) to (y, x); nodes on the diagonal fall back
 // to uniform. Requires a square mesh.
 type Transpose struct{ Mesh topology.Mesh }
@@ -56,9 +51,6 @@ func (t Transpose) Dest(src topology.NodeID, rng *rand.Rand) topology.NodeID {
 	}
 	return t.Mesh.Node(y, x)
 }
-
-// Name implements Pattern.
-func (t Transpose) Name() string { return "transpose" }
 
 // BitComplement sends from (x, y) to (W-1-x, H-1-y); the center node of an
 // odd mesh falls back to uniform.
@@ -73,9 +65,6 @@ func (b BitComplement) Dest(src topology.NodeID, rng *rand.Rand) topology.NodeID
 	}
 	return d
 }
-
-// Name implements Pattern.
-func (b BitComplement) Name() string { return "bitcomp" }
 
 // Hotspot sends to a single hot node with probability Frac and uniformly
 // otherwise; the hot node itself sends uniformly.
@@ -92,9 +81,6 @@ func (h Hotspot) Dest(src topology.NodeID, rng *rand.Rand) topology.NodeID {
 	}
 	return Uniform{Mesh: h.Mesh}.Dest(src, rng)
 }
-
-// Name implements Pattern.
-func (h Hotspot) Name() string { return fmt.Sprintf("hotspot(%d,%.0f%%)", h.Hot, h.Frac*100) }
 
 // NearNeighbor sends to a uniformly random mesh neighbor — the "easy"
 // pattern discussed in Section III-B (high flit throughput without link
@@ -113,9 +99,6 @@ func (nn NearNeighbor) Dest(src topology.NodeID, rng *rand.Rand) topology.NodeID
 	}
 	return opts[rng.Intn(n)]
 }
-
-// Name implements Pattern.
-func (nn NearNeighbor) Name() string { return "neighbor" }
 
 // Quadrant keeps traffic inside the source's quadrant of the mesh
 // (Section V-B: an 8x8 consolidation workload where a different
@@ -157,9 +140,6 @@ func (q Quadrant) Dest(src topology.NodeID, rng *rand.Rand) topology.NodeID {
 		}
 	}
 }
-
-// Name implements Pattern.
-func (q Quadrant) Name() string { return "quadrant" }
 
 // QuadrantIndex returns which quadrant (0..3, row-major) a node is in.
 func QuadrantIndex(m topology.Mesh, n topology.NodeID) int {

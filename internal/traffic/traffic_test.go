@@ -29,10 +29,10 @@ func TestPatternsNeverReturnSource(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				d := p.Dest(src, r)
 				if d == src {
-					t.Fatalf("%s returned the source %d", p.Name(), src)
+					t.Fatalf("%T returned the source %d", p, src)
 				}
 				if !mesh.Contains(d) {
-					t.Fatalf("%s returned out-of-mesh node %d", p.Name(), d)
+					t.Fatalf("%T returned out-of-mesh node %d", p, d)
 				}
 			}
 		}
@@ -232,11 +232,11 @@ func TestPatternsSmallAndOddMeshes(t *testing.T) {
 				for i := 0; i < 100; i++ {
 					d := p.Dest(src, r)
 					if !mesh.Contains(d) {
-						t.Fatalf("%dx%d %s: out-of-mesh destination %d from %d",
-							wh[0], wh[1], p.Name(), d, src)
+						t.Fatalf("%dx%d %T: out-of-mesh destination %d from %d",
+							wh[0], wh[1], p, d, src)
 					}
 					if d == src {
-						t.Fatalf("%dx%d %s: returned the source %d", wh[0], wh[1], p.Name(), src)
+						t.Fatalf("%dx%d %T: returned the source %d", wh[0], wh[1], p, src)
 					}
 				}
 			}
