@@ -38,7 +38,7 @@ func lazyVCAView() closedView[[]LazyVCARow] {
 		cells = append(cells, on(p, network.Backpressured), on(p, network.AFCAlwaysBuffered))
 	}
 	return closedView[[]LazyVCARow]{cells, func(b *closedBatch) []LazyVCARow {
-		sys := config.Default()
+		sys := b.opt.system()
 		ratio := float64(sys.AFC.BufferSlotsPerPort()) / float64(sys.Baseline.BufferSlotsPerPort())
 		var out []LazyVCARow
 		for _, p := range benches {
@@ -96,13 +96,14 @@ func thresholdsView(scales []float64) closedView[[]ThresholdRow] {
 	low, _ := cmp.ByName("water")
 	high, _ := cmp.ByName("apache")
 	scaled := func(p cmp.Params, sc float64) cell {
-		sys := config.Default()
-		th := map[topology.Position]config.Thresholds{}
-		for pos, t := range sys.AFC.ThresholdsByPosition {
-			th[pos] = config.Thresholds{High: t.High * sc, Low: t.Low * sc}
-		}
-		sys.AFC.ThresholdsByPosition = th
-		return cell{p, network.Config{System: sys, Kind: network.AFC}}
+		return cell{p, network.Config{Kind: network.AFC}, func(sys config.System) config.System {
+			th := map[topology.Position]config.Thresholds{}
+			for pos, t := range sys.AFC.ThresholdsByPosition {
+				th[pos] = config.Thresholds{High: t.High * sc, Low: t.Low * sc}
+			}
+			sys.AFC.ThresholdsByPosition = th
+			return sys
+		}}
 	}
 	cells := []cell{on(low, network.Backpressured), on(high, network.Backpressured)}
 	for _, sc := range scales {
@@ -160,9 +161,10 @@ func AblationEjectWidth(widths []int, opt Options) ([]EjectRow, error) {
 func ejectWidthView(widths []int) closedView[[]EjectRow] {
 	high, _ := cmp.ByName("apache")
 	at := func(width int, kind network.Kind) cell {
-		sys := config.Default()
-		sys.EjectWidth = width
-		return cell{high, network.Config{System: sys, Kind: kind}}
+		return cell{high, network.Config{Kind: kind}, func(sys config.System) config.System {
+			sys.EjectWidth = width
+			return sys
+		}}
 	}
 	var cells []cell
 	for _, w := range widths {
@@ -222,10 +224,11 @@ func sizingView() closedView[[]BaselineConfigRow] {
 		{"double depth (2+2+4 x16)", [3]int{2, 2, 4}, 16},
 	}
 	sized := func(vcs [3]int, depth int) cell {
-		sys := config.Default()
-		sys.Baseline.VCsPerVN = vcs
-		sys.Baseline.BufDepth = depth
-		return cell{high, network.Config{System: sys, Kind: network.Backpressured}}
+		return cell{high, network.Config{Kind: network.Backpressured}, func(sys config.System) config.System {
+			sys.Baseline.VCsPerVN = vcs
+			sys.Baseline.BufDepth = depth
+			return sys
+		}}
 	}
 	var cells []cell
 	for _, v := range variants {
@@ -293,9 +296,10 @@ func pipelineView() closedView[[]PipelineRow] {
 		benches = append(benches, p)
 	}
 	realisticCell := func(p cmp.Params) cell {
-		sys := config.Default()
-		sys.Baseline.RealisticVCA = true
-		return cell{p, network.Config{System: sys, Kind: network.Backpressured}}
+		return cell{p, network.Config{Kind: network.Backpressured}, func(sys config.System) config.System {
+			sys.Baseline.RealisticVCA = true
+			return sys
+		}}
 	}
 	var cells []cell
 	for _, p := range benches {

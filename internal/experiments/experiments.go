@@ -59,7 +59,8 @@ type Options struct {
 	Obs *obs.Observer
 	// System overrides the machine configuration (mesh size, buffer
 	// depths, …) for every network the harnesses build; the zero value
-	// keeps config.Default(). A cell that sets its own System wins.
+	// keeps config.Default(). The ablations' variant cells alter this
+	// machine; a cell that sets its own System wins.
 	System config.System
 	// Shards builds every network with the sharded tick
 	// (network.Config.Shards): each cycle's router bank splits across a
@@ -80,6 +81,14 @@ func (o Options) netConfig(cfg network.Config) network.Config {
 		cfg.Shards = o.Shards
 	}
 	return cfg
+}
+
+// system returns the machine the options' networks run on.
+func (o Options) system() config.System {
+	if o.System.Mesh.Width == 0 {
+		return config.Default()
+	}
+	return o.System
 }
 
 // attach adds the options' observers to a cell's network: the invariant
@@ -233,10 +242,13 @@ type Measurement struct {
 
 // A cell is one closed-loop simulation: workload p on a network built
 // for cfg, run once per seed of its batch. cfg.Seed is ignored, and every
-// cell meters energy.
+// cell meters energy. An ablation variant's alter returns the machine
+// the options run on, changed; it must not write into what that machine
+// shares with the options, such as the thresholds map.
 type cell struct {
-	p   cmp.Params
-	cfg network.Config
+	p     cmp.Params
+	cfg   network.Config
+	alter func(config.System) config.System
 }
 
 // closedOut is one seed of a cell: everything the views read, so the
@@ -270,6 +282,9 @@ func newClosedBatch(cells []cell, opt Options) *closedBatch {
 // config returns the configuration c's network is built for at seed.
 func (b *closedBatch) config(c cell, seed int64) network.Config {
 	cfg := b.opt.netConfig(c.cfg)
+	if c.alter != nil {
+		cfg.System = c.alter(b.opt.system())
+	}
 	cfg.Seed, cfg.MeterEnergy = seed, true
 	return cfg
 }
@@ -340,7 +355,7 @@ func (v closedView[T]) run(opt Options) (T, error) {
 // on is the cell that runs p on a network of kind on the options'
 // machine.
 func on(p cmp.Params, kind network.Kind) cell {
-	return cell{p, network.Config{Kind: kind}}
+	return cell{p: p, cfg: network.Config{Kind: kind}}
 }
 
 // measured is the view of one Measurement per benchmark and kind,

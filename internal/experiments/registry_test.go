@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/bits"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"afcnet/internal/cmp"
+	"afcnet/internal/config"
 	"afcnet/internal/energy"
 	"afcnet/internal/network"
 	"afcnet/internal/obs"
+	"afcnet/internal/topology"
 )
 
 // cannedResults is a Results with a canned one-seed output for every
@@ -105,6 +108,43 @@ func TestRegistryRendersCanned(t *testing.T) {
 	buf.Reset()
 	if err := entry(t, "gossip").text(&buf, r); err == nil || !strings.Contains(buf.String(), "6 of 7") {
 		t.Errorf("gossip entry with a lost packet: err %v after printing %q", err, buf.String())
+	}
+}
+
+// TestRegistryCellsRunOnOptionsMachine: with Options.System set, every
+// distinct closed-loop cell of the registry runs on that machine, the
+// ablation variants included, so each variant at the paper's setting is
+// a standard cell and the batch holds 41 cells, as on the default
+// machine. The variants leave the options' thresholds map alone, and
+// lazyvca's buffer-slot ratio reads the options' machine too. It
+// simulates nothing.
+func TestRegistryCellsRunOnOptionsMachine(t *testing.T) {
+	var cells []cell
+	for _, a := range registry {
+		cells = append(cells, a.cells...)
+	}
+	sys := config.DefaultWithMesh(topology.NewMesh(4, 4))
+	b := newClosedBatch(cells, Options{Seeds: []int64{1}, System: sys})
+	if len(b.cells) != 41 {
+		t.Errorf("%d distinct cells, want 41", len(b.cells))
+	}
+	for _, c := range b.cells {
+		if m := b.config(c, 1).System.Mesh; m != sys.Mesh {
+			t.Errorf("%s on %s runs on a %dx%d mesh, want 4x4", c.p.Name, c.cfg.Kind, m.Width, m.Height)
+		}
+	}
+	if want := config.DefaultWithMesh(sys.Mesh).AFC.ThresholdsByPosition; !reflect.DeepEqual(sys.AFC.ThresholdsByPosition, want) {
+		t.Errorf("options' thresholds became %v, want %v", sys.AFC.ThresholdsByPosition, want)
+	}
+
+	sys.AFC.VCsPerVN = [3]int{4, 4, 8}
+	v := lazyVCAView()
+	lb := newClosedBatch(v.cells, Options{Seeds: []int64{1}, System: sys})
+	for range lb.cells {
+		lb.outs = append(lb.outs, []closedOut{{}})
+	}
+	if got := v.rows(lb)[0].BufferSlotsRatio; got != 0.25 {
+		t.Errorf("lazyvca slot ratio = %g on 16 AFC slots against 64, want 0.25", got)
 	}
 }
 
