@@ -24,21 +24,24 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The bit-for-bit equivalence gates under the race detector, each with
-# the invariant checker attached and each checking its slice of the
-# digests recorded in internal/experiments/testdata/golden.json:
-# TestGoldenDigests pins the open/ keys (3x3 open-loop cells, fresh,
-# pooled reuse at 1 and 8 workers, and reuse after an abandoned cell),
-# the seed-1 and seed-5 scenario/ keys and the fig2a/short/ closed-loop
-# keys; TestShardedEqualsSerial pins the 8x8/ keys (serial and 2, 3 and
-# 8 shards); TestShardCountInvarianceFig2a pins the fig2a/quick/ keys
-# (serial and 2 and 3 shards). The sharded slices are the ones the race
-# detector bites hardest: any unsynchronized cross-shard access in the
-# barrier is a hard failure there, not a flaky diff. `race` already
-# covers them via ./...; this target exists so CI names them explicitly
-# and a -short or cached run cannot skip them. The explicit -timeout
-# overrides go test's 600s default: on a single-core machine the 8x8
-# sharded slice alone can exceed it under the race detector.
+# The bit-for-bit equivalence gates under the race detector, each
+# checking its slice of the digests recorded in
+# internal/experiments/testdata/golden.json, with the invariant checker
+# attached: TestGoldenDigests pins the open/ keys (3x3 open-loop cells,
+# fresh, pooled reuse at 1 and 8 workers, and reuse after an abandoned
+# cell), the seed-1 and seed-5 scenario/ keys and the fig2a/short/
+# closed-loop keys, and its unchecked path runs the fresh open-loop cells
+# and the serial scenario cells again without the checker, which ticks
+# every cycle, so only there does the kernel coast; TestShardedEqualsSerial
+# pins the 8x8/ keys (serial and 2, 3 and 8 shards);
+# TestShardCountInvarianceFig2a pins the fig2a/quick/ keys (serial and 2
+# and 3 shards). The sharded slices are the ones the race detector bites
+# hardest: any unsynchronized cross-shard access in the barrier is a hard
+# failure there, not a flaky diff. `race` already covers them via ./...;
+# this target exists so CI names them explicitly and a -short or cached
+# run cannot skip them. The explicit -timeout overrides go test's 600s
+# default: on a single-core machine the 8x8 sharded slice alone can
+# exceed it under the race detector.
 race-equality:
 	$(GO) test -race -count=1 -timeout 45m -run='^(TestGoldenDigests|TestShardedEqualsSerial|TestShardCountInvarianceFig2a)$$' ./internal/experiments
 
